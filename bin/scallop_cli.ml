@@ -109,13 +109,6 @@ let simulate_cmd =
     Arg.(value & opt float 0.0
          & info [ "ctrl-loss" ] ~doc:"Control channel iid loss probability per direction.")
   in
-  let ctrl_batch =
-    Arg.(value & flag
-         & info [ "ctrl-batch" ]
-             ~doc:"Batch the controller's session mutations: wire ops are buffered \
-                   per switch and flushed as one $(b,Rpc.Batch) per touched switch at \
-                   each operation boundary (one round trip instead of one per op).")
-  in
   let ctrl_window =
     Arg.(value & opt int Scallop.Rpc_transport.default.Scallop.Rpc_transport.window
          & info [ "ctrl-window" ] ~docv:"N"
@@ -141,7 +134,7 @@ let simulate_cmd =
                    power-cycle, one control partition and one degraded-control burst, \
                    spread disjointly over the run. Arms the controller's heartbeat \
                    failure detector; the run is extended past the last fault so every \
-                   repair (epoch-triggered resync or deferred-queue drain) completes. \
+                   repair (a resync from intent) completes. \
                    Deterministic: the same seeds reproduce the identical run.")
   in
   let chaos_seed =
@@ -180,8 +173,7 @@ let simulate_cmd =
                    monotonicity, batch order, quiet-heal, ...) and any \
                    violation fails the command.")
   in
-  let run participants senders seconds downlink_mbps ctrl_rtt_ms ctrl_loss ctrl_batch
-      ctrl_window check paranoid chaos chaos_seed trace_out trace_level mc =
+  let run participants senders seconds downlink_mbps ctrl_rtt_ms ctrl_loss ctrl_window check paranoid chaos chaos_seed trace_out trace_level mc =
    try
     let senders = Option.value senders ~default:participants in
     if trace_out <> None then Scallop_obs.Trace.set_level trace_level;
@@ -204,7 +196,7 @@ let simulate_cmd =
       { base with Scallop.Rpc_transport.window = ctrl_window }
     in
     let stack =
-      Experiments.Common.make_scallop ~seed:99 ~control ~batch:ctrl_batch ()
+      Experiments.Common.make_scallop ~seed:99 ~control ()
     in
     if paranoid then
       Scallop.Dataplane.set_mode stack.Experiments.Common.dp Scallop.Dataplane.Paranoid;
@@ -251,10 +243,7 @@ let simulate_cmd =
       List.iter
         (fun (e : Scallop.Controller.recovery_event) ->
           Printf.printf
-            "recovery: %s of sw%d — detected %.1f ms, recovered %.1f ms (%d RPCs)\n"
-            (match e.Scallop.Controller.re_kind with
-            | `Resync -> "resync"
-            | `Drain -> "drain")
+            "recovery: resync of sw%d — detected %.1f ms, recovered %.1f ms (%d RPCs)\n"
             e.Scallop.Controller.re_agent
             (float_of_int e.Scallop.Controller.re_detected_ns /. 1e6)
             (float_of_int e.Scallop.Controller.re_recovered_ns /. 1e6)
@@ -393,7 +382,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run one meeting through Scallop and print a QoE report.")
     Term.(term_result
             (const run $ participants $ senders $ seconds $ downlink_mbps $ ctrl_rtt_ms
-             $ ctrl_loss $ ctrl_batch $ ctrl_window $ check $ paranoid $ chaos
+             $ ctrl_loss $ ctrl_window $ check $ paranoid $ chaos
              $ chaos_seed $ trace_out $ trace_level $ mc))
 
 let check_cmd =

@@ -25,7 +25,6 @@ type kind =
   | Stale_pre_cache
   | Intent_drift
   | Shadow_drift
-  | Deferred_overflow
   | Split_brain
   | Journal_drift
 
@@ -62,7 +61,6 @@ let kind_name = function
   | Stale_pre_cache -> "stale-pre-cache"
   | Intent_drift -> "intent-drift"
   | Shadow_drift -> "shadow-drift"
-  | Deferred_overflow -> "deferred-overflow"
   | Split_brain -> "split-brain"
   | Journal_drift -> "journal-drift"
 
@@ -923,24 +921,6 @@ let check_pre_cache ctx sw =
            discipline violated"
           mgid l1_xid rid l2_xid (Array.length replicas) (List.length fresh))
 
-(* --- failure-detector state --------------------------------------------------
-
-   Losing ops to the deferred-queue cap is tolerated (the heal path falls
-   back to a full resync) but worth surfacing: an operator seeing it should
-   raise the cap or shorten outages. Warning severity — [assert_clean]
-   gates on errors only, and a forced resync converges regardless. *)
-
-let check_health ctx snap =
-  List.iter
-    (fun (h : C.health_view) ->
-      if h.C.hv_dropped > 0 then
-        warnf ctx Controller Deferred_overflow
-          (Printf.sprintf "sw%d/deferred" h.C.hv_agent)
-          "deferred queue overflowed: %d op(s) dropped (%d still queued) — heal will \
-           use a full resync instead of a drain"
-          h.C.hv_dropped h.C.hv_deferred)
-    snap.snap_intent.C.in_health
-
 (* --- entry points ------------------------------------------------------------ *)
 
 let check ?(totals = R.tofino2) snap =
@@ -960,7 +940,6 @@ let check ?(totals = R.tofino2) snap =
       check_shadow ctx sw)
     snap.snap_switches;
   check_intent ctx snap;
-  check_health ctx snap;
   List.rev ctx.acc
 
 let verify ?totals ctrl = check ?totals (snapshot ctrl)

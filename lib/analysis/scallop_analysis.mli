@@ -59,10 +59,6 @@ type kind =
           flush-on-mutation discipline was bypassed *)
   | Intent_drift  (** controller intent vs agent shadow mismatch *)
   | Shadow_drift  (** agent shadow vs data-plane ground truth mismatch *)
-  | Deferred_overflow
-      (** the controller's deferred-op queue for a Dead switch hit its
-          cap and dropped ops (Warning: the heal path compensates with a
-          full resync, but the operator should know) *)
   | Split_brain
       (** two live controller instances both hold the Acting role — the
           fencing protocol failed to depose the old primary *)

@@ -25,7 +25,7 @@ let client_link ?(rate_bps = 100e6) ?(propagation_ns = 5_000_000) () =
 let sfu_ip = Addr.ip_of_string "10.0.0.1"
 
 let make_scallop ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM) ?(switch_link = fast_link)
-    ?(control = Scallop.Rpc_transport.default) ?(batch = false) () =
+    ?(control = Scallop.Rpc_transport.default) ?batch () =
   (* a fresh world: stale same-key QoE collectors from a previous stack in
      this process would otherwise be reused and keep accumulating *)
   Scallop_obs.Qoe.reset ();
@@ -37,7 +37,7 @@ let make_scallop ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM) ?(switch_link
   let agent = Scallop.Switch_agent.create engine dp ~rewrite () in
   let controller =
     Scallop.Controller.create engine network (Rng.split rng) ~agents:[ (agent, dp) ] ~control
-      ~batch ()
+      ?batch ()
   in
   { engine; rng; network; dp; agent; controller }
 
@@ -51,7 +51,7 @@ type cluster_stack = { base : scallop_stack; cluster : Scallop.Cluster.t }
 
 let make_cluster ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM)
     ?(switch_link = fast_link) ?(control = Scallop.Rpc_transport.default)
-    ?(batch = false) ?cluster_config () =
+    ?cluster_config () =
   Scallop_obs.Qoe.reset ();
   let engine = Engine.create () in
   let rng = Rng.create seed in
@@ -61,7 +61,7 @@ let make_cluster ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM)
   let agent = Scallop.Switch_agent.create engine dp ~rewrite () in
   let cluster =
     Scallop.Cluster.create ?config:cluster_config engine network (Rng.split rng)
-      ~agents:[ (agent, dp) ] ~control ~batch ()
+      ~agents:[ (agent, dp) ] ~control ()
   in
   {
     base =

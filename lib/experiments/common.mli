@@ -22,9 +22,9 @@ val make_scallop :
   scallop_stack
 (** [control] configures the controller↔agent RPC channel (latency,
     loss, retry policy); the default ideal channel leaves every other
-    experiment byte-identical to direct calls. [batch] (default false)
-    turns on the controller's control-plane batching mode
-    ({!Scallop.Controller.create}). *)
+    experiment byte-identical to direct calls. [batch] is the
+    controller's flush policy ({!Scallop.Controller.create}; default
+    [true], [false] flushes every op). *)
 
 type cluster_stack = { base : scallop_stack; cluster : Scallop.Cluster.t }
 (** A scallop stack whose controller tier is the fault-tolerant
@@ -38,7 +38,6 @@ val make_cluster :
   ?rewrite:Scallop.Seq_rewrite.variant ->
   ?switch_link:Netsim.Link.config ->
   ?control:Scallop.Rpc_transport.config ->
-  ?batch:bool ->
   ?cluster_config:Scallop.Cluster.config ->
   unit ->
   cluster_stack

@@ -2,8 +2,10 @@
    join/leave/migrate/share sequence with the inter-event gaps removed, so
    the control plane itself is the bottleneck (the trace's session churn
    compressed 100-1000x onto the controller). The same deterministic event
-   schedule runs twice — per-op RPCs vs batched ([Controller.create
-   ~batch:true]) — over a degraded control channel, and the ratio of
+   schedule runs twice — flushing the controller's batch buffer after
+   every op ([Controller.create ~batch:false], one RPC per wire op) vs at
+   each operation boundary (the default) — over a degraded control
+   channel, and the ratio of
    virtual-time operation throughput is the batching speedup the CI gate
    checks. *)
 

@@ -9,7 +9,6 @@ module T = Scallop.Rpc_transport
 module An = Scallop_analysis
 
 type recovery = {
-  kind : string;  (** "resync" | "drain" *)
   detected_ms : float;
   recovered_ms : float;
   latency_ms : float;
@@ -21,15 +20,15 @@ type result = {
   recoveries : recovery list;  (** oldest first *)
   partition_egress : (int * int) list;
       (** per partition fault: egress replicas emitted inside the window *)
-  deferred_drained : int;  (** ops queued against Dead switches, total *)
+  skipped_peak : int;  (** most ops skipped against an unavailable switch at once *)
   findings_after : An.finding list;
 }
 
 (* One switch, a live meeting, and a seed-derived fault schedule: a full
-   power-cycle (state wiped, epoch bumped -> full resync on heal) plus a
-   control partition (state intact -> deferred ops drain on heal) plus a
-   degraded-control burst, with churn (a join and a leave) landing while
-   faults are active. *)
+   power-cycle (state wiped, epoch bumped -> resync on heal) plus a
+   control partition (state intact -> resync on heal only if ops were
+   skipped meanwhile) plus a degraded-control burst, with churn (a join
+   and a leave) landing while faults are active. *)
 let compute ?(quick = false) ?(seed = 97) () =
   let stack = Common.make_scallop ~seed () in
   let horizon = Engine.sec (if quick then 20.0 else 40.0) in
@@ -66,12 +65,13 @@ let compute ?(quick = false) ?(seed = 97) () =
       | Chaos.Crash_restart _ | Chaos.Control_loss _ -> ())
     schedule;
   (* churn in the thick of the fault window: both ops either complete
-     normally or are deferred against a Dead switch and replayed *)
-  let deferred_seen = ref 0 in
-  let note_deferred () =
+     normally or are skipped against an unavailable switch and covered by
+     its resync *)
+  let skipped_seen = ref 0 in
+  let note_skipped () =
     let intent = C.introspect stack.controller in
     List.iter
-      (fun (h : C.health_view) -> deferred_seen := max !deferred_seen h.C.hv_deferred)
+      (fun (h : C.health_view) -> skipped_seen := max !skipped_seen h.C.hv_skipped)
       intent.C.in_health
   in
   Engine.at stack.engine ~time:(horizon * 2 / 5) (fun () ->
@@ -80,14 +80,14 @@ let compute ?(quick = false) ?(seed = 97) () =
           ()
       in
       ignore (C.join stack.controller mid client ~send_media:true);
-      note_deferred ());
+      note_skipped ());
   Engine.at stack.engine
     ~time:(horizon / 2)
     (fun () ->
       (match List.rev parts with
       | (pid, _) :: _ -> C.leave stack.controller pid
       | [] -> ());
-      note_deferred ());
+      note_skipped ());
   let run_until = max horizon (Chaos.horizon_end schedule + Engine.sec 5.0) in
   Engine.run ~until:run_until stack.engine;
   C.stop_health stack.controller;
@@ -95,7 +95,6 @@ let compute ?(quick = false) ?(seed = 97) () =
     List.rev_map
       (fun (e : C.recovery_event) ->
         {
-          kind = (match e.C.re_kind with `Resync -> "resync" | `Drain -> "drain");
           detected_ms = float_of_int e.C.re_detected_ns /. 1e6;
           recovered_ms = float_of_int e.C.re_recovered_ns /. 1e6;
           latency_ms = float_of_int (e.C.re_recovered_ns - e.C.re_detected_ns) /. 1e6;
@@ -107,7 +106,7 @@ let compute ?(quick = false) ?(seed = 97) () =
     schedule;
     recoveries;
     partition_egress = List.rev !partition_egress;
-    deferred_drained = !deferred_seen;
+    skipped_peak = !skipped_seen;
     findings_after = An.verify stack.controller;
   }
 
@@ -116,14 +115,13 @@ let run ?quick () =
   Printf.printf "Fault schedule (seed-derived, virtual time):\n%s\n\n"
     (Chaos.describe r.schedule);
   let table =
-    Table.create ~title:"Failure recovery (detection -> clean state)"
-      ~columns:[ "repair"; "detected ms"; "recovered ms"; "latency ms"; "RPCs" ]
+    Table.create ~title:"Failure recovery by resync (detection -> clean state)"
+      ~columns:[ "detected ms"; "recovered ms"; "latency ms"; "RPCs" ]
   in
   List.iter
     (fun rec_ ->
       Table.add_row table
         [
-          rec_.kind;
           Table.cell_f ~decimals:1 rec_.detected_ms;
           Table.cell_f ~decimals:1 rec_.recovered_ms;
           Table.cell_f ~decimals:1 rec_.latency_ms;
@@ -139,13 +137,15 @@ let run ?quick () =
         (float_of_int from_ns /. 1e6)
         pkts)
     r.partition_egress;
-  Printf.printf "Peak ops deferred against a Dead switch: %d\n" r.deferred_drained;
+  Printf.printf "Peak ops skipped against an unavailable switch: %d\n" r.skipped_peak;
   let errs = An.errors r.findings_after in
   Printf.printf "Post-recovery verification: %d finding(s), %d error(s).\n"
     (List.length r.findings_after) (List.length errs);
   if errs <> [] then print_endline (An.report errs);
   Printf.printf
-    "The controller detects the outage by missed heartbeats, keeps intent mutations in a\n\
-     bounded deferred queue, and converges by epoch: same epoch drains the queue, a new\n\
-     epoch replays the whole meeting from intent. Media through a partitioned switch\n\
-     never stops; only a power-cycled switch drops media until resync.\n\n"
+    "The controller detects the outage by missed heartbeats and keeps updating intent\n\
+     while skipping the wire side of ops the switch cannot take. It heals by one\n\
+     mechanism: a switch that rebooted or missed ops is resynced from intent as one\n\
+     batch; one back at the same epoch having missed nothing just turns healthy. Media\n\
+     through a partitioned switch never stops; only a power-cycled switch drops media\n\
+     until resync.\n\n"

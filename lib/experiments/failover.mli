@@ -3,19 +3,18 @@
     partition, and a degraded-control burst — with churn landing
     mid-outage.
 
-    Measures, all in virtual time: detection→recovery latency per repair
-    (a full intent resync after the reboot, a deferred-queue drain after
-    the partition), media continuity through the partition (egress
+    Measures, all in virtual time: detection→recovery latency per resync
+    (after the reboot, and after the partition when ops were skipped
+    during it), media continuity through the partition (egress
     replicas emitted while control is severed), and a full
     {!Scallop_analysis} verification after the last heal, which must be
     error-free. *)
 
 type recovery = {
-  kind : string;  (** ["resync"] or ["drain"] *)
   detected_ms : float;  (** when the failure detector declared Dead *)
-  recovered_ms : float;  (** when the repair committed *)
+  recovered_ms : float;  (** when the resync committed *)
   latency_ms : float;
-  ops : int;  (** RPCs the repair took *)
+  ops : int;  (** RPCs the resync took *)
 }
 
 type result = {
@@ -23,7 +22,7 @@ type result = {
   recoveries : recovery list;  (** oldest first *)
   partition_egress : (int * int) list;
       (** (partition start ns, egress replicas during the outage) *)
-  deferred_drained : int;  (** peak ops queued against a Dead switch *)
+  skipped_peak : int;  (** peak ops skipped against an unavailable switch *)
   findings_after : Scallop_analysis.finding list;  (** post-recovery verify *)
 }
 

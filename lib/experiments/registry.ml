@@ -120,7 +120,7 @@ let all =
       id = "failover";
       title = "Failure recovery: crash/partition chaos vs clean re-convergence";
       paper_claim = "the data plane forwards last-known state through control outages; \
-                     the controller re-converges by epoch (resync) or queue drain";
+                     the controller re-converges by one resync from intent";
       run = (fun ?quick () -> Failover.run ?quick ());
     };
     {

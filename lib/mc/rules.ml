@@ -2,8 +2,8 @@
    per run (closures carry mutable state). Event vocabulary: see the
    instrumentation in Rpc_transport.Server.deliver ("rpc_exec"),
    Switch_agent ("member_add/del", "batch_*", "agent_crash/restart") and
-   Controller ("op_defer/op_drained/defer_drop/defer_discard",
-   "heal_begin/heal_done", "hb_*", "agent_dead").
+   Controller ("op_skip", "heal_begin/heal_done", "hb_*",
+   "agent_dead/agent_suspect/agent_healthy").
 
    Two namespaces identify agents: server-side events carry the
    data-plane label ("sw0"), controller-side events carry the switch
@@ -66,47 +66,27 @@ let exactly_once_wire () =
     ~final:(fun ~now:_ -> [])
 
 (* R2 — effect-level exactly-once: registering a participant must never
-   leave it in the member list twice. Scoped to agents that have
-   restarted: that is the heal-race signature (a resync replays intent,
-   then a straddling retransmit re-executes on the healed agent). A
-   duplicate on a never-restarted agent is the documented drain hazard —
-   a deferred op re-issued after its original's reply was lost — which
-   the anti-entropy reconcile pass repairs. *)
+   leave it in the member list twice, on any agent. A duplicate is the
+   heal-race signature (a resync replays intent, then a straddling
+   retransmit re-executes on the healed agent) or an op executed twice
+   outside the replay cache. *)
 let exactly_once_effect () =
-  let restarted : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  make ~name:"exactly-once-effect"
-    ~doc:
-      "on a healed (restarted) agent a participant must never be appended \
-       to a meeting's member list twice"
-    ~step:(fun ~idx ev ->
-      if is ev "agent_restart" then begin
-        Hashtbl.replace restarted (agent_s ev) ();
-        []
-      end
-      else if is ev "member_add" then begin
-        let a = agent_s ev in
+  always ~name:"exactly-once-effect"
+    ~doc:"a participant is never appended to a meeting's member list twice"
+    (fun ~idx:_ ev ->
+      if is ev "member_add" then
         let count = req "count" (arg_i ev "count") in
-        if count > 1 && Hashtbl.mem restarted a then
-          [
-            {
-              v_rule = "exactly-once-effect";
-              v_detail =
-                Printf.sprintf
-                  "agent %s: participant %d added to meeting %d with \
-                   multiplicity %d after a restart — a resync replay and a \
-                   straddling retransmit both executed the join"
-                  a
-                  (req "participant" (arg_i ev "participant"))
-                  (req "meeting" (arg_i ev "meeting"))
-                  count;
-              v_ts = ev.ts;
-              v_events = [ idx ];
-            };
-          ]
-        else []
-      end
-      else [])
-    ~final:(fun ~now:_ -> [])
+        if count > 1 then
+          Some
+            (Printf.sprintf
+               "agent %s: participant %d added to meeting %d with multiplicity \
+                %d — the join executed twice"
+               (agent_s ev)
+               (req "participant" (arg_i ev "participant"))
+               (req "meeting" (arg_i ev "meeting"))
+               count)
+        else None
+      else None)
 
 (* R3 — epoch monotonicity: pong-observed epochs never regress per
    switch index; agent restarts strictly increase the epoch per label. *)
@@ -265,66 +245,43 @@ let batch_order () =
       else [])
     ~final:(fun ~now:_ -> [])
 
-(* R6 — deferred ops eventually drain: at end of run the deferred queue
-   must be empty unless the switch is still marked dead (the run ended
-   mid-outage). A liveness rule: ops may sit queued transiently — even
-   across a heal_done, when they were deferred during the heal itself —
-   but a healthy end state with a non-empty queue means they were
-   forgotten. Uses the depth/n args as the authoritative counter. *)
-let deferred_drain () =
-  let depth : (int, int * int) Hashtbl.t = Hashtbl.create 4 in
-  (* idx -> (outstanding, last defer event) *)
+(* R6 — skipped ops are eventually healed: an op whose wire side was
+   skipped (the switch was Dead or healing, or its batch went
+   unacknowledged) leaves the switch out of sync until a complete resync.
+   A liveness rule: a switch that ends the run Healthy must have a
+   [heal_done] after its last [op_skip]. A switch still Dead at the end
+   is excused — the run ended mid-outage. *)
+let skipped_ops_healed () =
+  let pending : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  (* switch -> last unhealed op_skip event *)
   let dead : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  make ~name:"deferred-drain"
+  make ~name:"skipped-ops-healed"
     ~doc:
-      "ops deferred for a dead switch eventually drain (or are discarded \
-       by a full resync): a healthy switch must not end the run with ops \
-       still queued"
+      "a switch that missed ops is resynced before it is trusted again: \
+       ending the run healthy requires a heal_done after its last skip"
     ~step:(fun ~idx ev ->
-      if is ev "op_defer" then begin
-        Hashtbl.replace depth (agent_i ev) (req "depth" (arg_i ev "depth"), idx);
-        []
-      end
-      else if is ev "op_drained" then begin
-        let a = agent_i ev in
-        let _, at =
-          Option.value ~default:(0, idx) (Hashtbl.find_opt depth a)
-        in
-        Hashtbl.replace depth a (req "depth" (arg_i ev "depth"), at);
-        []
-      end
-      else if is ev "defer_discard" then begin
-        Hashtbl.remove depth (agent_i ev);
-        []
-      end
-      else if is ev "agent_dead" then begin
-        Hashtbl.replace dead (agent_i ev) ();
-        []
-      end
-      else if is ev "heal_done" then begin
-        (* ops deferred during the heal itself may still be queued here;
-           they must drain before the run ends (checked in [final]) *)
-        Hashtbl.remove dead (agent_i ev);
-        []
-      end
-      else [])
+      if is ev "op_skip" then Hashtbl.replace pending (agent_i ev) idx
+      else if is ev "heal_done" then Hashtbl.remove pending (agent_i ev)
+      else if is ev "agent_dead" then Hashtbl.replace dead (agent_i ev) ()
+      else if is ev "agent_healthy" then Hashtbl.remove dead (agent_i ev);
+      [])
     ~final:(fun ~now ->
       Hashtbl.fold
-        (fun a (d, at) acc ->
-          if d > 0 && not (Hashtbl.mem dead a) then
+        (fun a at acc ->
+          if Hashtbl.mem dead a then acc
+          else
             {
-              v_rule = "deferred-drain";
+              v_rule = "skipped-ops-healed";
               v_detail =
                 Printf.sprintf
-                  "switch %d ended the run healthy with %d deferred op(s) \
-                   never drained"
-                  a d;
+                  "switch %d ended the run healthy with skipped ops no resync \
+                   covered"
+                  a;
               v_ts = now;
               v_events = [ at ];
             }
-            :: acc
-          else acc)
-        depth []
+            :: acc)
+        pending []
       |> List.sort (fun a b -> compare a.v_events b.v_events))
 
 (* R7 — heartbeat liveness: while health monitoring runs, ticks arrive
@@ -548,7 +505,7 @@ let all () =
     epoch_monotone ();
     no_exec_while_crashed ();
     batch_order ();
-    deferred_drain ();
+    skipped_ops_healed ();
     hb_liveness ();
     replay_identical ();
     quiet_heal ();

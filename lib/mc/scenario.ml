@@ -10,7 +10,6 @@ module Common = Experiments.Common
 
 type config = {
   sc_seed : int;
-  sc_batch : bool;
   sc_mutations : Mutation.t list;
   sc_ties : bool;
   sc_channel : bool;
@@ -18,14 +17,12 @@ type config = {
   sc_window_ms : int * int;
   sc_fault_every_ms : int;
   sc_horizon_s : float;
-  sc_reconcile : bool;
   sc_cluster : bool;
 }
 
 let default =
   {
     sc_seed = 11;
-    sc_batch = true;
     sc_mutations = [];
     sc_ties = false;
     sc_channel = true;
@@ -33,7 +30,6 @@ let default =
     sc_window_ms = (2000, 4200);
     sc_fault_every_ms = 250;
     sc_horizon_s = 10.0;
-    sc_reconcile = true;
     sc_cluster = false;
   }
 
@@ -201,10 +197,10 @@ let run ?(config = default) ?on_event ~forced () =
     (fun () ->
       let stack, cluster =
         if cfg.sc_cluster then begin
-          let cs = Common.make_cluster ~seed:cfg.sc_seed ~batch:cfg.sc_batch () in
+          let cs = Common.make_cluster ~seed:cfg.sc_seed () in
           (cs.Common.base, Some cs.Common.cluster)
         end
-        else (Common.make_scallop ~seed:cfg.sc_seed ~batch:cfg.sc_batch (), None)
+        else (Common.make_scallop ~seed:cfg.sc_seed (), None)
       in
       let endpoint () =
         match cluster with
@@ -287,17 +283,8 @@ let run ?(config = default) ?on_event ~forced () =
         Engine.set_chooser engine None;
         let ep = endpoint () in
         let findings =
-          if cfg.sc_reconcile then
-            (* the anti-entropy pass is part of the protocol: residual
-               drift it repairs (e.g. a drain-path double-execute) is
-               tolerated by design; what survives it is a real defect *)
-            (An.reconcile ep).An.rr_after
-          else An.verify ep
-        in
-        let findings =
-          match cluster with
-          | Some cl -> findings @ An.check_cluster cl
-          | None -> findings
+          An.verify ep
+          @ match cluster with Some cl -> An.check_cluster cl | None -> []
         in
         finish ~findings ~state_hash:(An.state_hash (An.snapshot ep)) ~crash:None
       with exn ->

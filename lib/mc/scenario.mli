@@ -5,7 +5,7 @@
     meeting (2 senders) on a single batched switch, two quality pins and
     a late join at fixed virtual times — because that is the smallest
     workload known to exercise every control-plane path (batch flush,
-    defer, resync, drain). Nondeterminism is injected at three kinds of
+    skip, resync). Nondeterminism is injected at three kinds of
     choice point, all funneled through one {!Choice.t}:
 
     - {b faults}: a crash/restart/nothing decision on a fixed grid of
@@ -23,7 +23,6 @@
 
 type config = {
   sc_seed : int;  (** simulation seed (default 11, the failover suite's) *)
-  sc_batch : bool;  (** batched wire mode (default true) *)
   sc_mutations : Scallop.Mutation.t list;
       (** seeded defects to enable for this run *)
   sc_ties : bool;  (** same-timestamp permutation choice points *)
@@ -32,10 +31,6 @@ type config = {
   sc_window_ms : int * int;  (** active choice window, virtual ms *)
   sc_fault_every_ms : int;  (** fault-grid spacing *)
   sc_horizon_s : float;  (** run length, virtual seconds *)
-  sc_reconcile : bool;
-      (** run the anti-entropy reconcile pass before the final
-          verification (default true: drift the protocol repairs by
-          design is not a finding; what survives reconcile is) *)
   sc_cluster : bool;
       (** run the controller tier as the fault-tolerant primary/standby
           pair ({!Scallop.Cluster}). The fault grid gains two {e
@@ -54,7 +49,8 @@ val default : config
 type outcome = {
   o_violations : Temporal.violation list;  (** temporal-rule violations *)
   o_findings : Scallop_analysis.finding list;
-      (** end-state verifier findings (post-reconcile when enabled) *)
+      (** end-state verifier findings ({!Scallop_analysis.verify}, plus
+          the cluster invariants in cluster mode) *)
   o_state_hash : int;  (** {!Scallop_analysis.state_hash} of the end state *)
   o_log : (int * int) list;  (** full (chosen, arity) decision log *)
   o_chosen : int array;  (** replay this via [~forced] to reproduce *)

@@ -33,17 +33,14 @@ let instances t = [ t.primary; t.standby ]
    cluster's advertised leader; the deposed one keeps executing whatever
    is already in flight, which is exactly the split-brain the explorer
    must catch. With no live acting instance (primary killed, standby not
-   yet promoted) fall back to the primary: callers get [Unavailable] and
-   retry, the same contract a real client library exposes mid-failover. *)
+   yet promoted) fall back to the last instance that acted, dead or not:
+   callers get [Unavailable] and retry, the same contract a real client
+   library exposes mid-failover, and its intent is what the agents were
+   last programmed with. *)
 let endpoint t =
-  let acting =
-    List.filter
-      (fun c -> Controller.role c = Controller.Acting && Controller.alive c)
-      (instances t)
-  in
-  match
-    List.sort (fun a b -> compare (Controller.fence b) (Controller.fence a)) acting
-  with
+  let acting = List.filter (fun c -> Controller.role c = Controller.Acting) (instances t) in
+  let rank c = (Controller.alive c, Controller.fence c) in
+  match List.sort (fun a b -> compare (rank b) (rank a)) acting with
   | c :: _ -> c
   | [] -> t.primary
 
@@ -107,14 +104,13 @@ let beat t =
     t.running
   end
 
-let create ?(config = default) engine network rng ~agents ?control ?(batch = false) ()
-    =
+let create ?(config = default) engine network rng ~agents ?control () =
   let journal = Journal.create () in
   let primary =
-    Controller.create engine network rng ~agents ?control ~batch ~journal ()
+    Controller.create engine network rng ~agents ?control ~journal ()
   in
   let standby =
-    Controller.create engine network rng ~agents ?control ~batch ~journal
+    Controller.create engine network rng ~agents ?control ~journal
       ~standby:true ~label:"ctl1" ~ip:standby_ip ()
   in
   let t =

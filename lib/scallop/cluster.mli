@@ -40,7 +40,6 @@ val create :
   Scallop_util.Rng.t ->
   agents:(Switch_agent.t * Dataplane.t) list ->
   ?control:Rpc_transport.config ->
-  ?batch:bool ->
   unit ->
   t
 (** Build the pair: an acting primary (label ["ctl"], the default
@@ -50,9 +49,10 @@ val create :
 
 val endpoint : t -> Controller.t
 (** The instance a workload should call: the live acting primary with
-    the freshest fence. Mid-failover (primary dead, standby not yet
-    promoted) this still returns the dead primary — callers see
-    {!Controller.Unavailable} and retry, the client-library contract. *)
+    the freshest fence. Mid-failover (the acting instance dead, no
+    standby promoted yet) this still returns the last instance that
+    acted — callers see {!Controller.Unavailable} and retry, the
+    client-library contract. *)
 
 val acting : t -> Controller.t option
 (** Whichever instance currently holds the [Acting] role, dead or not. *)

@@ -67,10 +67,11 @@ type meeting = {
 
    Per-agent health is a three-state machine driven by heartbeat probes:
    Healthy -(missed probes)-> Suspect -(more)-> Dead -(pong)-> Healthy.
-   While an agent is Dead its session mutations are queued (bounded,
-   oldest dropped first); a pong carrying the known epoch drains the
-   queue in order, a pong with a new epoch means the agent rebooted
-   blank and triggers a full intent replay instead. *)
+   While an agent is Dead (or mid-heal) the wire side of its session
+   mutations is skipped — intent still updates — and the agent is marked
+   out of sync. A pong over a quiet channel heals it: a rebooted or
+   out-of-sync agent is resynced from intent, an agent that comes back
+   at the same epoch having missed nothing simply turns Healthy. *)
 
 type agent_health = Healthy | Suspect | Dead
 
@@ -79,7 +80,6 @@ type health_config = {
   probe_timeout_ns : int;
   suspect_after : int;  (** consecutive missed probes before Suspect *)
   dead_after : int;  (** consecutive missed probes before Dead *)
-  deferred_cap : int;  (** max ops queued per Dead agent *)
 }
 
 let default_health_config =
@@ -88,29 +88,18 @@ let default_health_config =
     probe_timeout_ns = Engine.ms 250;
     suspect_after = 2;
     dead_after = 4;
-    deferred_cap = 256;
   }
 
 type recovery_event = {
   re_agent : int;
-  re_kind : [ `Resync | `Drain ];
   re_detected_ns : int;  (** when the agent was declared Dead *)
-  re_recovered_ns : int;  (** when replay/drain finished *)
+  re_recovered_ns : int;  (** when the resync finished *)
   re_ops : int;  (** RPCs it took *)
 }
 
-type deferred_op = {
-  d_mid : meeting_id;
-  d_build : agent_mid:int -> Rpc.request;
-      (** closes over everything but the agent-side meeting id, which may
-          still be provisional at queue time *)
-}
-
-(* One wire op waiting in a per-agent batch buffer (batched mode only).
-   Same shape as a deferred op — and for the same reason: the agent-side
-   meeting id is resolved at flush time, not at buffering time, so a
-   buffered op can be pushed onto the deferred queue unchanged when the
-   flush hits a dead channel. *)
+(* One wire op waiting in a per-agent batch buffer. The agent-side
+   meeting id is resolved at flush time, not at buffering time: the site
+   may still be provisional when the op is buffered. *)
 type buffered_op = {
   b_mid : meeting_id;
   b_build : agent_mid:int -> Rpc.request;
@@ -121,13 +110,16 @@ type agent_state = {
   mutable ah_epoch : int;  (** last epoch seen in a Pong; -1 before the first *)
   mutable ah_missed : int;  (** consecutive missed probes *)
   mutable ah_detected_ns : int;
-  mutable ah_healing : bool;  (** a resync/drain is in flight; ignore probe results *)
+  mutable ah_healing : bool;  (** a resync is in flight; ignore probe results *)
   mutable ah_observed : int;
       (** latest epoch any pong carried, tracked even while a heal is in
           flight — a change mid-resync means the agent rebooted under the
-          replay and the resync must abort *)
-  ah_deferred : deferred_op Queue.t;
-  mutable ah_dropped : int;  (** ops lost to the cap since the last replay *)
+          replay and the resync must not commit *)
+  mutable ah_in_sync : bool;
+      (** the agent holds current intent as far as the controller knows:
+          cleared by a skipped op or a resync that did not complete, set
+          only by a resync that completed with nothing skipped under it *)
+  mutable ah_skipped : int;  (** ops skipped since the last complete resync *)
   ah_gauge : Metrics.gauge;
   ah_transitions : Metrics.counter array;
       (** detector transitions into each state, indexed by
@@ -143,7 +135,6 @@ type health_state = {
   hb_missed : Metrics.counter;
   hs_resync_full : Metrics.counter;
   hs_repair_ops : Metrics.counter;
-  hs_deferred : Metrics.gauge;
   mutable hs_recovery : recovery_event list;  (** newest first *)
   hs_recovery_dropped : Metrics.counter;
       (** recovery events pushed out of the bounded ring *)
@@ -158,8 +149,8 @@ type role = Acting | Standby | Deposed
     the current fencing epoch and is the only instance that may mutate;
     a [Standby] tails the journal (rejecting direct API calls); a
     [Deposed] instance discovered a newer fence and refuses everything
-    until restarted. A journal-less controller is a cluster of one,
-    permanently [Acting]. *)
+    until restarted. A controller created alone is a cluster of one over
+    its own journal, permanently [Acting]. *)
 
 exception Unavailable
 (** The controller cannot take this operation: it is killed, or it is a
@@ -208,10 +199,10 @@ type t = {
   mutable sdp_messages : int;
   mutable health : health_state option;  (** None until {!start_health} *)
   mutable next_provisional : int;  (** provisional agent meeting ids, < -1 *)
-  batch : bool;  (** buffer session mutations and flush them as [Rpc.Batch]es *)
+  batch : bool;  (** flush at operation boundaries; [false] flushes every op *)
   buffers : buffered_op Queue.t array;  (** per-agent batch buffer (FIFO) *)
   flushing : bool array;  (** per-agent reentrancy guard around a flush *)
-  journal : persisted Journal.t option;  (** None = cluster of one *)
+  journal : persisted Journal.t;
   mutable role : role;
   mutable fence : int;  (** fencing epoch this instance acts under *)
   mutable recovering : bool;
@@ -228,11 +219,9 @@ let controller_ip = Addr.ip_of_string "10.255.0.1"
 let control_port = 6633
 
 let create engine network rng ~agents ?(control = Rpc_transport.default)
-    ?(batch = false) ?journal ?(standby = false) ?(label = "ctl")
+    ?(batch = true) ?(journal = Journal.create ()) ?(standby = false) ?(label = "ctl")
     ?(ip = controller_ip) () =
   if agents = [] then invalid_arg "Controller.create: need at least one switch agent";
-  if standby && journal = None then
-    invalid_arg "Controller.create: a standby needs a journal to tail";
   let agents = Array.of_list agents in
   let rpcs =
     Array.mapi
@@ -282,12 +271,9 @@ let create engine network rng ~agents ?(control = Rpc_transport.default)
       applied = -1;
     }
   in
-  (match journal with
-  | Some j when not standby ->
-      (* fresh primary over a (possibly pre-populated) journal: own the
-         next fencing epoch from the start *)
-      t.fence <- Journal.acquire_fence j
-  | _ -> ());
+  (* a fresh primary over a (possibly pre-populated) journal owns the
+     next fencing epoch from the start *)
+  if not standby then t.fence <- Journal.acquire_fence journal;
   t
 
 let fresh_sfu_port t =
@@ -342,10 +328,10 @@ let find_participant t pid =
 
 (* --- fencing ---------------------------------------------------------------
 
-   With a journal present every wire op carries the instance's fencing
-   epoch ([Rpc.Fenced]); agents reject anything older than the highest
-   fence they have seen ([Rpc.Stale_fence]), and the journal itself
-   rejects appends under a superseded fence. Either rejection deposes
+   Every wire op carries the instance's fencing epoch ([Rpc.Fenced]);
+   agents reject anything older than the highest fence they have seen
+   ([Rpc.Stale_fence]), and the journal itself rejects appends under a
+   superseded fence. Either rejection deposes
    this instance: a standby has been promoted and owns a higher epoch. *)
 
 let ctrl_arg t = ("ctrl", Trace.S t.label)
@@ -372,20 +358,14 @@ let ensure_usable t =
    (stale fence) means the op was neither journaled nor executed — the
    caller retries against the acting instance. *)
 let journaled t op =
-  match t.journal with
-  | Some j when not t.recovering -> (
-      match Journal.append j ~fence:t.fence op with
-      | idx -> t.applied <- idx
-      | exception Journal.Deposed { current; _ } ->
-          depose t ~fence:current;
-          raise Deposed_primary)
-  | _ -> ()
+  if not t.recovering then
+    match Journal.append t.journal ~fence:t.fence op with
+    | idx -> t.applied <- idx
+    | exception Journal.Deposed { current; _ } ->
+        depose t ~fence:current;
+        raise Deposed_primary
 
-(* Wrap a wire op in the instance's fencing epoch — only in cluster
-   mode, so a journal-less controller's wire bytes stay exactly as they
-   always were. *)
-let wire t req =
-  match t.journal with None -> req | Some _ -> Rpc.Fenced { fence = t.fence; op = req }
+let wire t req = Rpc.Fenced { fence = t.fence; op = req }
 
 (* Check the journal for a newer fence and self-depose if one exists —
    the lease check the cluster beat timer runs on the acting primary, so
@@ -394,13 +374,11 @@ let wire t req =
    The skip-fencing mutation disables this too: the model checker must
    be able to drive the resulting split brain to a double execution. *)
 let refresh_role t =
-  match t.journal with
-  | Some j
-    when t.role = Acting
-         && (not (Mutation.on Mutation.Skip_fencing_check))
-         && Journal.fence j > t.fence ->
-      depose t ~fence:(Journal.fence j)
-  | _ -> ()
+  if
+    t.role = Acting
+    && (not (Mutation.on Mutation.Skip_fencing_check))
+    && Journal.fence t.journal > t.fence
+  then depose t ~fence:(Journal.fence t.journal)
 
 let create_meeting t =
   ensure_usable t;
@@ -410,77 +388,64 @@ let create_meeting t =
 (* --- control-plane RPC ------------------------------------------------------
 
    Every agent operation is a typed message shipped over that switch's
-   control channel; the call blocks (in virtual time) until the agent's
-   reply lands. An [Error] reply surfaces as [Invalid_argument]. A dead
-   channel depends on whether health tracking runs: with it, the agent
-   is marked Dead and the op is queued for the heal/restart replay;
-   without it (the pre-failure-detector contract), the transport error
-   surfaces as [Rpc_transport.Timed_out]. *)
+   control channel. Session mutations go through one path: they append
+   their wire op to the switch's batch buffer, and a flush ships the
+   buffer as one fenced [Rpc.Batch] — at the end of each public
+   operation, or after every op when [batch] is off. The call blocks (in
+   virtual time) until the agent's reply lands. An [Error] reply
+   surfaces as [Invalid_argument]. A dead channel depends on whether
+   health tracking runs: with it, the agent is marked Dead and the ops
+   are skipped, to be covered by the agent's next resync; without it
+   (the pre-failure-detector contract), the transport error surfaces as
+   [Rpc_transport.Timed_out]. *)
 
 let health_rank = function Healthy -> 0 | Suspect -> 1 | Dead -> 2
 let health_name = function Healthy -> "healthy" | Suspect -> "suspect" | Dead -> "dead"
 
-let is_dead t idx =
-  match t.health with Some h -> h.hs_agents.(idx).ah = Dead | None -> false
+(* A Dead switch cannot take ops, and neither can one mid-heal: the
+   resync in flight is replaying controller intent, and a straddling op
+   races that replay — double-executing its effect or colliding with
+   half-replayed agent bookkeeping. Its wire side is skipped like an op
+   for a dead switch, which leaves the switch out of sync for another
+   resync. *)
+let unavailable t idx =
+  match t.health with
+  | Some h -> h.hs_agents.(idx).ah = Dead || h.hs_agents.(idx).ah_healing
+  | None -> false
 
-(* A switch mid-heal must not take new direct ops either: the resync or
-   drain in flight is replaying controller intent, and a straddling
-   direct op races that replay — double-executing its effect (the member
-   shows up from both the direct call and the intent replay) or
-   colliding with half-replayed agent bookkeeping. Ops arriving while a
-   heal is in flight are deferred like ops for a dead switch; a
-   successful resync then discards them as covered by the replayed
-   intent, and a drain re-issues them in order. *)
-let is_healing t idx =
-  match t.health with Some h -> h.hs_agents.(idx).ah_healing | None -> false
-
-let unavailable t idx = is_dead t idx || is_healing t idx
-
-let set_agent_health h idx st =
+let set_agent_health t h idx st =
   let a = h.hs_agents.(idx) in
-  if a.ah <> st then Metrics.incr a.ah_transitions.(health_rank st);
+  if a.ah <> st then begin
+    Metrics.incr a.ah_transitions.(health_rank st);
+    if Trace.enabled Trace.Rpc then
+      Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl"
+        ("agent_" ^ health_name st)
+        ~args:[ ctrl_arg t; ("agent", Trace.I idx) ]
+  end;
   a.ah <- st;
   Metrics.set a.ah_gauge (float_of_int (health_rank st))
-
-let refresh_deferred_gauge h =
-  let depth =
-    Array.fold_left (fun acc a -> acc + Queue.length a.ah_deferred) 0 h.hs_agents
-  in
-  Metrics.set h.hs_deferred (float_of_int depth)
 
 let mark_dead t h idx =
   let a = h.hs_agents.(idx) in
   if a.ah <> Dead then begin
     a.ah_detected_ns <- Engine.now t.engine;
-    set_agent_health h idx Dead;
-    if Trace.enabled Trace.Rpc then
-      Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "agent_dead"
-        ~args:[ ctrl_arg t; ("agent", Trace.I idx) ]
+    set_agent_health t h idx Dead
   end
 
-let push_deferred t h idx op =
-  let a = h.hs_agents.(idx) in
-  Queue.push op a.ah_deferred;
-  let overflowed = Queue.length a.ah_deferred > h.hc.deferred_cap in
-  if overflowed then begin
-    (* oldest-first drop: the queue keeps the most recent intent; the
-       hole it leaves forces a full resync instead of a drain on heal *)
-    ignore (Queue.pop a.ah_deferred);
-    a.ah_dropped <- a.ah_dropped + 1
-  end;
-  if Trace.enabled Trace.Rpc then begin
-    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "op_defer"
-      ~args:
-        [
-          ctrl_arg t;
-          ("agent", Trace.I idx);
-          ("depth", Trace.I (Queue.length a.ah_deferred));
-        ];
-    if overflowed then
-      Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "defer_drop"
-        ~args:[ ctrl_arg t; ("agent", Trace.I idx) ]
-  end;
-  refresh_deferred_gauge h
+(* Drop the wire side of [n] ops switch [idx] cannot take now. Intent
+   already holds them; the switch is marked out of sync, so its next
+   heal resyncs it from intent. Only reachable with health tracking on:
+   without it nothing is unavailable and a dead channel raises. *)
+let skip_ops t idx n =
+  match t.health with
+  | None -> ()
+  | Some h ->
+      let a = h.hs_agents.(idx) in
+      a.ah_in_sync <- false;
+      a.ah_skipped <- a.ah_skipped + n;
+      if Trace.enabled Trace.Rpc then
+        Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "op_skip"
+          ~args:[ ctrl_arg t; ("agent", Trace.I idx); ("n", Trace.I n) ]
 
 let raise_timed_out req err =
   let attempts = match err with `Gave_up n -> n | `Timeout -> 0 in
@@ -490,13 +455,11 @@ let raise_timed_out req err =
    means the agent answered from a fresh boot (a restart raced an in-flight
    call, so we saw the reply before any Pong carried the new epoch) or has
    otherwise drifted. With the failure detector on we don't raise: the
-   agent is declared Dead and the op queued — the next heartbeat answers
-   with the bumped epoch and the whole switch is replayed from intent. *)
+   agent is declared Dead — the next heartbeat answers with the bumped
+   epoch and the whole switch is replayed from intent. *)
 let desync t idx msg =
   match t.health with
-  | Some h ->
-      mark_dead t h idx;
-      None
+  | Some h -> mark_dead t h idx
   | None -> invalid_arg msg
 
 let provisional_mid t =
@@ -504,10 +467,20 @@ let provisional_mid t =
   t.next_provisional <- mid - 1;
   mid
 
+let take_buffer t idx =
+  let ops = List.of_seq (Queue.to_seq t.buffers.(idx)) in
+  Queue.clear t.buffers.(idx);
+  ops
+
+let guarded t idx f =
+  t.flushing.(idx) <- true;
+  Fun.protect ~finally:(fun () -> t.flushing.(idx) <- false) f
+
 (* One blocking call with failure-detector semantics: [None] means the
    transport gave up and the agent is now Dead. Flushes the agent's
-   batch buffer first, so a direct call can never overtake ops buffered
-   before it — per-agent order is preserved across both paths. *)
+   batch buffer first (a no-op for the flush's own batch, which runs
+   under the guard), so a call can never overtake ops buffered before
+   it. *)
 let rec call_reply t idx req =
   flush_agent t idx;
   match Rpc_transport.Client.call t.rpcs.(idx) (wire t req) with
@@ -524,135 +497,85 @@ let rec call_reply t idx req =
           None
       | None -> raise_timed_out req err)
 
-(* Ship everything buffered for switch [idx] as a single [Rpc.Batch]
-   call (batched mode; a no-op otherwise since the buffer stays empty).
-   The buffer drains FIFO into the batch's op list, so agent-side
-   execution order equals buffering order. Failure handling mirrors the
-   per-op path op-for-op: an [Error] slot in the reply marks the agent
-   Dead and defers that op for the post-heal drain/replay; a transport
-   failure defers the whole batch (or raises without a failure
-   detector). The [flushing] guard breaks reentrancy: the blocking batch
-   call pumps the engine, where a heartbeat-triggered resync can land on
-   this same agent and come back through [call_reply]. *)
+(* Ship [ops] to switch [idx] as one [Rpc.Batch]; [true] when every op
+   was acknowledged. Agent-side meeting ids are resolved here: a
+   provisional site is materialized with a synchronous New_meeting
+   first. Anything short of a full acknowledgement marks the switch Dead
+   and skips the ops (or raises, without a failure detector). Runs under
+   the [flushing] guard: the blocking call pumps the engine, where
+   another operation may buffer more ops for this switch. *)
+and send_batch t idx ops =
+  let failed () =
+    skip_ops t idx (List.length ops);
+    false
+  in
+  let rec resolve acc = function
+    | [] -> Some (List.rev acc)
+    | op :: rest -> (
+        match materialize_site t (find_meeting t op.b_mid) idx with
+        | Some site -> resolve (op.b_build ~agent_mid:site.agent_mid :: acc) rest
+        | None -> None)
+  in
+  match resolve [] ops with
+  | None -> failed ()
+  | Some reqs -> (
+      match call_reply t idx (Rpc.Batch reqs) with
+      | Some (Rpc.Batch_reply replies) when List.length replies = List.length reqs -> (
+          match List.find_opt (fun r -> r <> Rpc.Ack) replies with
+          | None -> true
+          | Some (Rpc.Error msg) ->
+              desync t idx msg;
+              failed ()
+          | Some _ -> invalid_arg "Controller: unexpected reply in batch")
+      | Some (Rpc.Error msg) ->
+          desync t idx msg;
+          failed ()
+      | Some (Rpc.Ack | Rpc.Pong _ | Rpc.Meeting_created _ | Rpc.Batch_reply _ | Rpc.Stale_fence _)
+        ->
+          invalid_arg "Controller: unexpected reply to batch"
+      | None -> failed ())
+
+(* Ship everything buffered for switch [idx], FIFO, so agent-side
+   execution order equals buffering order. Ops buffered by a nested
+   operation while a flush is in flight go out in the next round. *)
 and flush_agent t idx =
-  if not (Queue.is_empty t.buffers.(idx)) && not t.flushing.(idx) then begin
-    t.flushing.(idx) <- true;
-    Fun.protect
-      ~finally:(fun () -> t.flushing.(idx) <- false)
-      (fun () ->
-        let buf = t.buffers.(idx) in
-        let ops = List.of_seq (Queue.to_seq buf) in
-        Queue.clear buf;
-        let defer_op op =
-          match t.health with
-          | Some h -> push_deferred t h idx { d_mid = op.b_mid; d_build = op.b_build }
-          | None -> ()
-        in
-        if unavailable t idx then List.iter defer_op ops
-        else begin
-          (* resolve agent-side meeting ids now: a site created during a
-             Dead spell still carries a provisional id and must be
-             materialized (a synchronous New_meeting) before its ops can
-             be encoded *)
-          let rec resolve acc = function
-            | [] -> Some (List.rev acc)
-            | op :: rest -> (
-                let m = find_meeting t op.b_mid in
-                match materialize_site t m idx with
-                | Some site ->
-                    resolve ((op, op.b_build ~agent_mid:site.agent_mid) :: acc) rest
-                | None -> None)
-          in
-          match resolve [] ops with
-          | None ->
-              (* the switch died under us; keep every op, in order *)
-              List.iter defer_op ops
-          | Some resolved -> (
-              let reqs = List.map snd resolved in
-              match Rpc_transport.Client.call t.rpcs.(idx) (wire t (Rpc.Batch reqs)) with
-              | Ok (Rpc.Stale_fence { fence }) ->
-                  depose t ~fence;
-                  raise Deposed_primary
-              | Ok (Rpc.Batch_reply replies)
-                when List.length replies = List.length resolved ->
-                  List.iter2
-                    (fun (op, req) reply ->
-                      match reply with
-                      | Rpc.Ack -> ()
-                      | Rpc.Error msg -> (
-                          (* same desync logic as the per-op path; the op
-                             must survive for the drain-or-replay *)
-                          match t.health with
-                          | Some h ->
-                              mark_dead t h idx;
-                              push_deferred t h idx
-                                { d_mid = op.b_mid; d_build = op.b_build }
-                          | None -> invalid_arg msg)
-                      | Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _
-                      | Rpc.Stale_fence _ ->
-                          invalid_arg
-                            (Printf.sprintf
-                               "Controller: unexpected reply to %s in batch"
-                               (Rpc.request_name req)))
-                    resolved replies
-              | Ok (Rpc.Error msg) -> (
-                  match t.health with
-                  | Some h ->
-                      mark_dead t h idx;
-                      List.iter defer_op ops
-                  | None -> invalid_arg msg)
-              | Ok (Rpc.Ack | Rpc.Pong _ | Rpc.Meeting_created _ | Rpc.Batch_reply _) ->
-                  invalid_arg "Controller: unexpected reply to batch"
-              | Error err -> (
-                  match t.health with
-                  | Some h ->
-                      mark_dead t h idx;
-                      List.iter defer_op ops
-                  | None -> raise_timed_out (Rpc.Batch reqs) err))
-        end)
-  end
+  while not (t.flushing.(idx) || Queue.is_empty t.buffers.(idx)) do
+    let ops = take_buffer t idx in
+    if unavailable t idx then skip_ops t idx (List.length ops)
+    else ignore (guarded t idx (fun () -> send_batch t idx ops))
+  done
 
-and rpc_new_meeting t idx ~two_party =
-  match call_reply t idx (Rpc.New_meeting { two_party }) with
-  | Some (Rpc.Meeting_created { meeting }) -> Some meeting
-  | Some (Rpc.Error msg) -> desync t idx msg
-  | Some (Rpc.Ack | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-      invalid_arg "Controller: missing meeting id in new-meeting reply"
-  | None -> None
-
-(* Lazily bring a meeting up on a switch. While the switch is Dead the
-   site carries a provisional (negative) agent meeting id, swapped for a
-   real one when the deferred queue drains or a resync replays it. *)
+(* Lazily bring a meeting up on a switch. While the switch is unavailable
+   the site carries a provisional (negative) agent meeting id, swapped
+   for a real one when a flush or a resync materializes it. A journal
+   replay reconstructs intent only: its sites stay provisional, and the
+   fenced resync at promotion is what materializes them on the agents. *)
 and site_of t m idx =
   match Hashtbl.find_opt m.sites idx with
   | Some s -> s
   | None ->
       let _, dp = t.agents.(idx) in
-      let agent_mid =
-        (* a journal replay reconstructs intent only: sites get
-           provisional ids; the fenced resync at promotion is what
-           materializes them on the agents *)
-        if t.recovering || unavailable t idx then provisional_mid t
-        else
-          match rpc_new_meeting t idx ~two_party:false with
-          | Some mid -> mid
-          | None -> provisional_mid t
-      in
-      let s = { s_idx = idx; dp; agent_mid } in
+      let s = { s_idx = idx; dp; agent_mid = provisional_mid t } in
       Hashtbl.replace m.sites idx s;
-      s
+      if t.recovering || unavailable t idx then s
+      else Option.value (materialize_site t m idx) ~default:s
 
-(* Turn a provisional site (created while its switch was Dead) into a real
-   agent-side meeting; [None] when the switch died again under us. *)
+(* Turn a provisional site into a real agent-side meeting; [None] when
+   the switch died under us. *)
 and materialize_site t m idx =
   let site = site_of t m idx in
   if site.agent_mid >= 0 then Some site
   else
-    match rpc_new_meeting t idx ~two_party:false with
-    | Some agent_mid ->
-        let s = { site with agent_mid } in
+    match call_reply t idx (Rpc.New_meeting { two_party = false }) with
+    | Some (Rpc.Meeting_created { meeting }) ->
+        let s = { site with agent_mid = meeting } in
         Hashtbl.replace m.sites idx s;
         Some s
+    | Some (Rpc.Error msg) ->
+        desync t idx msg;
+        None
+    | Some (Rpc.Ack | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
+        invalid_arg "Controller: missing meeting id in new-meeting reply"
     | None -> None
 
 (* Flush every per-agent batch buffer — the operation-boundary hook:
@@ -661,54 +584,22 @@ and materialize_site t m idx =
    per touched switch instead of a blocking round trip per op. *)
 let flush_buffers t = Array.iteri (fun idx _ -> flush_agent t idx) t.rpcs
 
-(* Issue one agent-state mutation on switch [idx] of meeting [m], or
-   queue it while the switch is Dead. Intent (the caller's bookkeeping)
-   is always updated by the caller regardless — the queue only carries
-   the wire side, so a leave or target change against an unreachable
-   switch never raises and never forks controller state. *)
+(* Issue one agent-state mutation on switch [idx] of meeting [m]. Intent
+   (the caller's bookkeeping) is always updated by the caller regardless;
+   against an unavailable switch only the wire side is skipped, so a
+   leave or target change never raises and never forks controller
+   state. *)
 let agent_op t m idx (build : agent_mid:int -> Rpc.request) =
-  let defer h =
-    ignore (site_of t m idx);
-    push_deferred t h idx { d_mid = m.mid; d_build = build }
-  in
-  if t.recovering then
-    (* journal replay: record that the meeting has a site here and skip
-       the wire — the agents' state is the promotion resync's concern *)
-    ignore (site_of t m idx)
-  else
-  match t.health with
-  | Some h when h.hs_agents.(idx).ah = Dead -> defer h
-  | _ when t.batch ->
-      (* batched mode: record the op (the site is created eagerly so its
-         New_meeting keeps its place in the op order) and return; the
-         flush at the operation boundary ships the whole buffer as one
-         [Rpc.Batch] *)
-      ignore (site_of t m idx);
-      Queue.push { b_mid = m.mid; b_build = build } t.buffers.(idx)
-  | _ -> (
-      let site = site_of t m idx in
-      if unavailable t idx then
-        (* the New_meeting inside site_of just hit a dead channel (or
-           the switch is mid-heal and must not take direct ops) *)
-        match t.health with Some h -> defer h | None -> ()
-      else
-        let req = build ~agent_mid:site.agent_mid in
-        match call_reply t idx req with
-        | Some Rpc.Ack -> ()
-        | Some (Rpc.Error msg) -> (
-            (* same desync logic, but the op itself must survive for the
-               post-resync drain-or-replay *)
-            match t.health with
-            | Some h ->
-                mark_dead t h idx;
-                defer h
-            | None -> invalid_arg msg)
-        | Some (Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-            invalid_arg
-              (Printf.sprintf "Controller: unexpected reply to %s" (Rpc.request_name req))
-        | None -> (
-            (* the agent died on this very call; keep the op for the drain *)
-            match t.health with Some h -> defer h | None -> ()))
+  (* the site is created eagerly so its New_meeting keeps its place in
+     the op order; a journal replay records the site and skips the wire
+     — the agents' state is the promotion resync's concern *)
+  ignore (site_of t m idx);
+  if not t.recovering then
+    if unavailable t idx then skip_ops t idx 1
+    else begin
+      Queue.push { b_mid = m.mid; b_build = build } t.buffers.(idx);
+      if not t.batch then flush_agent t idx
+    end
 
 (* --- SDP plumbing -----------------------------------------------------------
 
@@ -1294,216 +1185,163 @@ let switch_agent t idx =
 
 (* --- failure recovery --------------------------------------------------------
 
-   Two repair paths bring a switch back in line with controller intent:
+   One repair brings a switch back in line with controller intent: the
+   {b resync}. It [Reset]s the agent, marks the switch's sites
+   provisional, and replays every meeting that has a site there through
+   the batch path — participants (members first, relay pseudo
+   receivers after), uplinks (camera then screen per member), legs in
+   creation order, pair targets. The flush materializes the sites with a
+   New_meeting each and ships the ops as one [Rpc.Batch]. Because it
+   starts from a wipe it converges from {e any} agent state: a
+   post-reboot blank slate, a switch that missed ops while unreachable,
+   or a drift the verifier found.
 
-   - {b resync}: [Reset] the agent, then replay every meeting that has a
-     site there from scratch — New_meeting, participants (members first,
-     relay pseudo receivers after), uplinks (camera then screen per
-     member), legs in creation order, pair targets. Because it starts
-     from a wipe it converges from {e any} agent state: a post-reboot
-     blank slate, a drift the verifier found, or a deferred queue that
-     overflowed and lost ops.
+   The resync runs inside blocking RPCs that pump the engine, so probe
+   results for the switch being repaired are suppressed ([ah_healing])
+   and ops aimed at it are skipped until it commits or fails. *)
 
-   - {b drain}: the switch was merely unreachable (same epoch in its
-     Pong) and its state is intact, so the ops queued while it was Dead
-     are re-issued in order.
-
-   Both run inside blocking RPCs that pump the engine, so probe results
-   for the agent being repaired are suppressed ([ah_healing]) until the
-   repair commits or aborts. *)
-
-exception Resync_aborted
-
-let resync t idx =
-  let t0 = Engine.now t.engine in
-  let ops = ref 0 in
-  (* An [Error] reply mid-resync means the agent crashed and restarted
-     again while one of our ops was in flight: the retransmit landed on
-     a blank next-epoch agent that legitimately rejects ops against the
-     wiped state. Abort — the switch is marked Dead and the next pong
-     carries the bumped epoch, triggering a fresh replay from intent.
-     (Schedule that hits this: drop an op's first transmission, crash
-     the agent before the retransmit, restart it before the retry
-     ladder gives up.) Without a failure detector there is no retry
-     path, so [desync] raises as before. *)
-  let error_reply msg =
-    ignore (desync t idx ("Controller.resync: " ^ msg));
-    raise Resync_aborted
-  in
-  (* A replay is only meaningful against the epoch it started healing.
-     Each blocking op pumps the engine, where heartbeat pongs keep
-     landing; if one carries a newer epoch the agent rebooted under the
-     replay — everything installed so far is gone, and blindly
-     continuing would race any straddling retransmits against the
-     half-replayed blank state. Abort; the next pong restarts a full
-     heal, and the quiet-channel rule holds it back until the stragglers
-     settle. *)
-  let observed () =
-    match t.health with Some h -> h.hs_agents.(idx).ah_observed | None -> -1
-  in
-  let epoch0 = observed () in
-  let check_epoch () =
-    if observed () <> epoch0 then
-      error_reply "agent rebooted mid-replay (newer epoch observed)"
-  in
-  let send req =
-    incr ops;
-    match call_reply t idx req with
-    | Some Rpc.Ack -> check_epoch ()
-    | Some (Rpc.Error msg) -> error_reply msg
-    | Some (Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-        invalid_arg
-          (Printf.sprintf "Controller.resync: unexpected reply to %s"
-             (Rpc.request_name req))
-    | None -> raise Resync_aborted
-  in
-  let replay_meeting m =
-    match Hashtbl.find_opt m.sites idx with
-    | None -> ()
-    | Some site ->
-        let agent_mid =
-          incr ops;
-          match call_reply t idx (Rpc.New_meeting { two_party = false }) with
-          | Some (Rpc.Meeting_created { meeting }) ->
-              check_epoch ();
-              meeting
-          | Some (Rpc.Error msg) -> error_reply msg
-          | Some (Rpc.Ack | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-              invalid_arg "Controller.resync: missing meeting id in new-meeting reply"
-          | None -> raise Resync_aborted
+(* Push the replay of meeting [m] onto switch [idx] into its batch
+   buffer. *)
+let push_replay t idx m =
+  let push build = Queue.push { b_mid = m.mid; b_build = build } t.buffers.(idx) in
+  (* participants registered on this switch, in join order; a sender on
+     a non-home switch is there to feed a relay uplink *)
+  List.iter
+    (fun pid ->
+      let p = find_participant t pid in
+      if List.mem idx p.sites then
+        let egress_port =
+          if idx = p.home then p.egress_port else egress_port_of t (sender_site_key pid idx)
         in
-        Hashtbl.replace m.sites idx { site with agent_mid };
-        (* participants registered on this switch, in join order; a sender
-           on a non-home switch is there to feed a relay uplink *)
-        List.iter
-          (fun pid ->
-            let p = find_participant t pid in
-            if List.mem idx p.sites then
-              let egress_port =
-                if idx = p.home then p.egress_port
-                else egress_port_of t (sender_site_key pid idx)
-              in
-              let sends = if idx = p.home then p.sends else true in
-              send
-                (Rpc.Register_participant
-                   { meeting = agent_mid; participant = pid; egress_port; sends }))
-          m.members;
-        (* relay pseudo receivers this switch fans out to, by destination *)
-        Hashtbl.fold
-          (fun (mid, src, dst) () acc ->
-            if mid = m.mid && src = idx then dst :: acc else acc)
-          t.relay_receivers []
-        |> List.sort compare
-        |> List.iter (fun dst ->
-               let egress_port = egress_port_of t (relay_site_key m.mid dst) in
-               send
-                 (Rpc.Register_participant
+        let sends = if idx = p.home then p.sends else true in
+        push (fun ~agent_mid ->
+            Rpc.Register_participant { meeting = agent_mid; participant = pid; egress_port; sends }))
+    m.members;
+  (* relay pseudo receivers this switch fans out to, by destination *)
+  Hashtbl.fold
+    (fun (mid, src, dst) () acc -> if mid = m.mid && src = idx then dst :: acc else acc)
+    t.relay_receivers []
+  |> List.sort compare
+  |> List.iter (fun dst ->
+         let egress_port = egress_port_of t (relay_site_key m.mid dst) in
+         push (fun ~agent_mid ->
+             Rpc.Register_participant
+               { meeting = agent_mid; participant = relay_pid dst; egress_port; sends = false }));
+  (* uplinks: camera then screen per member, in join order *)
+  List.iter
+    (fun pid ->
+      let p = find_participant t pid in
+      List.iter
+        (fun kind ->
+          match List.assoc_opt idx (stream_ports p kind) with
+          | None -> ()
+          | Some port ->
+              let video_ssrc, audio_ssrc = stream_ssrcs p kind in
+              let renditions = if kind = Camera && idx = p.home then p.renditions else [||] in
+              let full_bitrate = stream_bitrate kind in
+              push (fun ~agent_mid ->
+                  Rpc.Register_uplink
                     {
                       meeting = agent_mid;
-                      participant = relay_pid dst;
-                      egress_port;
-                      sends = false;
-                    }));
-        (* uplinks: camera then screen per member, in join order *)
+                      sender = pid;
+                      port;
+                      video_ssrc;
+                      audio_ssrc;
+                      full_bitrate;
+                      renditions;
+                    }))
+        [ Camera; Screen ])
+    m.members;
+  (* legs in creation order *)
+  List.iter
+    (fun li ->
+      if li.li_idx = idx then
+        push (fun ~agent_mid ->
+            Rpc.Register_leg
+              {
+                meeting = agent_mid;
+                sender = li.li_sender;
+                uplink_port = Some li.li_uplink_port;
+                receiver = li.li_receiver;
+                leg_port = li.li_leg_port;
+                dst = li.li_dst;
+                adaptive = li.li_adaptive;
+              }))
+    m.leg_intents;
+  (* forced pair targets whose receiver leg lives here *)
+  List.sort compare m.pair_targets
+  |> List.iter (fun ((sender, receiver), target) ->
+         match Hashtbl.find_opt t.participants receiver with
+         | Some r when r.home = idx ->
+             push (fun ~agent_mid ->
+                 Rpc.Set_pair_target { meeting = agent_mid; sender; receiver; target })
+         | Some _ | None -> ())
+
+(* Resync switch [idx] from intent; [Some rpcs] once the whole replay was
+   acknowledged. [None] means the switch died (it is Dead and out of
+   sync) or rebooted under the replay (a pong carried a newer epoch) —
+   either way its next heal starts over. The switch counts as in sync
+   afterwards only if no op aimed at it was skipped while the replay
+   ran. *)
+let resync t idx =
+  let t0 = Engine.now t.engine in
+  let replay () =
+    match call_reply t idx Rpc.Reset with
+    | Some Rpc.Ack ->
+        let sites =
+          Hashtbl.fold (fun _ m acc -> if Hashtbl.mem m.sites idx then m :: acc else acc)
+            t.meetings []
+          |> List.sort (fun a b -> compare a.mid b.mid)
+        in
         List.iter
-          (fun pid ->
-            let p = find_participant t pid in
-            List.iter
-              (fun kind ->
-                match List.assoc_opt idx (stream_ports p kind) with
-                | None -> ()
-                | Some port ->
-                    let video_ssrc, audio_ssrc = stream_ssrcs p kind in
-                    let renditions =
-                      if kind = Camera && idx = p.home then p.renditions else [||]
-                    in
-                    send
-                      (Rpc.Register_uplink
-                         {
-                           meeting = agent_mid;
-                           sender = pid;
-                           port;
-                           video_ssrc;
-                           audio_ssrc;
-                           full_bitrate = stream_bitrate kind;
-                           renditions;
-                         }))
-              [ Camera; Screen ])
-          m.members;
-        (* legs in creation order *)
-        List.iter
-          (fun li ->
-            if li.li_idx = idx then
-              send
-                (Rpc.Register_leg
-                   {
-                     meeting = agent_mid;
-                     sender = li.li_sender;
-                     uplink_port = Some li.li_uplink_port;
-                     receiver = li.li_receiver;
-                     leg_port = li.li_leg_port;
-                     dst = li.li_dst;
-                     adaptive = li.li_adaptive;
-                   }))
-          m.leg_intents;
-        (* forced pair targets whose receiver leg lives here *)
-        List.sort compare m.pair_targets
-        |> List.iter (fun ((sender, receiver), target) ->
-               match Hashtbl.find_opt t.participants receiver with
-               | Some r when r.home = idx ->
-                   send (Rpc.Set_pair_target { meeting = agent_mid; sender; receiver; target })
-               | Some _ | None -> ())
+          (fun m ->
+            let s = Hashtbl.find m.sites idx in
+            Hashtbl.replace m.sites idx { s with agent_mid = provisional_mid t })
+          sites;
+        List.iter (push_replay t idx) sites;
+        let ops = take_buffer t idx in
+        if
+          (ops = [] || guarded t idx (fun () -> send_batch t idx ops))
+          (* a site with nothing left on it still exists on the agent *)
+          && List.for_all (fun m -> materialize_site t m idx <> None) sites
+        then Some (1 + List.length sites + if ops = [] then 0 else 1)
+        else None
+    | Some (Rpc.Error msg) ->
+        desync t idx ("Controller.resync: " ^ msg);
+        None
+    | Some (Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
+        invalid_arg "Controller.resync: unexpected reply to reset"
+    | None -> None
   in
-  try
-    send Rpc.Reset;
-    Hashtbl.fold (fun _ m acc -> m :: acc) t.meetings []
-    |> List.sort (fun a b -> compare a.mid b.mid)
-    |> List.iter replay_meeting;
-    if Trace.enabled Trace.Rpc then
+  let replayed =
+    match t.health with
+    | None -> replay ()
+    | Some h -> (
+        let a = h.hs_agents.(idx) in
+        let epoch0 = a.ah_observed and skipped0 = a.ah_skipped in
+        a.ah_healing <- true;
+        a.ah_in_sync <- false;
+        match Fun.protect ~finally:(fun () -> a.ah_healing <- false) replay with
+        | Some rpcs when a.ah_observed = epoch0 ->
+            a.ah_skipped <- a.ah_skipped - skipped0;
+            a.ah_in_sync <- a.ah_skipped = 0;
+            Metrics.incr h.hs_resync_full;
+            Metrics.add h.hs_repair_ops rpcs;
+            Some rpcs
+        | Some _ | None -> None)
+  in
+  (match replayed with
+  | Some rpcs when Trace.enabled Trace.Rpc ->
       Trace.complete ~ts:t0 ~dur:(Engine.now t.engine - t0) ~cat:"ctrl" "resync"
-        ~args:[ ctrl_arg t; ("agent", Trace.I idx); ("ops", Trace.I !ops) ];
-    Some !ops
-  with Resync_aborted -> None
+        ~args:[ ctrl_arg t; ("agent", Trace.I idx); ("ops", Trace.I rpcs) ]
+  | Some _ | None -> ());
+  replayed
 
-(* Re-issue queued ops in order. Stops (keeping the rest queued) if the
-   switch dies again. A queued op re-issued under a fresh sequence number
-   can double-execute when the original's reply was lost in the partition;
-   the agent answers those with [Error], which the drain tolerates — the
-   anti-entropy reconcile pass is what repairs any residual drift. *)
-let drain_deferred t h idx =
-  let a = h.hs_agents.(idx) in
-  let ops = ref 0 in
-  let alive = ref true in
-  while !alive && not (Queue.is_empty a.ah_deferred) do
-    let op = Queue.peek a.ah_deferred in
-    let m = find_meeting t op.d_mid in
-    match materialize_site t m idx with
-    | None -> alive := false
-    | Some site -> (
-        incr ops;
-        match call_reply t idx (op.d_build ~agent_mid:site.agent_mid) with
-        | Some (Rpc.Ack | Rpc.Error _) ->
-            ignore (Queue.pop a.ah_deferred);
-            if Trace.enabled Trace.Rpc then
-              Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "op_drained"
-                ~args:
-                  [
-                    ctrl_arg t;
-                    ("agent", Trace.I idx);
-                    ("depth", Trace.I (Queue.length a.ah_deferred));
-                  ]
-        | Some (Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-            invalid_arg "Controller: unexpected reply to deferred op"
-        | None -> alive := false)
-  done;
-  !ops
-
-let record_recovery t h idx ~kind ~ops =
+let record_recovery t h idx ~ops =
   let a = h.hs_agents.(idx) in
   h.hs_recovery <-
     {
       re_agent = idx;
-      re_kind = kind;
       re_detected_ns = a.ah_detected_ns;
       re_recovered_ns = Engine.now t.engine;
       re_ops = ops;
@@ -1515,66 +1353,43 @@ let record_recovery t h idx ~kind ~ops =
   end;
   if Trace.enabled Trace.Rpc then
     Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "heal_done"
-      ~args:
-        [
-          ctrl_arg t;
-          ("agent", Trace.I idx);
-          ("kind", Trace.S (match kind with `Resync -> "resync" | `Drain -> "drain"));
-          ("ops", Trace.I ops);
-        ]
+      ~args:[ ctrl_arg t; ("agent", Trace.I idx); ("ops", Trace.I ops) ]
 
 let on_pong t h idx ~epoch =
   let a = h.hs_agents.(idx) in
   (* maintained even while a heal suppresses the rest of pong handling:
-     an in-flight resync polls this to detect a reboot under its feet *)
+     an in-flight resync checks this to detect a reboot under its feet *)
   a.ah_observed <- epoch;
   if not a.ah_healing then begin
     a.ah_missed <- 0;
-    let prev = a.ah in
-    let first = a.ah_epoch < 0 in
-    let rebooted = (not first) && epoch <> a.ah_epoch in
-    if (not rebooted) && prev <> Dead then begin
-      (* steady state (or Suspect clearing up); just track the epoch *)
+    let rebooted = a.ah_epoch >= 0 && epoch <> a.ah_epoch in
+    (* declared Dead before any pong was seen: nothing vouches for its state *)
+    let unknown = a.ah_epoch < 0 && a.ah = Dead in
+    if a.ah_in_sync && not (rebooted || unknown) then begin
+      (* steady state, or back at the same epoch having missed nothing:
+         its data-plane state is intact *)
       a.ah_epoch <- epoch;
-      if prev <> Healthy then set_agent_health h idx Healthy;
-      (* ops can land in the deferred queue while a heal is in progress
-         (the switch stays marked Dead until the replay finishes); they
-         arrive after the heal cleared the queue and no later heal would
-         ever pick them up. Drain them on the next quiet-channel pong —
-         same quiet rule as a heal, and [ah_healing] keeps the drain's
-         own pongs from re-entering. *)
-      if
-        (not (Queue.is_empty a.ah_deferred))
-        && Rpc_transport.Client.in_flight t.rpcs.(idx) = 0
-      then begin
-        a.ah_healing <- true;
-        Fun.protect
-          ~finally:(fun () -> a.ah_healing <- false)
-          (fun () ->
-            let ops = drain_deferred t h idx in
-            refresh_deferred_gauge h;
-            if ops > 0 then Metrics.add h.hs_repair_ops ops)
-      end
+      set_agent_health t h idx Healthy
     end
     else if
-      Rpc_transport.Client.in_flight t.rpcs.(idx) > 0
-      && not (Mutation.on Mutation.Heal_without_quiesce)
+      (Rpc_transport.Client.in_flight t.rpcs.(idx) > 0
+      && not (Mutation.on Mutation.Heal_without_quiesce))
+      || not (Queue.is_empty t.buffers.(idx))
     then
-      (* A heal must not overlap a blocking mutation call on this
-         channel (this pong arrived inside that call's engine pump): a
-         resync would replay the op's intent, and then the in-flight
-         request's retransmit would land on the healed agent and
-         double-execute — the replay cache can't help, the straddling
-         request never executed before the reboot wiped the cache.
+      (* A heal must not overlap a blocking call on this channel (this
+         pong arrived inside that call's engine pump): a resync would
+         replay the op's intent, and then the in-flight request's
+         retransmit would land on the healed agent and double-execute —
+         the replay cache can't help, the straddling request never
+         executed before the reboot wiped the cache. Nor may it cut in
+         front of ops an operation has buffered and not yet flushed.
          Leave the agent as-is; the stale submission settles within its
          retry ladder (a blank agent answers [Error]) and a later
          heartbeat heals the then-quiet channel. Probes are oob and
          never hold the window, so they cannot postpone a heal. *)
       ()
     else begin
-      (* the switch is back — blank (new epoch) or intact (same epoch) *)
-      if prev <> Dead then a.ah_detected_ns <- Engine.now t.engine;
-      a.ah_healing <- true;
+      if a.ah <> Dead then a.ah_detected_ns <- Engine.now t.engine;
       if Trace.enabled Trace.Rpc then
         Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "heal_begin"
           ~args:
@@ -1585,57 +1400,14 @@ let on_pong t h idx ~epoch =
               (* the quiet-channel rule: this must always be 0 *)
               ("in_flight", Trace.I (Rpc_transport.Client.in_flight t.rpcs.(idx)));
             ];
-      Fun.protect
-        ~finally:(fun () -> a.ah_healing <- false)
-        (fun () ->
-          let need_resync = rebooted || first || a.ah_dropped > 0 in
-          if need_resync then begin
-            (* controller intent already reflects every queued op, so the
-               replay regenerates them; the queue itself is obsolete —
-               and so is any batch buffer still waiting for this switch *)
-            let discarded = Queue.length a.ah_deferred in
-            Queue.clear a.ah_deferred;
-            Queue.clear t.buffers.(idx);
-            a.ah_dropped <- 0;
-            if Trace.enabled Trace.Rpc && discarded > 0 then
-              Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "defer_discard"
-                ~args:
-                  [ ctrl_arg t; ("agent", Trace.I idx); ("n", Trace.I discarded) ];
-            refresh_deferred_gauge h;
-            match resync t idx with
-            | Some ops ->
-                (* ops deferred while the replay itself was in flight are
-                   already reflected in the intent it read (any gap is
-                   the anti-entropy pass's to repair); re-issuing them
-                   against the freshly replayed state would double-execute *)
-                let late = Queue.length a.ah_deferred in
-                if late > 0 then begin
-                  Queue.clear a.ah_deferred;
-                  if Trace.enabled Trace.Rpc then
-                    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl"
-                      "defer_discard"
-                      ~args:
-                        [ ctrl_arg t; ("agent", Trace.I idx); ("n", Trace.I late) ];
-                  refresh_deferred_gauge h
-                end;
-                a.ah_epoch <- epoch;
-                Metrics.incr h.hs_resync_full;
-                Metrics.add h.hs_repair_ops ops;
-                set_agent_health h idx Healthy;
-                record_recovery t h idx ~kind:`Resync ~ops
-            | None -> ()  (* died again mid-replay; retried on its next pong *)
-          end
-          else begin
-            let ops = drain_deferred t h idx in
-            refresh_deferred_gauge h;
-            if Queue.is_empty a.ah_deferred then begin
-              a.ah_epoch <- epoch;
-              Metrics.add h.hs_repair_ops ops;
-              set_agent_health h idx Healthy;
-              record_recovery t h idx ~kind:`Drain ~ops
-            end
-            (* else: died again mid-drain; the rest stays queued *)
-          end)
+      match resync t idx with
+      | Some ops ->
+          a.ah_epoch <- epoch;
+          set_agent_health t h idx Healthy;
+          (* ops skipped while the replay ran are missing from it: the
+             next quiet pong resyncs again, and only that one is done *)
+          if a.ah_in_sync then record_recovery t h idx ~ops
+      | None -> ()
     end
   end
 
@@ -1646,7 +1418,7 @@ let on_miss t h idx =
     Metrics.incr h.hb_missed;
     if a.ah_missed >= h.hc.dead_after then mark_dead t h idx
     else if a.ah_missed >= h.hc.suspect_after && a.ah = Healthy then
-      set_agent_health h idx Suspect
+      set_agent_health t h idx Suspect
   end
 
 let heartbeat_tick t h =
@@ -1693,8 +1465,8 @@ let start_health ?(config = default_health_config) t =
               ah_detected_ns = 0;
               ah_healing = false;
               ah_observed = -1;
-              ah_deferred = Queue.create ();
-              ah_dropped = 0;
+              ah_in_sync = true;
+              ah_skipped = 0;
               ah_gauge =
                 Metrics.gauge
                   ~labels:[ ("agent", Printf.sprintf "sw%d" idx) ]
@@ -1727,11 +1499,8 @@ let start_health ?(config = default_health_config) t =
             Metrics.counter ~help:"Full intent replays onto a switch"
               "scallop_ctrl_resync_full";
           hs_repair_ops =
-            Metrics.counter ~help:"RPCs issued by resyncs and deferred-queue drains"
+            Metrics.counter ~help:"RPCs issued by resyncs"
               "scallop_ctrl_resync_repair_ops";
-          hs_deferred =
-            Metrics.gauge ~help:"Ops currently queued for Dead switches"
-              "scallop_ctrl_deferred_ops";
           hs_recovery = [];
           hs_recovery_dropped =
             Metrics.counter ~help:"Recovery events evicted from the bounded log"
@@ -1774,15 +1543,7 @@ let health_transitions t idx st =
 let resync_switch t idx =
   if idx < 0 || idx >= Array.length t.agents then
     invalid_arg (Printf.sprintf "Controller.resync_switch: no switch %d" idx);
-  match resync t idx with
-  | Some ops ->
-      (match t.health with
-      | Some h ->
-          Metrics.incr h.hs_resync_full;
-          Metrics.add h.hs_repair_ops ops
-      | None -> ());
-      Some ops
-  | None -> None
+  resync t idx
 
 (* --- introspection: the controller's intent, for Scallop_analysis -------- *)
 
@@ -1818,8 +1579,7 @@ type health_view = {
   hv_agent : int;
   hv_state : agent_health;
   hv_epoch : int;
-  hv_deferred : int;  (** ops queued for this (Dead) switch *)
-  hv_dropped : int;  (** ops lost to the deferred-queue cap since last replay *)
+  hv_skipped : int;  (** ops skipped since the last complete resync *)
 }
 
 type intent = {
@@ -1898,8 +1658,7 @@ let introspect t =
                  hv_agent = idx;
                  hv_state = a.ah;
                  hv_epoch = a.ah_epoch;
-                 hv_deferred = Queue.length a.ah_deferred;
-                 hv_dropped = a.ah_dropped;
+                 hv_skipped = a.ah_skipped;
                })
              h.hs_agents)
   in
@@ -2025,28 +1784,25 @@ let apply_journal_op t (op : Journal.op) =
    number of entries applied. This is both the standby's tailing step
    and the restarted controller's crash rebuild. *)
 let apply_tail t =
-  match t.journal with
-  | None -> 0
-  | Some j ->
-      (match Journal.snapshot j with
-      | Some (ps, index) when index > t.applied ->
-          restore t ps;
-          t.applied <- index
-      | Some _ | None -> ());
-      let entries = Journal.entries_after j t.applied in
-      if entries <> [] then begin
-        let was = t.recovering in
-        t.recovering <- true;
-        Fun.protect
-          ~finally:(fun () -> t.recovering <- was)
-          (fun () ->
-            List.iter
-              (fun (e : Journal.entry) ->
-                apply_journal_op t e.Journal.e_op;
-                t.applied <- e.Journal.e_index)
-              entries)
-      end;
-      List.length entries
+  (match Journal.snapshot t.journal with
+  | Some (ps, index) when index > t.applied ->
+      restore t ps;
+      t.applied <- index
+  | Some _ | None -> ());
+  let entries = Journal.entries_after t.journal t.applied in
+  if entries <> [] then begin
+    let was = t.recovering in
+    t.recovering <- true;
+    Fun.protect
+      ~finally:(fun () -> t.recovering <- was)
+      (fun () ->
+        List.iter
+          (fun (e : Journal.entry) ->
+            apply_journal_op t e.Journal.e_op;
+            t.applied <- e.Journal.e_index)
+          entries)
+  end;
+  List.length entries
 
 let alive t = not t.killed
 
@@ -2073,8 +1829,6 @@ let kill t =
    a standby — it must win a {!promote} before acting again, which is
    also what re-fences the agents and re-materializes their state. *)
 let restart t =
-  if t.journal = None then
-    invalid_arg "Controller.restart: no journal to rebuild from";
   if t.killed then begin
     t.killed <- false;
     Array.iter (fun c -> Rpc_transport.Client.set_muted c false) t.rpcs;
@@ -2103,10 +1857,9 @@ let restart t =
             a.ah_missed <- 0;
             a.ah_healing <- false;
             a.ah_observed <- -1;
-            a.ah_dropped <- 0;
-            Queue.clear a.ah_deferred)
-          h.hs_agents;
-        refresh_deferred_gauge h
+            a.ah_in_sync <- true;
+            a.ah_skipped <- 0)
+          h.hs_agents
     | None -> ());
     if Trace.enabled Trace.Rpc then
       Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_restart"
@@ -2122,26 +1875,21 @@ let restart t =
    left. The detector starts first so a switch that is down during the
    takeover is simply marked Dead and healed by its next pong. *)
 let promote ?health_config t =
-  match t.journal with
-  | None -> invalid_arg "Controller.promote: no journal"
-  | Some j ->
-      if t.killed then invalid_arg "Controller.promote: controller is killed";
-      ignore (apply_tail t);
-      t.fence <- Journal.acquire_fence j;
-      t.role <- Acting;
-      t.recovering <- false;
-      if Trace.enabled Trace.Rpc then
-        Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_activate"
-          ~args:[ ctrl_arg t; ("fence", Trace.I t.fence) ];
-      (match health_config with
-      | Some config -> start_health ~config t
-      | None -> start_health t);
-      Array.iteri (fun idx _ -> ignore (resync_switch t idx)) t.agents
+  if t.killed then invalid_arg "Controller.promote: controller is killed";
+  ignore (apply_tail t);
+  t.fence <- Journal.acquire_fence t.journal;
+  t.role <- Acting;
+  t.recovering <- false;
+  if Trace.enabled Trace.Rpc then
+    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_activate"
+      ~args:[ ctrl_arg t; ("fence", Trace.I t.fence) ];
+  start_health ?config:health_config t;
+  Array.iteri (fun idx _ -> ignore (resync t idx)) t.agents
 
 let role t = t.role
 let fence t = t.fence
 let label t = t.label
-let journal t = t.journal
+let journal t = Some t.journal
 let journal_applied t = t.applied
 let recovering t = t.recovering
 
@@ -2149,7 +1897,4 @@ let recovering t = t.recovering
    snapshot [t]'s state at its high-water mark, dropping the entries it
    covers. Callers pass the standby (after a tail step), never an acting
    instance that might be mid-operation. *)
-let compact_journal t =
-  match t.journal with
-  | None -> ()
-  | Some j -> Journal.install_snapshot j ~index:t.applied (capture t)
+let compact_journal t = Journal.install_snapshot t.journal ~index:t.applied (capture t)

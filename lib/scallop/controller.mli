@@ -41,25 +41,18 @@ val create :
     meeting lives wholly on one switch (splitting a meeting across
     switches — true cascading — is future work in the paper as well).
 
-    [batch] (default [false]) turns on control-plane batching: session
-    mutations append their wire ops to a per-switch buffer instead of
-    issuing one blocking RPC each, and the buffer is flushed as a single
-    [Rpc.Batch] at the end of each public operation ([join], [leave],
-    screen-share changes, [set_pair_target]) — one round trip per
-    touched switch per operation. Per-switch op order, at-most-once
-    replay (the whole batch reply is cached under its sequence number)
-    and the failure-detector semantics are unchanged: an op that hits a
-    Dead or dying switch is queued for the post-heal drain or replay
-    exactly as in per-op mode.
+    Session mutations append their wire ops to a per-switch buffer; a
+    flush ships it as one fenced [Rpc.Batch]. [batch] (default [true])
+    flushes at the end of each public operation — one round trip per
+    touched switch — and [false] after every op (the per-op baseline).
+    Per-switch op order and at-most-once replay hold either way.
 
-    [journal] puts the instance in cluster mode: every mutation is
-    write-ahead logged there under the instance's fencing epoch, and
-    every wire op is fenced (see the fault-tolerance section below). A
-    journal-less controller behaves exactly as before — unfenced wire
-    ops, no write-ahead logging.
+    [journal] (default: a fresh in-memory one) write-ahead logs every
+    mutation under the instance's fencing epoch (see the fault-tolerance
+    section below); share it to pair the instance with a standby.
 
-    [standby] (default [false], requires [journal]) creates the instance
-    as a tailing standby instead of an acting primary. [label] (default
+    [standby] (default [false]) creates the instance as a tailing
+    standby of [journal] instead of an acting primary. [label] (default
     ["ctl"]) names the instance on traces; non-default labels also
     prefix its per-switch RPC metric labels so two instances never
     collide in the registry. [ip] (default 10.255.0.1) is the instance's
@@ -171,18 +164,20 @@ val relay_pid : int -> participant_id
     [Ping] heartbeat each [heartbeat_every_ns] of virtual time and runs
     a per-agent state machine: [Healthy] → (missed probes ≥
     [suspect_after]) → [Suspect] → (≥ [dead_after]) → [Dead]. Session
-    mutations against a [Dead] switch no longer raise: the wire side of
-    the op is queued (bounded by [deferred_cap]; overflow drops the
-    oldest op and forces a full resync on heal) while controller intent
-    updates normally. The data plane of a merely-partitioned switch
-    keeps forwarding its last-known state throughout.
+    mutations against a [Dead] or healing switch — or whose batch was
+    not acknowledged — no longer raise: intent updates normally, the
+    wire side is skipped, and the switch is marked as having missed
+    ops. A partitioned switch's data plane keeps forwarding throughout.
 
-    When a probe answers again, the [Pong]'s epoch decides the repair:
-    same epoch — the switch was unreachable but intact, so the queue
-    drains in order; new epoch — the switch rebooted blank
-    ({!Switch_agent.restart}), so the controller replays every affected
-    meeting from intent ({e full resync}). Detection and recovery
-    timestamps land in {!recovery_log}. *)
+    Heal is one mechanism, the {e resync}: on the first pong over a
+    quiet channel (no call in flight, nothing buffered), a switch that
+    rebooted (new epoch, {!Switch_agent.restart}) or missed ops is
+    [Reset] and every meeting with a site there is replayed from intent
+    as one [Rpc.Batch]. A switch back at the same epoch having missed
+    nothing turns [Healthy] with no repair and keeps its state. Ops
+    skipped while a resync runs leave the switch out of sync, and the
+    next quiet pong resyncs it again. Completed resyncs land in
+    {!recovery_log}. *)
 
 type agent_health = Healthy | Suspect | Dead
 
@@ -191,12 +186,11 @@ type health_config = {
   probe_timeout_ns : int;
   suspect_after : int;  (** consecutive missed probes before Suspect *)
   dead_after : int;  (** consecutive missed probes before Dead *)
-  deferred_cap : int;  (** max ops queued per Dead agent *)
 }
 
 val default_health_config : health_config
 (** 500 ms heartbeats, 250 ms probe timeout, Suspect after 2 misses,
-    Dead after 4, 256 queued ops per agent. *)
+    Dead after 4. *)
 
 val start_health : ?config:health_config -> t -> unit
 (** Arm the heartbeat loop. The loop keeps the engine's event queue
@@ -206,8 +200,8 @@ val start_health : ?config:health_config -> t -> unit
     time. *)
 
 val stop_health : t -> unit
-(** Stop probing (idempotent). Agent states and queued ops survive a
-    stop/start cycle. *)
+(** Stop probing (idempotent). Agent states survive a stop/start
+    cycle. *)
 
 val health_running : t -> bool
 
@@ -220,15 +214,15 @@ val health_name : agent_health -> string
 
 type recovery_event = {
   re_agent : int;
-  re_kind : [ `Resync | `Drain ];
   re_detected_ns : int;  (** when the agent was declared Dead *)
-  re_recovered_ns : int;  (** when the replay/drain committed *)
-  re_ops : int;  (** RPCs the repair took *)
+  re_recovered_ns : int;  (** when the resync committed *)
+  re_ops : int;  (** RPCs the resync took *)
 }
 
 val recovery_log : t -> recovery_event list
-(** Completed repairs, newest first — bounded to the 64 most recent;
-    older events are evicted (counted in {!recovery_log_dropped} and the
+(** Heals completed by a resync with nothing skipped under it, newest
+    first — bounded to the 64 most recent; older events are evicted
+    (counted in {!recovery_log_dropped} and the
     [scallop_ctrl_recovery_log_dropped] metric). [re_recovered_ns -
     re_detected_ns] is the recovery latency the failover experiment
     reports. *)
@@ -247,9 +241,10 @@ val resync_switch : t -> int -> int option
 (** Anti-entropy entry point: [Reset] the switch at the given index and
     replay every meeting with a site there from controller intent,
     regardless of health state — the repair for a live-but-drifted agent
-    (see {!Scallop_analysis}). Returns the number of RPCs issued, or
-    [None] if the switch went Dead mid-replay (with health tracking on,
-    the replay re-runs when its heartbeat answers again). *)
+    (see {!Scallop_analysis}); the same resync a heal runs. Returns the
+    number of RPCs issued, or [None] if the switch went Dead or rebooted
+    mid-replay (with health tracking on, the replay re-runs when its
+    heartbeat answers again). *)
 
 (** {1 Introspection (read-only, for the {!Scallop_analysis} snapshot layer)}
 
@@ -292,8 +287,7 @@ type health_view = {
   hv_agent : int;
   hv_state : agent_health;
   hv_epoch : int;  (** last epoch seen in a Pong; -1 before the first *)
-  hv_deferred : int;  (** ops queued for this (Dead) switch *)
-  hv_dropped : int;  (** ops lost to the deferred-queue cap since last replay *)
+  hv_skipped : int;  (** ops skipped since the last complete resync *)
 }
 
 type intent = {
@@ -307,8 +301,9 @@ val introspect : t -> intent
 
 (** {1 Controller fault tolerance: journal, crash-rebuild, fenced failover}
 
-    In cluster mode (a [journal] was passed to {!create}) the controller
-    tier survives the loss of the controller itself:
+    Every controller journals and fences; paired with a standby over a
+    shared journal, the controller tier survives the loss of the
+    controller itself:
 
     - {b Write-ahead intent journal} — every public mutation is appended
       to the journal under the instance's fencing epoch {e before} it
@@ -345,11 +340,13 @@ exception Deposed_primary
 
 val role : t -> role
 val fence : t -> int
-(** The fencing epoch this instance acts under (0 for a journal-less
-    controller and for a standby that has never been promoted). *)
+(** The fencing epoch this instance acts under (0 for a standby that has
+    never been promoted). *)
 
 val label : t -> string
 val journal : t -> persisted Journal.t option
+(** Always [Some]: every controller has a journal. *)
+
 val journal_applied : t -> int
 (** Highest journal index reflected in this instance's intent, [-1]
     before anything was applied. *)
@@ -366,7 +363,7 @@ val restart : t -> unit
 (** Restart a {!kill}ed instance with blank memory: intent is rebuilt
     from the journal alone (snapshot restore + suffix replay, no wire
     traffic), and the instance comes back as a [Standby] — it must be
-    {!promote}d before acting. Requires a journal. *)
+    {!promote}d before acting. *)
 
 val promote : ?health_config:health_config -> t -> unit
 (** Take over as acting primary: catch up with the journal, mint a new

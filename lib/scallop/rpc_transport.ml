@@ -454,7 +454,7 @@ module Client = struct
   let submit t ?(oob = false) ?max_retries ?timeout_ns request ~on_result =
     Metrics.incr t.calls;
     (match request with
-    | Rpc.Batch ops ->
+    | Rpc.Batch ops | Rpc.Fenced { op = Rpc.Batch ops; _ } ->
         Metrics.incr t.batch_flushes;
         let n = List.length ops in
         Metrics.add t.batched_ops_c n;

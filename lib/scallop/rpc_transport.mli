@@ -205,7 +205,7 @@ module Client : sig
     replies_received : int;
     stale_replies : int;  (** late/duplicate replies for settled calls *)
     failures : int;  (** calls that exhausted every retry *)
-    batches : int;  (** [Rpc.Batch] requests submitted *)
+    batches : int;  (** [Rpc.Batch] requests submitted, fenced or bare *)
     batched_ops : int;  (** ops carried inside those batches *)
   }
 

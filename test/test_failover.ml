@@ -1,9 +1,10 @@
 (* Failure detection and recovery: crash/restart resync, partition
-   tolerance (media keeps flowing while control is severed, deferred ops
-   drain on heal), deferred-queue overflow, and anti-entropy repair.
-   The QCheck property is the heart of it: a run that crashes mid-way
-   and resyncs from intent must converge to the same agent state as the
-   run that never crashed. *)
+   tolerance (media keeps flowing while control is severed, skipped ops
+   are covered by one resync on heal), a clean return without repair,
+   ops landing mid-resync, and anti-entropy repair. The QCheck property
+   is the heart of it: a run that crashes mid-way and resyncs from
+   intent must converge to the same agent state as the run that never
+   crashed. *)
 
 module Engine = Netsim.Engine
 module Link = Netsim.Link
@@ -78,23 +79,20 @@ let crash_restart_resyncs () =
   Alcotest.(check string)
     "declared dead while down" "dead"
     (C.health_name (C.agent_health stack.controller 0));
-  (* mutate intent while the switch is dead: must not raise, must queue *)
+  (* mutate intent while the switch is dead: must not raise, skips the wire *)
   let pids = C.meeting_participants stack.controller mid in
   C.set_pair_target stack.controller ~sender:(List.hd pids)
     ~receiver:(List.nth pids 2) Av1.Dd.DT_15fps;
-  Alcotest.(check bool) "op deferred" true ((health_view stack).C.hv_deferred > 0);
+  Alcotest.(check bool) "op skipped" true ((health_view stack).C.hv_skipped > 0);
   A.restart stack.agent;
   run_to stack 8.0;
   C.stop_health stack.controller;
   Alcotest.(check string)
     "healthy after heal" "healthy"
     (C.health_name (C.agent_health stack.controller 0));
-  let resyncs =
-    List.filter (fun e -> e.C.re_kind = `Resync) (C.recovery_log stack.controller)
-  in
-  Alcotest.(check bool) "a resync happened" true (resyncs <> []);
-  Alcotest.(check int) "deferred queue empty" 0 (health_view stack).C.hv_deferred;
-  (* the deferred pin was replayed: the meeting runs pair-specific trees
+  Alcotest.(check bool) "a resync happened" true (C.recovery_log stack.controller <> []);
+  Alcotest.(check int) "nothing left skipped" 0 (health_view stack).C.hv_skipped;
+  (* the skipped pin was replayed: the meeting runs pair-specific trees
      (the target itself may keep adapting with feedback afterwards) *)
   Alcotest.(check bool)
     "pair pin survived the replay" true
@@ -103,98 +101,149 @@ let crash_restart_resyncs () =
        (A.introspect stack.agent));
   An.assert_clean ~what:"post crash/restart resync" stack.controller
 
-(* --- partition: media continues, control ops defer and drain ------------ *)
+(* --- partition: media continues, skipped ops heal by one resync -------- *)
+
+let no_duplicates l = List.length (List.sort_uniq compare l) = List.length l
 
 let partition_keeps_media_flowing () =
   let stack = Common.make_scallop ~seed:32 () in
-  let _mid, parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
+  let mid, parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
   C.start_health stack.controller;
   run_to stack 2.0;
   set_control_loss stack 1.0;
+  let egress_start = D.egress_pkts stack.dp in
   run_to stack 5.0;
   Alcotest.(check string)
     "partition declared dead" "dead"
     (C.health_name (C.agent_health stack.controller 0));
   let epoch_before = A.epoch stack.agent in
-  (* control-plane mutations while partitioned: defer, don't raise *)
+  (* control-plane mutations while partitioned: skip the wire, don't raise *)
   let pids = List.map fst parts in
   C.set_pair_target stack.controller ~sender:(List.hd pids)
     ~receiver:(List.nth pids 3) Av1.Dd.DT_7_5fps;
   C.leave stack.controller (List.nth pids 2);
-  Alcotest.(check bool) "ops deferred" true ((health_view stack).C.hv_deferred >= 2);
-  (* the data plane forwards last-known state through the outage *)
+  Alcotest.(check bool) "ops skipped" true ((health_view stack).C.hv_skipped >= 2);
+  (* the data plane forwards last-known state through the whole outage *)
   let egress_mid = D.egress_pkts stack.dp in
+  Alcotest.(check bool)
+    "media flowed before the mutations" true (egress_mid > egress_start + 100);
   run_to stack 6.5;
   Alcotest.(check bool)
-    "media flowed during the partition" true
+    "media flowed after the mutations" true
     (D.egress_pkts stack.dp > egress_mid + 100);
   set_control_loss stack 0.0;
   run_to stack 9.0;
   C.stop_health stack.controller;
   Alcotest.(check int) "agent never rebooted" epoch_before (A.epoch stack.agent);
-  let drains =
-    List.filter (fun e -> e.C.re_kind = `Drain) (C.recovery_log stack.controller)
-  in
-  Alcotest.(check bool) "queue drained (no resync needed)" true (drains <> []);
-  Alcotest.(check int) "deferred queue empty" 0 (health_view stack).C.hv_deferred;
-  (* the deferred leave was applied on drain *)
+  Alcotest.(check int) "healed by exactly one resync" 1
+    (List.length (C.recovery_log stack.controller));
+  Alcotest.(check int) "nothing left skipped" 0 (health_view stack).C.hv_skipped;
+  let members = A.meeting_members stack.agent (C.agent_meeting_id stack.controller mid) in
   Alcotest.(check bool)
-    "deferred leave applied" true
-    (not
-       (List.mem
-          (C.agent_participant_id stack.controller (List.nth pids 2))
-          (A.meeting_members stack.agent 0)));
-  An.assert_clean ~what:"post partition drain" stack.controller
+    "skipped leave applied" true
+    (not (List.mem (C.agent_participant_id stack.controller (List.nth pids 2)) members));
+  Alcotest.(check bool) "no member duplicated" true (no_duplicates members);
+  An.assert_clean ~what:"post partition resync" stack.controller
 
-(* --- deferred-queue overflow: bounded, oldest dropped, resync on heal --- *)
+(* --- a switch back at the same epoch having missed nothing: no repair --- *)
 
-let overflow_forces_resync () =
-  let stack = Common.make_scallop ~seed:33 () in
+let rpc_execs_besides_pings () =
+  List.length
+    (List.filter
+       (fun (e : Scallop_obs.Trace.event) ->
+         e.Scallop_obs.Trace.name = "rpc_exec"
+         && List.assoc_opt "name" e.Scallop_obs.Trace.args
+            <> Some (Scallop_obs.Trace.S "ping"))
+       (Scallop_obs.Trace.events ()))
+
+let with_rpc_trace f =
+  let module Tr = Scallop_obs.Trace in
+  let prev = Tr.level () in
+  Tr.set_level Tr.Rpc;
+  Tr.reset ();
+  Fun.protect ~finally:(fun () -> Tr.set_level prev) f
+
+let quiet_return_needs_no_repair () =
+  let stack = Common.make_scallop ~seed:37 () in
+  let mid, _ = Common.scallop_meeting stack ~participants:3 ~senders:2 () in
+  C.start_health stack.controller;
+  run_to stack 1.5;
+  let agent_meetings () =
+    List.map (fun (m : A.meeting_view) -> m.A.amv_id) (A.introspect stack.agent)
+  in
+  let meetings_before = agent_meetings () in
+  let amid = C.agent_meeting_id stack.controller mid in
+  let members_before = A.meeting_members stack.agent amid in
+  with_rpc_trace (fun () ->
+      set_control_loss stack 1.0;
+      run_to stack 4.5;
+      Alcotest.(check string)
+        "partition declared dead" "dead"
+        (C.health_name (C.agent_health stack.controller 0));
+      set_control_loss stack 0.0;
+      run_to stack 6.0;
+      C.stop_health stack.controller;
+      Alcotest.(check int) "0 repair RPCs (no Reset, no replay)" 0
+        (rpc_execs_besides_pings ()));
+  Alcotest.(check string)
+    "healthy again" "healthy"
+    (C.health_name (C.agent_health stack.controller 0));
+  Alcotest.(check int) "no resync recorded" 0
+    (List.length (C.recovery_log stack.controller));
+  Alcotest.(check (list int)) "agent meetings untouched" meetings_before (agent_meetings ());
+  Alcotest.(check (list int))
+    "members untouched" members_before
+    (A.meeting_members stack.agent amid);
+  An.assert_clean ~what:"post quiet return" stack.controller
+
+(* --- regression: an op that lands while a resync is in flight ----------- *)
+
+(* With a 20 ms control round trip the heal's replay spans several RPCs.
+   A leave fired the moment the agent executes the replay's third request
+   lands while the replay is still in flight. Its wire side cannot go to
+   the healing switch; it must not be lost either — the heal settles only
+   once a later resync covers it, with no anti-entropy pass. *)
+let op_during_resync_is_not_lost () =
+  let module Tr = Scallop_obs.Trace in
+  let control = T.degraded ~loss:0.0 ~rtt_ns:(Engine.ms 20) () in
+  let stack = Common.make_scallop ~seed:38 ~control () in
   let _mid, parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
-  C.start_health
-    ~config:{ C.default_health_config with C.deferred_cap = 3 }
-    stack.controller;
+  C.start_health stack.controller;
   run_to stack 1.5;
   A.crash stack.agent;
   run_to stack 4.0;
-  let pids = List.map fst parts in
-  let targets = [ Av1.Dd.DT_7_5fps; Av1.Dd.DT_15fps; Av1.Dd.DT_30fps ] in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun r ->
-          if r <> List.hd pids then
-            C.set_pair_target stack.controller ~sender:(List.hd pids) ~receiver:r t)
-        pids)
-    targets;
-  let h = health_view stack in
-  Alcotest.(check int) "queue capped" 3 h.C.hv_deferred;
-  Alcotest.(check bool) "oldest ops dropped" true (h.C.hv_dropped > 0);
-  let findings = An.verify stack.controller in
-  Alcotest.(check bool)
-    "overflow surfaces as a warning finding" true
-    (List.exists
-       (fun (f : An.finding) ->
-         f.An.kind = An.Deferred_overflow && f.An.severity = An.Warning)
-       findings);
-  Alcotest.(check (list string)) "but not as an error" []
-    (List.map (fun (f : An.finding) -> f.An.explanation) (An.errors findings));
   A.restart stack.agent;
-  run_to stack 8.0;
+  let leaver = fst (List.nth parts 2) in
+  let left = ref false in
+  let execs = ref (-1) in
+  let prev = Tr.level () in
+  Tr.set_level Tr.Rpc;
+  Tr.set_listener
+    (Some
+       (fun (e : Tr.event) ->
+         if e.Tr.name = "heal_begin" && !execs < 0 then execs := 0
+         else if
+           e.Tr.name = "rpc_exec" && !execs >= 0
+           && List.assoc_opt "name" e.Tr.args <> Some (Tr.S "ping")
+         then begin
+           incr execs;
+           if !execs = 3 && not !left then begin
+             left := true;
+             Engine.schedule stack.engine ~after:1 (fun () ->
+                 C.leave stack.controller leaver)
+           end
+         end));
+  Fun.protect
+    ~finally:(fun () ->
+      Tr.set_listener None;
+      Tr.set_level prev)
+    (fun () -> run_to stack 9.0);
   C.stop_health stack.controller;
-  let resyncs =
-    List.filter (fun e -> e.C.re_kind = `Resync) (C.recovery_log stack.controller)
-  in
-  Alcotest.(check bool) "drop forced a full resync" true (resyncs <> []);
-  Alcotest.(check int) "drop counter cleared" 0 (health_view stack).C.hv_dropped;
-  (* the last pinned target per pair came from intent, not the queue *)
-  An.assert_clean ~what:"post overflow resync" stack.controller;
-  Alcotest.(check bool)
-    "no overflow warning after replay" true
-    (not
-       (List.exists
-          (fun (f : An.finding) -> f.An.kind = An.Deferred_overflow)
-          (An.verify stack.controller)))
+  Alcotest.(check bool) "the leave fired mid-resync" true !left;
+  Alcotest.(check string)
+    "healthy after heal" "healthy"
+    (C.health_name (C.agent_health stack.controller 0));
+  An.assert_clean ~what:"op mutated during a resync" stack.controller
 
 (* --- anti-entropy: reconcile repairs a live-but-drifted switch ---------- *)
 
@@ -271,7 +320,6 @@ let recovery_log_is_bounded () =
         probe_timeout_ns = Engine.ms 25;
         suspect_after = 1;
         dead_after = 2;
-        deferred_cap = 256;
       }
     stack.controller;
   run_to stack 0.5;
@@ -377,10 +425,11 @@ let plan_arb = QCheck.make ~print:plan_to_string plan_gen
 
 (* Replay [plan.ops] at fixed virtual times against a fresh 3-party
    meeting; when [crash] is set the switch power-cycles mid-sequence,
-   and [batch] selects the controller's batched wire mode. Returns the
-   canonical agent shadow after everything settles. *)
-let execute ?(batch = false) plan ~crash =
-  let stack = Common.make_scallop ~seed:11 ~batch () in
+   and [batch] selects the controller's flush policy ([false] flushes
+   every op). Returns the canonical agent shadow after everything
+   settles. *)
+let execute ?batch plan ~crash =
+  let stack = Common.make_scallop ~seed:11 ?batch () in
   let mid, parts = Common.scallop_meeting stack ~participants:3 ~senders:2 () in
   C.start_health stack.controller;
   let live = ref (List.map fst parts) in
@@ -488,8 +537,8 @@ let resync_equiv_prop =
       crashed = baseline)
 
 (* The strongest form of the batching-equivalence claim: a batched run
-   whose switch crashes mid-sequence (possibly mid-batch — buffered ops
-   requeue through the deferred path and resync replays from intent)
+   whose switch crashes mid-sequence (possibly mid-batch — the unacked
+   batch's ops are skipped and the resync replays them from intent)
    must land on the same canonical agent state as a per-op run that
    never crashed at all. *)
 (* Regression (found by the property above): a batched join whose flush
@@ -504,8 +553,8 @@ let straddling_flush_does_not_double_execute () =
     { ops = [ Target (2, 5, 0); Target (9, 3, 2); Join false ];
       crash_ms = 2325; down_ms = 1064 }
   in
-  let batched_crashed = execute plan ~crash:true ~batch:true in
-  let baseline = execute plan ~crash:false in
+  let batched_crashed = execute plan ~crash:true in
+  let baseline = execute plan ~crash:false ~batch:false in
   if batched_crashed <> baseline then
     Alcotest.failf "batched crashed run diverged:\n%s\n--- baseline:\n%s"
       (canon_to_string batched_crashed) (canon_to_string baseline)
@@ -632,8 +681,8 @@ let batched_equiv_prop =
   QCheck.Test.make ~count:3 ~name:"batched + crash mid-batch == per-op baseline"
     plan_arb
     (fun plan ->
-      let batched_crashed = execute plan ~crash:true ~batch:true in
-      let baseline = execute plan ~crash:false in
+      let batched_crashed = execute plan ~crash:true in
+      let baseline = execute plan ~crash:false ~batch:false in
       if batched_crashed <> baseline then
         Printf.printf "--- batched crashed run:\n%s\n--- per-op baseline:\n%s\n"
           (canon_to_string batched_crashed) (canon_to_string baseline);
@@ -646,10 +695,12 @@ let () =
         [
           Alcotest.test_case "crash/restart resyncs from intent" `Quick
             crash_restart_resyncs;
-          Alcotest.test_case "partition: media flows, ops drain" `Quick
+          Alcotest.test_case "partition: media flows, one resync" `Quick
             partition_keeps_media_flowing;
-          Alcotest.test_case "deferred overflow forces resync" `Quick
-            overflow_forces_resync;
+          Alcotest.test_case "same-epoch return needs no repair" `Quick
+            quiet_return_needs_no_repair;
+          Alcotest.test_case "op during a resync is not lost" `Quick
+            op_during_resync_is_not_lost;
           Alcotest.test_case "reconcile repairs live drift" `Quick
             reconcile_repairs_drift;
           Alcotest.test_case "straddling flush never double-executes" `Quick

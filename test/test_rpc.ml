@@ -194,7 +194,8 @@ let join_n (engine, network, rng, _agent, controller) n =
   (mid, pids)
 
 let rpc_calls_count_wire_messages () =
-  let ((_, _, _, agent, controller) as stack) = make_stack ~seed:11 () in
+  (* flush every op: one wire request per agent op *)
+  let ((_, _, _, agent, controller) as stack) = make_stack ~seed:11 ~batch:false () in
   let mid, pids = join_n stack 3 in
   C.start_screen_share controller (List.hd pids);
   C.leave controller (List.nth pids 2);
@@ -412,7 +413,9 @@ let churn stack =
   mid
 
 let batched_churn_matches_per_op () =
-  let ((_, _, _, agent_a, ctrl_a) as per_op) = make_stack ~seed:15 ~control:lossy_control () in
+  let ((_, _, _, agent_a, ctrl_a) as per_op) =
+    make_stack ~seed:15 ~control:lossy_control ~batch:false ()
+  in
   let mid_a = churn per_op in
   let ((_, _, _, agent_b, ctrl_b) as batched) =
     make_stack ~seed:15 ~control:lossy_control ~batch:true ()
@@ -434,6 +437,18 @@ let batched_churn_matches_per_op () =
   Alcotest.(check bool) "same design" true
     (Scallop.Switch_agent.meeting_design agent_a amid_a
     = Scallop.Switch_agent.meeting_design agent_b amid_b)
+
+(* Every controller fences its wire ops, so the flush reaches the
+   transport as [Fenced { op = Batch _ }]: the batch counters must look
+   inside the fence. *)
+let fenced_batch_is_counted () =
+  let ((_, _, _, _, controller) as stack) = make_stack ~seed:16 () in
+  let before = (T.Client.stats (C.control_channel controller 0)).batches in
+  let _ = join_n stack 1 in
+  let s = T.Client.stats (C.control_channel controller 0) in
+  Alcotest.(check bool) "journaled controller" true (C.journal controller <> None);
+  Alcotest.(check int) "one join, one flush" (before + 1) s.batches;
+  Alcotest.(check bool) "ops counted inside the fenced batch" true (s.batched_ops >= 1)
 
 let () =
   Alcotest.run "rpc"
@@ -459,6 +474,7 @@ let () =
             batch_executes_in_order_with_error_isolation;
           Alcotest.test_case "batched churn == per-op churn" `Quick
             batched_churn_matches_per_op;
+          Alcotest.test_case "fenced batch counted" `Quick fenced_batch_is_counted;
         ] );
       ( "controller",
         [
