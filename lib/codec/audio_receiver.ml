@@ -48,7 +48,7 @@ let remember t seq =
 let set_qoe t q = t.qoe <- Some q
 let qoe t = t.qoe
 
-let receive t ~time_ns (pkt : Packet.t) =
+let receive t ~time_ns (pkt : Packet.View.t) =
   if pkt.ssrc = t.ssrc then begin
     if Hashtbl.mem t.seen pkt.sequence then begin
       t.duplicates <- t.duplicates + 1;
@@ -67,7 +67,7 @@ let receive t ~time_ns (pkt : Packet.t) =
       t.last_rtp_ts <- pkt.timestamp;
       t.packets_received <- t.packets_received + 1;
       (match t.qoe with
-      | Some q -> Qoe.on_packet q ~time_ns ~size:(Packet.wire_size pkt)
+      | Some q -> Qoe.on_packet q ~time_ns ~size:(Bytes.length pkt.buf)
       | None -> ());
       remember t pkt.sequence;
       if not t.started then begin

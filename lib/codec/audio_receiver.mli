@@ -6,7 +6,10 @@
 type t
 
 val create : ssrc:int -> t
-val receive : t -> time_ns:int -> Rtp.Packet.t -> unit
+val receive : t -> time_ns:int -> Rtp.Packet.View.t -> unit
+(** Account one received packet, read in place from its serialized
+    bytes; its size is the buffer length. Packets of other SSRCs are
+    ignored. *)
 
 val set_qoe : t -> Scallop_obs.Qoe.t -> unit
 (** Attach a QoE collector; the receiver then reports packets, gaps,

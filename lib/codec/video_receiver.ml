@@ -10,7 +10,6 @@ type frame_state = {
   mutable seqs : int list;  (** sequence numbers received for this frame *)
   mutable got_start : bool;
   mutable got_end : bool;
-  mutable bytes : int;
   mutable keyframe : bool;
 }
 
@@ -311,27 +310,22 @@ let remember_seq t seq =
 
 (* --- main entry ---------------------------------------------------------- *)
 
-let receive t ~time_ns (pkt : Packet.t) =
+let receive t ~time_ns (pkt : Packet.View.t) =
   if pkt.ssrc <> t.ssrc then ()
   else begin
     t.packets_received <- t.packets_received + 1;
-    let size = Packet.wire_size pkt in
+    let size = Bytes.length pkt.buf in
     t.bytes_received <- t.bytes_received + size;
     (match t.qoe with
     | Some q -> Qoe.on_packet q ~time_ns ~size
     | None -> ());
     Timeseries.add t.bitrate_series time_ns (float_of_int size);
     update_jitter t ~time_ns ~rtp_ts:pkt.timestamp;
-    let dd =
-      match Packet.find_extension pkt Dd.extension_id with
-      | Some data -> ( try Some (Dd.parse data) with Rtp.Wire.Parse_error _ -> None)
-      | None -> None
-    in
-    match dd with
+    match Dd.read_fields pkt.buf ~off:pkt.ext_off ~len:pkt.ext_len with
     | None -> ()
     | Some dd -> (
         match Hashtbl.find_opt t.seq_to_frame pkt.sequence with
-        | Some prev_frame when prev_frame <> dd.frame_number ->
+        | Some prev_frame when prev_frame <> dd.f_frame_number ->
             (* Same sequence number, different frame: broken rewrite. This
                is the catastrophic case of §6.2 — decoder state corrupts. *)
             t.duplicates <- t.duplicates + 1;
@@ -346,7 +340,7 @@ let receive t ~time_ns (pkt : Packet.t) =
             | Some q -> Qoe.on_duplicate q ~time_ns
             | None -> ())
         | None ->
-            Hashtbl.replace t.seq_to_frame pkt.sequence dd.frame_number;
+            Hashtbl.replace t.seq_to_frame pkt.sequence dd.f_frame_number;
             remember_seq t pkt.sequence;
             if not t.started then begin
               t.started <- true;
@@ -359,31 +353,29 @@ let receive t ~time_ns (pkt : Packet.t) =
             end
             else clear_gap t ~time_ns pkt.sequence;
             let fs =
-              match Hashtbl.find_opt t.frames dd.frame_number with
+              match Hashtbl.find_opt t.frames dd.f_frame_number with
               | Some fs -> fs
               | None ->
                   let fs =
                     {
-                      template_id = dd.template_id;
+                      template_id = dd.f_template_id;
                       seqs = [];
                       got_start = false;
                       got_end = false;
-                      bytes = 0;
                       keyframe = false;
                     }
                   in
-                  Hashtbl.replace t.frames dd.frame_number fs;
+                  Hashtbl.replace t.frames dd.f_frame_number fs;
                   fs
             in
             (* 90 kHz ticks back to capture time for mouth-to-ear *)
-            if not (Hashtbl.mem t.capture_ts dd.frame_number) then
-              Hashtbl.replace t.capture_ts dd.frame_number (pkt.timestamp * 11111);
+            if not (Hashtbl.mem t.capture_ts dd.f_frame_number) then
+              Hashtbl.replace t.capture_ts dd.f_frame_number (pkt.timestamp * 11111);
             fs.seqs <- pkt.sequence :: fs.seqs;
-            fs.bytes <- fs.bytes + Bytes.length pkt.payload;
-            if dd.start_of_frame then fs.got_start <- true;
-            if dd.end_of_frame then fs.got_end <- true;
-            if dd.structure <> None then fs.keyframe <- true;
-            try_decode t ~time_ns ~frame_number:dd.frame_number)
+            if dd.f_start_of_frame then fs.got_start <- true;
+            if dd.f_end_of_frame then fs.got_end <- true;
+            if dd.f_has_structure then fs.keyframe <- true;
+            try_decode t ~time_ns ~frame_number:dd.f_frame_number)
   end
 
 (* A gap is retried up to [max_nack_attempts] times (a retransmission can

@@ -15,7 +15,13 @@ val create : ?nack_delay_ns:int -> ?pli_timeout_ns:int -> ssrc:int -> unit -> t
     (default 30 ms); [pli_timeout_ns] the freeze duration before a PLI is
     requested (default 500 ms). *)
 
-val receive : t -> time_ns:int -> Rtp.Packet.t -> unit
+val receive : t -> time_ns:int -> Rtp.Packet.View.t -> unit
+(** Account one received packet, read in place from its serialized
+    bytes: the view must be taken with [~ext_id:Av1.Dd.extension_id] so
+    its extension extent is the dependency descriptor's. The packet's
+    size is the buffer length; a packet without a well-formed descriptor
+    counts toward the statistics but not toward frame assembly. Packets
+    of other SSRCs are ignored. *)
 
 val set_qoe : t -> Scallop_obs.Qoe.t -> unit
 (** Attach a QoE collector; the receiver then reports packets, gaps and

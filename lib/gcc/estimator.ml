@@ -1,9 +1,6 @@
 type detector_state = Underuse | Normal | Overuse
 type rate_state = Increase | Hold | Decrease
 
-(* One inter-group delay-gradient sample. *)
-type sample = { at_ms : float; accumulated_delay_ms : float }
-
 type t = {
   min_bps : int;
   max_bps : int;
@@ -16,8 +13,13 @@ type t = {
   mutable prev_group_arrival : int;
   mutable have_prev_group : bool;
   mutable started : bool;
-  (* trendline *)
-  mutable samples : sample list;  (** newest first, bounded *)
+  (* trendline: the last [trend_window] inter-group samples, as a ring of
+     (time since first sample, accumulated delay) pairs; allocated on the
+     first sample *)
+  mutable trend_at_ms : float array;
+  mutable trend_delay_ms : float array;
+  mutable trend_head : int;  (** slot of the oldest sample *)
+  mutable trend_count : int;
   mutable accumulated_delay_ms : float;
   mutable first_arrival_ms : float;
   (* adaptive threshold detector *)
@@ -28,8 +30,13 @@ type t = {
   (* AIMD *)
   mutable rate : rate_state;
   mutable last_increase_ms : float;
-  (* receive-rate window: (time_ns, size) newest first *)
-  mutable window : (int * int) list;
+  (* receive-rate window: a FIFO ring of (time_ns, size), oldest at
+     [win_head], plus the running byte sum of its entries *)
+  mutable win_time : int array;
+  mutable win_size : int array;
+  mutable win_head : int;
+  mutable win_len : int;
+  mutable win_bytes : int;
   (* REMB scheduling *)
   mutable last_remb_ms : float;
   mutable last_remb_value : int;
@@ -54,7 +61,10 @@ let create ?(initial_bps = 3_000_000) ?(min_bps = 50_000) ?(max_bps = 20_000_000
     prev_group_arrival = 0;
     have_prev_group = false;
     started = false;
-    samples = [];
+    trend_at_ms = [||];
+    trend_delay_ms = [||];
+    trend_head = 0;
+    trend_count = 0;
     accumulated_delay_ms = 0.0;
     first_arrival_ms = 0.0;
     threshold_ms = 12.5;
@@ -63,7 +73,11 @@ let create ?(initial_bps = 3_000_000) ?(min_bps = 50_000) ?(max_bps = 20_000_000
     last_update_ms = 0.0;
     rate = Increase;
     last_increase_ms = 0.0;
-    window = [];
+    win_time = [||];
+    win_size = [||];
+    win_head = 0;
+    win_len = 0;
+    win_bytes = 0;
     last_remb_ms = neg_infinity;
     last_remb_value = initial_bps;
   }
@@ -72,35 +86,70 @@ let create ?(initial_bps = 3_000_000) ?(min_bps = 50_000) ?(max_bps = 20_000_000
 
 let rate_window_ns = 500_000_000
 
+(* Packets arrive in time order, so expiry only ever removes the oldest
+   entries: pushing evicts them from the head, and a query subtracts any
+   that have expired since without mutating. *)
 let push_window t ~time_ns ~size =
-  t.window <- (time_ns, size) :: t.window;
   let cutoff = time_ns - rate_window_ns in
-  t.window <- List.filter (fun (ts, _) -> ts >= cutoff) t.window
+  let cap = Array.length t.win_time in
+  while t.win_len > 0 && t.win_time.(t.win_head) < cutoff do
+    t.win_bytes <- t.win_bytes - t.win_size.(t.win_head);
+    t.win_head <- (if t.win_head + 1 = cap then 0 else t.win_head + 1);
+    t.win_len <- t.win_len - 1
+  done;
+  if t.win_len = cap then begin
+    (* full: double, unrolling the ring so the oldest entry is at 0 *)
+    let cap' = max 16 (2 * cap) in
+    let unroll a =
+      Array.init cap' (fun i -> if i < cap then a.((t.win_head + i) mod cap) else 0)
+    in
+    t.win_time <- unroll t.win_time;
+    t.win_size <- unroll t.win_size;
+    t.win_head <- 0
+  end;
+  let cap = Array.length t.win_time in
+  let slot = (t.win_head + t.win_len) mod cap in
+  t.win_time.(slot) <- time_ns;
+  t.win_size.(slot) <- size;
+  t.win_len <- t.win_len + 1;
+  t.win_bytes <- t.win_bytes + size
 
 let receive_rate_bps t ~time_ns =
   let cutoff = time_ns - rate_window_ns in
-  let bytes =
-    List.fold_left (fun acc (ts, size) -> if ts >= cutoff then acc + size else acc) 0 t.window
-  in
-  float_of_int (bytes * 8) /. (float_of_int rate_window_ns /. 1e9)
+  let cap = Array.length t.win_time in
+  let bytes = ref t.win_bytes in
+  let i = ref 0 in
+  while !i < t.win_len && t.win_time.((t.win_head + !i) mod cap) < cutoff do
+    bytes := !bytes - t.win_size.((t.win_head + !i) mod cap);
+    incr i
+  done;
+  float_of_int (!bytes * 8) /. (float_of_int rate_window_ns /. 1e9)
 
 (* --- trendline slope ------------------------------------------------------
 
    Least-squares slope of accumulated delay vs time over the sample window,
    matching libwebrtc's TrendlineEstimator. *)
-let trend_slope samples =
-  let n = List.length samples in
+let trend_slope t =
+  let n = t.trend_count in
   if n < 7 then 0.0
   else begin
-    let xs = List.map (fun (s : sample) -> s.at_ms) samples in
-    let ys = List.map (fun (s : sample) -> s.accumulated_delay_ms) samples in
-    let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int n in
-    let mx = mean xs and my = mean ys in
-    let num =
-      List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0.0 xs ys
-    in
-    let den = List.fold_left (fun acc x -> acc +. ((x -. mx) ** 2.0)) 0.0 xs in
-    if den = 0.0 then 0.0 else num /. den
+    (* every sum runs oldest to newest, as the regression always has *)
+    let xs = t.trend_at_ms and ys = t.trend_delay_ms in
+    let slot i = (t.trend_head + i) mod trend_window in
+    let sx = ref 0.0 and sy = ref 0.0 in
+    for i = 0 to n - 1 do
+      sx := !sx +. xs.(slot i);
+      sy := !sy +. ys.(slot i)
+    done;
+    let mx = !sx /. float_of_int n and my = !sy /. float_of_int n in
+    let num = ref 0.0 and den = ref 0.0 in
+    for i = 0 to n - 1 do
+      num := !num +. ((xs.(slot i) -. mx) *. (ys.(slot i) -. my))
+    done;
+    for i = 0 to n - 1 do
+      den := !den +. ((xs.(slot i) -. mx) ** 2.0)
+    done;
+    if !den = 0.0 then 0.0 else !num /. !den
   end
 
 (* --- adaptive threshold (libwebrtc k_up/k_down) -------------------------- *)
@@ -122,7 +171,7 @@ let overuse_time_threshold_ms = 10.0
 
 let detect t ~trend ~now_ms ~group_delta_ms =
   (* scale trend the way libwebrtc does: by number of deltas and a gain *)
-  let modified = trend *. Float.min (float_of_int (List.length t.samples)) 60.0 *. 4.0 in
+  let modified = trend *. Float.min (float_of_int t.trend_count) 60.0 *. 4.0 in
   let state =
     if modified > t.threshold_ms then begin
       if t.overuse_since = 0.0 then t.overuse_since <- now_ms -. group_delta_ms;
@@ -191,15 +240,19 @@ let complete_group t ~time_ns =
     in
     let gradient = arrival_delta_ms -. departure_delta_ms in
     let now_ms = float_of_int time_ns /. 1e6 in
-    if t.samples = [] then t.first_arrival_ms <- now_ms;
+    if t.trend_count = 0 then begin
+      t.first_arrival_ms <- now_ms;
+      t.trend_at_ms <- Array.make trend_window 0.0;
+      t.trend_delay_ms <- Array.make trend_window 0.0
+    end;
     t.accumulated_delay_ms <- t.accumulated_delay_ms +. gradient;
-    let sample =
-      { at_ms = now_ms -. t.first_arrival_ms; accumulated_delay_ms = t.accumulated_delay_ms }
-    in
-    t.samples <- sample :: t.samples;
-    if List.length t.samples > trend_window then
-      t.samples <- List.filteri (fun i _ -> i < trend_window) t.samples;
-    let trend = trend_slope (List.rev t.samples) in
+    (* append, overwriting the oldest sample once the ring is full *)
+    let slot = (t.trend_head + t.trend_count) mod trend_window in
+    t.trend_at_ms.(slot) <- now_ms -. t.first_arrival_ms;
+    t.trend_delay_ms.(slot) <- t.accumulated_delay_ms;
+    if t.trend_count = trend_window then t.trend_head <- (t.trend_head + 1) mod trend_window
+    else t.trend_count <- t.trend_count + 1;
+    let trend = trend_slope t in
     detect t ~trend ~now_ms ~group_delta_ms:arrival_delta_ms;
     aimd t ~time_ns
   end;

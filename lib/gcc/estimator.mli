@@ -25,10 +25,13 @@ type rate_state = Increase | Hold | Decrease
 
 val create :
   ?initial_bps:int -> ?min_bps:int -> ?max_bps:int -> unit -> t
-(** Defaults: initial 300 kb/s, min 50 kb/s, max 20 Mb/s. *)
+(** Defaults: initial 3 Mb/s, min 50 kb/s, max 20 Mb/s. *)
 
 val on_packet : t -> time_ns:int -> rtp_ts:int -> size:int -> unit
-(** Feed every received media packet; [rtp_ts] in 90 kHz ticks. *)
+(** Feed every received media packet; [rtp_ts] in 90 kHz ticks.
+    [time_ns] must not decrease from one call to the next (the engine
+    clock guarantees it): the receive-rate window is a FIFO that expires
+    entries from its oldest end only. Each call is O(1) amortized. *)
 
 val estimate_bps : t -> int
 val detector_state : t -> detector_state

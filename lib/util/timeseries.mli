@@ -5,11 +5,14 @@
 type t
 
 val create : bin_ns:int -> t
-(** [create ~bin_ns] accumulates values into fixed-width bins. *)
+(** [create ~bin_ns] accumulates values into fixed-width bins. Storage
+    is a dense array over the range of bins touched so far, so it starts
+    empty and its size tracks (last bin - first bin), not the number of
+    [add] calls. *)
 
 val add : t -> int -> float -> unit
 (** [add t time value] accumulates [value] into the bin containing [time].
-    Times may arrive out of order. *)
+    Times may arrive out of order. Amortized O(1). *)
 
 val incr : t -> int -> unit
 (** [incr t time] is [add t time 1.0] — convenient for counting events. *)

@@ -317,49 +317,59 @@ let attach_qoe conn ~meeting ~receiver ~sender ~media =
 
 let handle_rtp t conn (dgram : Dgram.t) =
   let buf = dgram.Dgram.payload in
-  match Packet.parse buf with
+  (* read in place, as the data-plane fast path does: no record,
+     extension list or payload copy per replica *)
+  match Packet.View.of_bytes ~ext_id:Av1.Dd.extension_id buf with
   | exception Rtp.Wire.Parse_error _ -> ()
-  | pkt ->
+  | (pkt : Packet.View.t) ->
       let now = Engine.now t.engine in
-      if conn.kind = Recv then note_twcc t conn ~time_ns:now pkt.Packet.sequence;
-      if pkt.Packet.ssrc = conn.video_ssrc then begin
-        Option.iter (fun rx -> Codec.Video_receiver.receive rx ~time_ns:now pkt) conn.video_rx;
-        Option.iter
-          (fun gcc ->
-            Gcc.Estimator.on_packet gcc ~time_ns:now ~rtp_ts:pkt.Packet.timestamp
-              ~size:(Bytes.length buf))
-          conn.gcc
-      end
-      else if pkt.Packet.ssrc = conn.audio_ssrc then
-        Option.iter (fun rx -> Codec.Audio_receiver.receive rx ~time_ns:now pkt) conn.audio_rx;
-      (* anchor the packet's trace id on the receiver's QoE timeline so
-         attribution can walk from a burn back to these exact packets *)
+      if conn.kind = Recv then note_twcc t conn ~time_ns:now pkt.sequence;
+      let video = pkt.ssrc = conn.video_ssrc in
+      let qoe =
+        if video then begin
+          let qoe =
+            match conn.video_rx with
+            | Some rx ->
+                Codec.Video_receiver.receive rx ~time_ns:now pkt;
+                Codec.Video_receiver.qoe rx
+            | None -> None
+          in
+          (match conn.gcc with
+          | Some gcc ->
+              Gcc.Estimator.on_packet gcc ~time_ns:now ~rtp_ts:pkt.timestamp
+                ~size:(Bytes.length buf)
+          | None -> ());
+          qoe
+        end
+        else if pkt.ssrc = conn.audio_ssrc then
+          match conn.audio_rx with
+          | Some rx ->
+              Codec.Audio_receiver.receive rx ~time_ns:now pkt;
+              Codec.Audio_receiver.qoe rx
+          | None -> None
+        else None
+      in
       if dgram.Dgram.trace >= 0 then begin
-        let note q = Qoe.note_trace q ~time_ns:now ~trace:dgram.Dgram.trace in
-        if pkt.Packet.ssrc = conn.video_ssrc then
-          Option.iter
-            (fun rx -> Option.iter note (Codec.Video_receiver.qoe rx))
-            conn.video_rx
-        else if pkt.Packet.ssrc = conn.audio_ssrc then
-          Option.iter
-            (fun rx -> Option.iter note (Codec.Audio_receiver.qoe rx))
-            conn.audio_rx
-      end;
-      (* terminal hop of the causal timeline: the packet reached the
-         receiving endpoint and (for video) advanced the decoder *)
-      if dgram.Dgram.trace >= 0 && Trace.enabled Trace.Packet then
-        Trace.instant ~ts:now ~trace:dgram.Dgram.trace ~cat:"client" "client_rx"
-          ~args:
-            [
-              ("ssrc", Trace.I pkt.Packet.ssrc);
-              ("seq", Trace.I pkt.Packet.sequence);
-              ( "frames_decoded",
-                Trace.I
-                  (match conn.video_rx with
-                  | Some rx when pkt.Packet.ssrc = conn.video_ssrc ->
-                      Codec.Video_receiver.frames_decoded rx
-                  | Some _ | None -> -1) );
-            ]
+        (* anchor the packet's trace id on the receiver's QoE timeline so
+           attribution can walk from a burn back to these exact packets *)
+        (match qoe with
+        | Some q -> Qoe.note_trace q ~time_ns:now ~trace:dgram.Dgram.trace
+        | None -> ());
+        (* terminal hop of the causal timeline: the packet reached the
+           receiving endpoint and (for video) advanced the decoder *)
+        if Trace.enabled Trace.Packet then
+          Trace.instant ~ts:now ~trace:dgram.Dgram.trace ~cat:"client" "client_rx"
+            ~args:
+              [
+                ("ssrc", Trace.I pkt.ssrc);
+                ("seq", Trace.I pkt.sequence);
+                ( "frames_decoded",
+                  Trace.I
+                    (match conn.video_rx with
+                    | Some rx when video -> Codec.Video_receiver.frames_decoded rx
+                    | Some _ | None -> -1) );
+              ]
+      end
 
 let handle_rtcp t conn buf =
   match Rtp.Rtcp.parse_compound buf with
@@ -419,7 +429,7 @@ let handle_stun t conn buf =
           | None -> ())
       | Rtp.Stun.Error_response | Rtp.Stun.Indication -> ())
 
-let handle_dgram t conn (dgram : Dgram.t) =
+let deliver t conn (dgram : Dgram.t) =
   if conn.open_ then begin
     t.rx_hook ~time_ns:(Engine.now t.engine) dgram;
     match Rtp.Demux.classify dgram.payload with
@@ -525,7 +535,7 @@ let make_connection t ~kind ?send_audio ?video_bitrate ?(simulcast = false) ~loc
       open_ = true;
     }
   in
-  Network.bind t.network local (handle_dgram t conn);
+  Network.bind t.network local (deliver t conn);
   t.connections <- conn :: t.connections;
   start_timers t conn;
   conn

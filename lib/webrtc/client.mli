@@ -86,6 +86,13 @@ val attach_qoe :
     only the controller knows. Incoming traced packets are then anchored
     on the collector for root-cause attribution. *)
 
+val deliver : t -> connection -> Netsim.Dgram.t -> unit
+(** The handler bound at the connection's local address: what the
+    network calls when a datagram reaches it. RTP is read in place
+    ({!Rtp.Packet.View}) and handed to the decoders and the GCC
+    estimator; malformed packets are dropped. Calling it directly drives
+    a connection without the network in between. *)
+
 val close_connection : t -> connection -> unit
 (** Sends an RTCP BYE for the connection's streams, then stops its timers
     and unbinds its port. Idempotent: closing an already-closed

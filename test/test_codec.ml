@@ -104,10 +104,16 @@ let audio_cadence () =
 
 (* --- receiver / decoder ------------------------------------------------------------- *)
 
-let feed rx frames = List.iter (fun f -> List.iter (Rx.receive rx ~time_ns:0) f.Vs.packets) frames
+(* Receivers read serialized packets in place, the way the client hands
+   them over. *)
+let view p = Rtp.Packet.View.of_bytes ~ext_id:Dd.extension_id (Rtp.Packet.serialize p)
+let rx_receive rx ~time_ns p = Rx.receive rx ~time_ns (view p)
+let arx_receive rx ~time_ns p = Codec.Audio_receiver.receive rx ~time_ns (view p)
+
+let feed rx frames = List.iter (fun f -> List.iter (rx_receive rx ~time_ns:0) f.Vs.packets) frames
 
 let feed_at rx time_ns frames =
-  List.iter (fun f -> List.iter (Rx.receive rx ~time_ns) f.Vs.packets) frames
+  List.iter (fun f -> List.iter (rx_receive rx ~time_ns) f.Vs.packets) frames
 
 let rx_decodes_clean_stream () =
   let rx = Rx.create ~ssrc:7 () in
@@ -125,7 +131,7 @@ let rx_gap_triggers_nack () =
   let frames = frames_of (make_source ()) 10 in
   (* drop one mid-stream packet entirely *)
   let all = List.concat_map (fun f -> f.Vs.packets) frames in
-  List.iteri (fun i p -> if i <> 12 then Rx.receive rx ~time_ns:0 p) all;
+  List.iteri (fun i p -> if i <> 12 then rx_receive rx ~time_ns:0 p) all;
   let nacks = Rx.poll_nacks rx ~time_ns:1_000_000 in
   Alcotest.(check int) "one missing seq" 1 (List.length nacks);
   Alcotest.(check int) "the dropped one" (List.nth all 12).Rtp.Packet.sequence (List.hd nacks)
@@ -134,8 +140,8 @@ let rx_retransmission_fills_gap () =
   let rx = Rx.create ~ssrc:7 ~nack_delay_ns:0 () in
   let all = List.concat_map (fun f -> f.Vs.packets) (frames_of (make_source ()) 10) in
   let held = List.nth all 12 in
-  List.iteri (fun i p -> if i <> 12 then Rx.receive rx ~time_ns:0 p) all;
-  Rx.receive rx ~time_ns:0 held;
+  List.iteri (fun i p -> if i <> 12 then rx_receive rx ~time_ns:0 p) all;
+  rx_receive rx ~time_ns:0 held;
   Alcotest.(check (list int)) "no nacks pending" [] (Rx.poll_nacks rx ~time_ns:1_000_000)
 
 let rx_same_packet_twice_harmless () =
@@ -143,7 +149,7 @@ let rx_same_packet_twice_harmless () =
   let frames = frames_of (make_source ()) 5 in
   feed rx frames;
   (* replay the last frame's packets: pure retransmission duplicates *)
-  List.iter (Rx.receive rx ~time_ns:0) (List.nth frames 4).Vs.packets;
+  List.iter (rx_receive rx ~time_ns:0) (List.nth frames 4).Vs.packets;
   Alcotest.(check int) "no freeze" 0 (Rx.freezes rx);
   Alcotest.(check bool) "counted" true (Rx.duplicates rx > 0)
 
@@ -173,7 +179,7 @@ let rx_conflicting_duplicate_freezes () =
       ~payload_type:96 ~sequence:victim.Rtp.Packet.sequence ~timestamp:0 ~ssrc:7
       (Bytes.create 10)
   in
-  Rx.receive rx ~time_ns:0 forged;
+  rx_receive rx ~time_ns:0 forged;
   Alcotest.(check bool) "frozen" true (Rx.frozen rx);
   Alcotest.(check int) "freeze counted" 1 (Rx.freezes rx)
 
@@ -203,7 +209,7 @@ let rx_keyframe_unfreezes () =
         ]
       ~payload_type:96 ~sequence:victim_seq ~timestamp:0 ~ssrc:7 (Bytes.create 10)
   in
-  Rx.receive rx ~time_ns:0 forged;
+  rx_receive rx ~time_ns:0 forged;
   Alcotest.(check bool) "frozen" true (Rx.frozen rx);
   Vs.request_keyframe src;
   (* a demanded key frame waits for the next cycle start (up to 4 frames) *)
@@ -216,7 +222,7 @@ let rx_layer_dropped_stream_decodes () =
   let rx = Rx.create ~ssrc:7 () in
   let frames = frames_of (make_source ()) 40 in
   List.iter
-    (fun f -> if f.Vs.layer <> Dd.T2 then List.iter (Rx.receive rx ~time_ns:0) f.Vs.packets)
+    (fun f -> if f.Vs.layer <> Dd.T2 then List.iter (rx_receive rx ~time_ns:0) f.Vs.packets)
     frames;
   Alcotest.(check int) "half the frames decoded" 20 (Rx.frames_decoded rx);
   Alcotest.(check int) "none undecodable" 0 (Rx.frames_undecodable rx)
@@ -227,7 +233,7 @@ let rx_missing_reference_undecodable () =
   (* drop frame 4 (T0) permanently: the T0 reference chain breaks, and once
      the waiting window is exceeded the dependents count as undecodable *)
   List.iteri
-    (fun i f -> if i <> 4 then List.iter (Rx.receive rx ~time_ns:0) f.Vs.packets)
+    (fun i f -> if i <> 4 then List.iter (rx_receive rx ~time_ns:0) f.Vs.packets)
     frames;
   Alcotest.(check bool) "some undecodable" true (Rx.frames_undecodable rx > 0);
   Alcotest.(check bool) "decoding stalled after break" true (Rx.frames_decoded rx < 20)
@@ -242,7 +248,7 @@ let rx_fps_series () =
   let rx = Rx.create ~ssrc:7 () in
   let src = make_source () in
   List.iteri
-    (fun i f -> List.iter (Rx.receive rx ~time_ns:(i * 33_333_333)) f.Vs.packets)
+    (fun i f -> List.iter (rx_receive rx ~time_ns:(i * 33_333_333)) f.Vs.packets)
     (frames_of src 90);
   let bins = Scallop_util.Timeseries.bins (Rx.fps_series rx) in
   Alcotest.(check bool) "roughly 30 fps in first bin" true
@@ -255,7 +261,7 @@ let audio_pkt ~seq ~ts = Rtp.Packet.make ~payload_type:111 ~sequence:seq ~timest
 let audio_rx_counts_loss () =
   let rx = Codec.Audio_receiver.create ~ssrc:9 in
   List.iteri
-    (fun i seq -> Codec.Audio_receiver.receive rx ~time_ns:(i * 20_000_000) (audio_pkt ~seq ~ts:(seq * 960)))
+    (fun i seq -> arx_receive rx ~time_ns:(i * 20_000_000) (audio_pkt ~seq ~ts:(seq * 960)))
     [ 10; 11; 13; 14; 17 ];
   Alcotest.(check int) "received" 5 (Codec.Audio_receiver.packets_received rx);
   Alcotest.(check int) "lost" 3 (Codec.Audio_receiver.packets_lost rx);
@@ -264,15 +270,15 @@ let audio_rx_counts_loss () =
 let audio_rx_late_fills_gap () =
   let rx = Codec.Audio_receiver.create ~ssrc:9 in
   List.iteri
-    (fun i seq -> Codec.Audio_receiver.receive rx ~time_ns:(i * 20_000_000) (audio_pkt ~seq ~ts:(seq * 960)))
+    (fun i seq -> arx_receive rx ~time_ns:(i * 20_000_000) (audio_pkt ~seq ~ts:(seq * 960)))
     [ 1; 3; 2 ];
   Alcotest.(check int) "reorder recovered" 0 (Codec.Audio_receiver.packets_lost rx)
 
 let audio_rx_duplicates_and_other_ssrc () =
   let rx = Codec.Audio_receiver.create ~ssrc:9 in
-  Codec.Audio_receiver.receive rx ~time_ns:0 (audio_pkt ~seq:5 ~ts:0);
-  Codec.Audio_receiver.receive rx ~time_ns:1 (audio_pkt ~seq:5 ~ts:0);
-  Codec.Audio_receiver.receive rx ~time_ns:2
+  arx_receive rx ~time_ns:0 (audio_pkt ~seq:5 ~ts:0);
+  arx_receive rx ~time_ns:1 (audio_pkt ~seq:5 ~ts:0);
+  arx_receive rx ~time_ns:2
     (Rtp.Packet.make ~payload_type:111 ~sequence:6 ~timestamp:0 ~ssrc:999 (Bytes.create 10));
   Alcotest.(check int) "one fresh" 1 (Codec.Audio_receiver.packets_received rx);
   Alcotest.(check int) "duplicate counted" 1 (Codec.Audio_receiver.duplicates rx)
@@ -281,11 +287,11 @@ let audio_rx_jitter () =
   let rx = Codec.Audio_receiver.create ~ssrc:9 in
   (* perfectly paced packets -> jitter stays near zero *)
   for i = 0 to 99 do
-    Codec.Audio_receiver.receive rx ~time_ns:(i * 20_000_000) (audio_pkt ~seq:i ~ts:(i * 960))
+    arx_receive rx ~time_ns:(i * 20_000_000) (audio_pkt ~seq:i ~ts:(i * 960))
   done;
   Alcotest.(check bool) "paced jitter ~0" true (Codec.Audio_receiver.jitter_ms rx < 0.1);
   (* a 15 ms arrival spike moves the estimate *)
-  Codec.Audio_receiver.receive rx ~time_ns:((100 * 20_000_000) + 15_000_000)
+  arx_receive rx ~time_ns:((100 * 20_000_000) + 15_000_000)
     (audio_pkt ~seq:100 ~ts:(100 * 960));
   Alcotest.(check bool) "spike visible" true (Codec.Audio_receiver.jitter_ms rx > 0.5)
 

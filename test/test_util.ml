@@ -510,9 +510,73 @@ let prop_addr_roundtrip =
       let a = Addr.v ip port in
       Addr.equal a (Addr.of_string (Addr.to_string a)))
 
+(* The hash-table Timeseries the dense one replaced, kept as a reference
+   model: every touched bin is a table entry, [bins] materializes the
+   dense range between the smallest and largest. *)
+module Ref_timeseries = struct
+  type t = { bin_ns : int; tbl : (int, float) Hashtbl.t }
+
+  let create ~bin_ns = { bin_ns; tbl = Hashtbl.create 256 }
+
+  let add t time value =
+    let b = time / t.bin_ns in
+    let cur = Option.value (Hashtbl.find_opt t.tbl b) ~default:0.0 in
+    Hashtbl.replace t.tbl b (cur +. value)
+
+  let bins t =
+    if Hashtbl.length t.tbl = 0 then [||]
+    else begin
+      let lo = ref max_int and hi = ref min_int in
+      Hashtbl.iter
+        (fun b _ ->
+          if b < !lo then lo := b;
+          if b > !hi then hi := b)
+        t.tbl;
+      Array.init
+        (!hi - !lo + 1)
+        (fun i ->
+          let b = !lo + i in
+          (b * t.bin_ns, Option.value (Hashtbl.find_opt t.tbl b) ~default:0.0))
+    end
+
+  let rates_per_second t =
+    let bin_s = float_of_int t.bin_ns /. 1e9 in
+    Array.map (fun (time, v) -> (float_of_int time /. 1e9, v /. bin_s)) (bins t)
+end
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_series eq_fst a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun (t, v) (t', v') -> eq_fst t t' && same_float v v') a b
+
+(* out-of-order and negative times (integer division truncates toward
+   zero, so bin 0 spans both signs), zero and negative values, and
+   bin widths from 1 ns up *)
+let prop_timeseries_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"dense timeseries = hashtable reference"
+    QCheck.(
+      pair (oneofl [ 1; 7; 100; 1000 ])
+        (list_of_size Gen.(0 -- 120)
+           (pair (int_range (-5_000) 5_000)
+              (oneofl [ 0.0; -0.0; 1.0; -2.5; 0.1; 1e-3; 1e9 ]))))
+    (fun (bin_ns, ops) ->
+      let ts = Timeseries.create ~bin_ns and r = Ref_timeseries.create ~bin_ns in
+      List.iter
+        (fun (time, value) ->
+          Timeseries.add ts time value;
+          Ref_timeseries.add r time value)
+        ops;
+      same_series Int.equal (Timeseries.bins ts) (Ref_timeseries.bins r)
+      && same_series same_float (Timeseries.rates_per_second ts)
+           (Ref_timeseries.rates_per_second r)
+      && Timeseries.fold ts ~init:[] ~f:(fun acc t v -> (t, v) :: acc)
+         |> List.rev |> Array.of_list
+         |> same_series Int.equal (Ref_timeseries.bins r))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_percentile_bounded; prop_online_mean_matches; prop_addr_roundtrip;
-      prop_bufpool_model ]
+      prop_bufpool_model; prop_timeseries_matches_reference ]
 
 let () =
   Alcotest.run "util"

@@ -183,6 +183,157 @@ let fresh_ports_unique () =
   let ports = List.init 100 (fun _ -> Client.fresh_port c) in
   Alcotest.(check int) "all distinct" 100 (List.length (List.sort_uniq compare ports))
 
+(* --- receive path ------------------------------------------------------------- *)
+
+(* A receive connection fed directly through [Client.deliver], plus a
+   media stream for it: canonical serialized video (L1T3 with dependency
+   descriptors) and audio replicas, as the data plane emits them. *)
+let rx_fixture () =
+  let engine, rng, network = setup () in
+  let c = mk_client engine network rng ~ip_str:"10.5.0.2" () in
+  let remote = Addr.v (Addr.ip_of_string "10.5.0.1") 7000 in
+  let conn = Client.add_recv_connection c ~local_port:23_000 ~remote ~video_ssrc:31 ~audio_ssrc:32 in
+  Client.attach_qoe conn ~meeting:1 ~receiver:2 ~sender:1 ~media:Scallop_obs.Qoe.Camera;
+  let dgram buf = Netsim.Dgram.v ~src:remote ~dst:(Client.local_addr conn) buf in
+  (engine, c, conn, rng, dgram)
+
+(* [(arrival_ns, datagram)] for [seconds] of one sender's media, in
+   arrival order: 30 fps video paced 500 us apart within a frame, 20 ms
+   audio, a fixed 5 ms path delay *)
+let media_stream rng dgram ~seconds =
+  let video = Codec.Video_source.create (Rng.split rng) (Codec.Video_source.default_config ~ssrc:31) in
+  let audio = Codec.Audio_source.create (Rng.split rng) (Codec.Audio_source.default_config ~ssrc:32) in
+  let until = Engine.sec seconds in
+  let out = ref [] in
+  let rec frames t =
+    if t < until then begin
+      let f = Codec.Video_source.next_frame video ~time_ns:t in
+      List.iteri
+        (fun i p -> out := (t + 5_000_000 + (i * 500_000), dgram (Rtp.Packet.serialize p)) :: !out)
+        f.Codec.Video_source.packets;
+      frames (t + 33_333_333)
+    end
+  in
+  let rec audio_pkts t =
+    if t < until then begin
+      let p = Codec.Audio_source.next_packet audio ~time_ns:t in
+      out := (t + 5_000_000, dgram (Rtp.Packet.serialize p)) :: !out;
+      audio_pkts (t + Codec.Audio_source.interval_ns)
+    end
+  in
+  frames 0;
+  audio_pkts 0;
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !out)
+
+let rx_counters conn =
+  let v = Option.get (Client.receiver conn) in
+  let a = Option.get (Client.audio_receiver conn) in
+  Codec.Video_receiver.
+    ( packets_received v,
+      bytes_received v,
+      duplicates v,
+      frames_decoded v + frames_incomplete v,
+      Codec.Audio_receiver.packets_received a,
+      Codec.Audio_receiver.duplicates a )
+
+(* Hostile RTP at a receive connection is dropped whole: no exception,
+   no counter moves, and the connection keeps decoding afterwards. *)
+let malformed_rtp_dropped () =
+  let engine, c, conn, rng, dgram = rx_fixture () in
+  let stream = media_stream rng dgram ~seconds:0.5 in
+  List.iter
+    (fun (at, d) -> Engine.at engine ~time:at (fun () -> Client.deliver c conn d))
+    stream;
+  Engine.run engine ~until:(Engine.sec 0.5);
+  let before = rx_counters conn in
+  (* a keyframe packet: has the dependency-descriptor extension block *)
+  let good =
+    snd
+      (List.find
+         (fun (_, d) ->
+           let b = d.Netsim.Dgram.payload in
+           Char.code (Bytes.get b 0) land 0x10 <> 0)
+         stream)
+  in
+  (* an audio packet: a payload short enough for a one-byte pad count to
+     overrun it *)
+  let small =
+    snd (List.find (fun (_, d) -> Bytes.length d.Netsim.Dgram.payload < 12 + 255) stream)
+  in
+  let buf = good.Netsim.Dgram.payload in
+  let patched src f =
+    let b = Bytes.copy src in
+    f b;
+    b
+  in
+  let ext_words = (Char.code (Bytes.get buf 14) lsl 8) lor Char.code (Bytes.get buf 15) in
+  let hostile =
+    [
+      ("truncated header", Bytes.sub buf 0 9);
+      ("bad version", patched buf (fun b -> Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) land 0x3F lor 0x40))));
+      ("truncated extension block", Bytes.sub buf 0 (16 + (4 * ext_words) - 1));
+      ( "pad count too large",
+        patched small.Netsim.Dgram.payload (fun b ->
+            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lor 0x20));
+            Bytes.set b (Bytes.length b - 1) '\255') );
+    ]
+  in
+  List.iter
+    (fun (name, bytes) ->
+      (match Rtp.Packet.parse bytes with
+      | exception Rtp.Wire.Parse_error _ -> ()
+      | _ -> Alcotest.failf "%s: fixture parses" name);
+      (match Client.deliver c conn (dgram bytes) with
+      | () -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
+      if rx_counters conn <> before then Alcotest.failf "%s: receiver counters moved" name)
+    hostile;
+  Client.deliver c conn good;
+  let v, _, dups, _, _, _ = rx_counters conn in
+  let v0, _, dups0, _, _, _ = before in
+  Alcotest.(check int) "a valid replay still counts" (v0 + 1) v;
+  Alcotest.(check int) "as a retransmission duplicate" (dups0 + 1) dups
+
+(* Steady-state allocation of the client receive path per canonical
+   replica: the work every packet the data plane fans out costs at its
+   receiver. What still allocates is the per-packet jitter sample the
+   receiver retains, per-frame table entries and the packet view; the
+   ceiling catches a per-packet list rebuild, payload copy or boxed
+   table update coming back. *)
+let rx_alloc_budget_bytes_per_packet = 1_024
+
+let rx_alloc_budget () =
+  let engine, c, conn, rng, dgram = rx_fixture () in
+  let warm_ns = Engine.sec 3.0 in
+  let stream = media_stream rng dgram ~seconds:6.0 in
+  let probe () = Gc.minor_words () in
+  let overhead =
+    let a = probe () in
+    let b = probe () in
+    b -. a
+  in
+  let words = ref 0.0 and measured = ref 0 in
+  List.iter
+    (fun (at, d) ->
+      Engine.at engine ~time:at (fun () ->
+          if at < warm_ns then Client.deliver c conn d
+          else begin
+            let a = probe () in
+            Client.deliver c conn d;
+            words := !words +. (probe () -. a -. overhead);
+            incr measured
+          end))
+    stream;
+  Engine.run engine ~until:(Engine.sec 7.0);
+  let v, _, _, _, a, _ = rx_counters conn in
+  Alcotest.(check bool) "decoded the stream" true
+    (Codec.Video_receiver.frames_decoded (Option.get (Client.receiver conn)) > 150);
+  Alcotest.(check int) "every packet received" (List.length stream) (v + a);
+  let per_pkt = !words *. float_of_int (Sys.word_size / 8) /. float_of_int !measured in
+  if per_pkt > float_of_int rx_alloc_budget_bytes_per_packet then
+    Alcotest.failf "client receive path allocates %.0f B/packet (budget %d)" per_pkt
+      rx_alloc_budget_bytes_per_packet
+
 let () =
   Alcotest.run "webrtc"
     [
@@ -201,5 +352,10 @@ let () =
           Alcotest.test_case "fresh ports" `Quick fresh_ports_unique;
           Alcotest.test_case "ice gates media" `Quick ice_gates_media;
           Alcotest.test_case "bye on close" `Quick bye_sent_on_close;
+        ] );
+      ( "receive",
+        [
+          Alcotest.test_case "malformed rtp dropped" `Quick malformed_rtp_dropped;
+          Alcotest.test_case "alloc budget" `Quick rx_alloc_budget;
         ] );
     ]
