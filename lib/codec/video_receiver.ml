@@ -7,7 +7,9 @@ module Qoe = Scallop_obs.Qoe
 (* Assembly state for one frame. *)
 type frame_state = {
   template_id : int;
-  mutable seqs : int list;  (** sequence numbers received for this frame *)
+  mutable count : int;  (** packets received for this frame *)
+  mutable first_seq : int;  (** oldest of them, in wrapping sequence order *)
+  mutable last_seq : int;  (** newest of them *)
   mutable got_start : bool;
   mutable got_end : bool;
   mutable keyframe : bool;
@@ -164,18 +166,20 @@ let dependencies_met t fs ~frame_number =
 
 (* --- frame assembly ------------------------------------------------------ *)
 
-let contiguous seqs =
-  let sorted = List.sort_uniq compare seqs in
-  match sorted with
-  | [] -> false
-  | first :: _ ->
-      (* handle 16-bit wraparound by normalizing against the first seq *)
-      let norm = List.map (fun s -> Packet.seq_sub s first) (List.tl sorted) in
-      let rec check expected = function
-        | [] -> true
-        | d :: rest -> d = expected && check (expected + 1) rest
-      in
-      check 1 norm
+(* Each sequence number enters a frame once (a repeat within the
+   [seq_window_size]-packet window is caught as a duplicate first), so the frame is gap-free exactly when its packet
+   count spans first..last — measured in wrapping sequence space, so a
+   frame straddling 65535 -> 0 is contiguous too. *)
+let contiguous fs = fs.count > 0 && fs.count = Packet.seq_sub fs.last_seq fs.first_seq + 1
+
+let add_seq fs seq =
+  if fs.count = 0 then begin
+    fs.first_seq <- seq;
+    fs.last_seq <- seq
+  end
+  else if Packet.seq_newer seq fs.last_seq then fs.last_seq <- seq
+  else if Packet.seq_newer fs.first_seq seq then fs.first_seq <- seq;
+  fs.count <- fs.count + 1
 
 (* Temporal layer actually delivered by a decoded frame: templates 0
    (key) and 1 are T0, 2 is T1, 3 and 4 are T2 (paper Fig. 9). *)
@@ -253,7 +257,7 @@ let try_decode t ~time_ns ~frame_number =
   match Hashtbl.find_opt t.frames frame_number with
   | None -> ()
   | Some fs ->
-      if fs.got_start && fs.got_end && contiguous fs.seqs then begin
+      if fs.got_start && fs.got_end && contiguous fs then begin
         Hashtbl.remove t.frames frame_number;
         if t.broken && not fs.keyframe then t.frames_undecodable <- t.frames_undecodable + 1
         else if dependencies_met t fs ~frame_number then begin
@@ -359,7 +363,9 @@ let receive t ~time_ns (pkt : Packet.View.t) =
                   let fs =
                     {
                       template_id = dd.f_template_id;
-                      seqs = [];
+                      count = 0;
+                      first_seq = 0;
+                      last_seq = 0;
                       got_start = false;
                       got_end = false;
                       keyframe = false;
@@ -371,7 +377,7 @@ let receive t ~time_ns (pkt : Packet.View.t) =
             (* 90 kHz ticks back to capture time for mouth-to-ear *)
             if not (Hashtbl.mem t.capture_ts dd.f_frame_number) then
               Hashtbl.replace t.capture_ts dd.f_frame_number (pkt.timestamp * 11111);
-            fs.seqs <- pkt.sequence :: fs.seqs;
+            add_seq fs pkt.sequence;
             if dd.f_start_of_frame then fs.got_start <- true;
             if dd.f_end_of_frame then fs.got_end <- true;
             if dd.f_has_structure then fs.keyframe <- true;

@@ -254,6 +254,20 @@ let rx_fps_series () =
   Alcotest.(check bool) "roughly 30 fps in first bin" true
     (Array.length bins > 0 && snd bins.(0) >= 29.0 && snd bins.(0) <= 31.0)
 
+(* A frame whose packets straddle the 16-bit wrap (..., 65535, 0, ...)
+   is as contiguous as any other and must decode. *)
+let rx_frame_straddling_wrap_decodes () =
+  let rx = Rx.create ~ssrc:7 () in
+  let key = List.hd (frames_of (make_source ()) 1) in
+  let n = List.length key.Vs.packets in
+  Alcotest.(check bool) "multi-packet key frame" true (n >= 2);
+  List.iteri
+    (fun i p ->
+      rx_receive rx ~time_ns:0 (Rtp.Packet.with_sequence p (Rtp.Packet.seq_add 65535 (i + 1 - n / 2))))
+    key.Vs.packets;
+  Alcotest.(check int) "decoded" 1 (Rx.frames_decoded rx);
+  Alcotest.(check int) "nothing pending" 0 (Rx.frames_incomplete rx)
+
 (* --- audio receiver -------------------------------------------------------------------- *)
 
 let audio_pkt ~seq ~ts = Rtp.Packet.make ~payload_type:111 ~sequence:seq ~timestamp:ts ~ssrc:9 (Bytes.create 128)
@@ -353,6 +367,7 @@ let () =
           Alcotest.test_case "missing reference undecodable" `Quick rx_missing_reference_undecodable;
           Alcotest.test_case "pli on starvation" `Quick rx_pli_on_starvation;
           Alcotest.test_case "fps series" `Quick rx_fps_series;
+          Alcotest.test_case "frame straddling seq wrap" `Quick rx_frame_straddling_wrap_decodes;
         ] );
       ( "audio receiver",
         [
