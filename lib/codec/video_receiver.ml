@@ -253,22 +253,19 @@ let evict_stale_waiting t ~newest_frame =
       end)
     (Hashtbl.copy t.waiting)
 
-let try_decode t ~time_ns ~frame_number =
-  match Hashtbl.find_opt t.frames frame_number with
-  | None -> ()
-  | Some fs ->
-      if fs.got_start && fs.got_end && contiguous fs then begin
-        Hashtbl.remove t.frames frame_number;
-        if t.broken && not fs.keyframe then t.frames_undecodable <- t.frames_undecodable + 1
-        else if dependencies_met t fs ~frame_number then begin
-          mark_decoded t ~time_ns ~frame_number fs;
-          drain_waiting t ~time_ns
-        end
-        else begin
-          Hashtbl.replace t.waiting frame_number fs;
-          evict_stale_waiting t ~newest_frame:frame_number
-        end
-      end
+let try_decode t ~time_ns ~frame_number fs =
+  if fs.got_start && fs.got_end && contiguous fs then begin
+    Hashtbl.remove t.frames frame_number;
+    if t.broken && not fs.keyframe then t.frames_undecodable <- t.frames_undecodable + 1
+    else if dependencies_met t fs ~frame_number then begin
+      mark_decoded t ~time_ns ~frame_number fs;
+      drain_waiting t ~time_ns
+    end
+    else begin
+      Hashtbl.replace t.waiting frame_number fs;
+      evict_stale_waiting t ~newest_frame:frame_number
+    end
+  end
 
 let freeze t ~time_ns =
   if not t.broken then begin
@@ -381,7 +378,7 @@ let receive t ~time_ns (pkt : Packet.View.t) =
             if dd.f_start_of_frame then fs.got_start <- true;
             if dd.f_end_of_frame then fs.got_end <- true;
             if dd.f_has_structure then fs.keyframe <- true;
-            try_decode t ~time_ns ~frame_number:dd.f_frame_number)
+            try_decode t ~time_ns ~frame_number:dd.f_frame_number fs)
   end
 
 (* A gap is retried up to [max_nack_attempts] times (a retransmission can
