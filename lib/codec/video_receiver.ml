@@ -167,9 +167,10 @@ let dependencies_met t fs ~frame_number =
 (* --- frame assembly ------------------------------------------------------ *)
 
 (* Each sequence number enters a frame once (a repeat within the
-   [seq_window_size]-packet window is caught as a duplicate first), so the frame is gap-free exactly when its packet
-   count spans first..last — measured in wrapping sequence space, so a
-   frame straddling 65535 -> 0 is contiguous too. *)
+   [seq_window_size]-packet window is caught as a duplicate first), so
+   the frame is gap-free exactly when its packet count spans
+   first..last. Both ends are wrap-aware, so a frame straddling
+   65535 -> 0 is contiguous too. *)
 let contiguous fs = fs.count > 0 && fs.count = Packet.seq_sub fs.last_seq fs.first_seq + 1
 
 let add_seq fs seq =

@@ -133,7 +133,8 @@ let trend_slope t =
   let n = t.trend_count in
   if n < 7 then 0.0
   else begin
-    (* every sum runs oldest to newest, as the regression always has *)
+    (* every sum runs oldest to newest: float addition is
+       order-sensitive, and the estimate must not depend on ring layout *)
     let xs = t.trend_at_ms and ys = t.trend_delay_ms in
     let slot i = (t.trend_head + i) mod trend_window in
     let sx = ref 0.0 and sy = ref 0.0 in
@@ -144,10 +145,9 @@ let trend_slope t =
     let mx = !sx /. float_of_int n and my = !sy /. float_of_int n in
     let num = ref 0.0 and den = ref 0.0 in
     for i = 0 to n - 1 do
-      num := !num +. ((xs.(slot i) -. mx) *. (ys.(slot i) -. my))
-    done;
-    for i = 0 to n - 1 do
-      den := !den +. ((xs.(slot i) -. mx) ** 2.0)
+      let dx = xs.(slot i) -. mx in
+      num := !num +. (dx *. (ys.(slot i) -. my));
+      den := !den +. (dx ** 2.0)
     done;
     if !den = 0.0 then 0.0 else !num /. !den
   end

@@ -15,15 +15,17 @@ let create ~bin_ns =
 
 let bin_of t time = time / t.bin_ns
 
-(* Re-lay [data] so it covers bin [b] as well as [lo]..[hi], with room
-   to grow further in the direction it had to stretch (forward for the
-   first bin: series mostly advance with time). *)
+(* Re-lay [data] over twice the touched span so it covers bin [b] too.
+   Series mostly advance with time, so a forward stretch (and the first
+   bin) puts all the slack after the data; a backward one splits it, so
+   a series stretching at both ends still regrows only after as many
+   adds as it holds bins. *)
 let grow t b =
   let empty = t.lo > t.hi in
   let lo = min t.lo b and hi = max t.hi b in
   let span = hi - lo + 1 in
   let cap = max 8 (2 * span) in
-  let base = if b < t.lo && not empty then hi + 1 - cap else lo in
+  let base = if b < t.lo && not empty then lo - ((cap - span) / 2) else lo in
   let data = Array.make cap 0.0 in
   if not empty then
     Array.blit t.data (t.lo - t.base) data (t.lo - base) (t.hi - t.lo + 1);
