@@ -236,8 +236,8 @@ let rx_counters conn =
       Codec.Audio_receiver.packets_received a,
       Codec.Audio_receiver.duplicates a )
 
-(* Hostile RTP at a receive connection is dropped whole: no exception,
-   no counter moves, and the connection keeps decoding afterwards. *)
+(* Hostile RTP at a receive connection is dropped whole: no exception
+   and no counter moves, while a valid packet afterwards still counts. *)
 let malformed_rtp_dropped () =
   let engine, c, conn, rng, dgram = rx_fixture () in
   let stream = media_stream rng dgram ~seconds:0.5 in
@@ -246,7 +246,7 @@ let malformed_rtp_dropped () =
     stream;
   Engine.run engine ~until:(Engine.sec 0.5);
   let before = rx_counters conn in
-  (* a keyframe packet: has the dependency-descriptor extension block *)
+  (* a video packet: it carries the dependency-descriptor extension block *)
   let good =
     snd
       (List.find
