@@ -197,17 +197,6 @@ let fanout_run ~mode ~receivers ~packets =
   in
   (pps, hist, Scallop.Dataplane.fastpath_stats dp, gc)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let fanout_bench ~quick ~micro ~gc_stats =
   print_endline "\n== Fan-out throughput: zero-copy fast path vs record slow path ==";
   let receivers = 30 in
@@ -287,7 +276,7 @@ let fanout_bench ~quick ~micro ~gc_stats =
     fast_stats.Scallop.Dataplane.fp_cache_hits
     fast_stats.Scallop.Dataplane.fp_cache_misses
     (String.concat ", "
-       (List.map (fun (n, ns) -> Printf.sprintf "\"%s\": %.1f" (json_escape n) ns) micro));
+       (List.map (fun (n, ns) -> Printf.sprintf "\"%s\": %.1f" (Scallop_util.Json.escape n) ns) micro));
   close_out oc;
   print_endline "wrote BENCH_3.json";
   if gc_stats then begin

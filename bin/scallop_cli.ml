@@ -109,12 +109,6 @@ let simulate_cmd =
     Arg.(value & opt float 0.0
          & info [ "ctrl-loss" ] ~doc:"Control channel iid loss probability per direction.")
   in
-  let ctrl_window =
-    Arg.(value & opt int Scallop.Rpc_transport.default.Scallop.Rpc_transport.window
-         & info [ "ctrl-window" ] ~docv:"N"
-             ~doc:"In-flight pipelining window of the control-plane transport's \
-                   asynchronous submit lane (>= 1; heartbeat probes are exempt).")
-  in
   let check =
     Arg.(value & flag
          & info [ "check" ]
@@ -173,7 +167,7 @@ let simulate_cmd =
                    monotonicity, batch order, quiet-heal, ...) and any \
                    violation fails the command.")
   in
-  let run participants senders seconds downlink_mbps ctrl_rtt_ms ctrl_loss ctrl_window check paranoid chaos chaos_seed trace_out trace_level mc =
+  let run participants senders seconds downlink_mbps ctrl_rtt_ms ctrl_loss check paranoid chaos chaos_seed trace_out trace_level mc =
    try
     let senders = Option.value senders ~default:participants in
     if trace_out <> None then Scallop_obs.Trace.set_level trace_level;
@@ -189,11 +183,7 @@ let simulate_cmd =
       else None
     in
     let control =
-      let base =
-        Scallop.Rpc_transport.degraded ~loss:ctrl_loss
-          ~rtt_ns:(Netsim.Engine.ms ctrl_rtt_ms) ()
-      in
-      { base with Scallop.Rpc_transport.window = ctrl_window }
+      Scallop.Rpc_transport.degraded ~loss:ctrl_loss ~rtt_ns:(Netsim.Engine.ms ctrl_rtt_ms) ()
     in
     let stack =
       Experiments.Common.make_scallop ~seed:99 ~control ()
@@ -382,7 +372,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run one meeting through Scallop and print a QoE report.")
     Term.(term_result
             (const run $ participants $ senders $ seconds $ downlink_mbps $ ctrl_rtt_ms
-             $ ctrl_loss $ ctrl_window $ check $ paranoid $ chaos
+             $ ctrl_loss $ check $ paranoid $ chaos
              $ chaos_seed $ trace_out $ trace_level $ mc))
 
 let check_cmd =

@@ -19,8 +19,8 @@ let fast_link =
 (* Access links carry a deep (bufferbloat-style) queue: congestion shows
    up as delay first, which is exactly the signal GCC adapts on before
    tail-drop loss sets in. *)
-let client_link ?(rate_bps = 100e6) ?(propagation_ns = 5_000_000) () =
-  { Link.default with rate_bps; propagation_ns; queue_bytes = 1_000_000 }
+let client_link () =
+  { Link.default with rate_bps = 100e6; propagation_ns = 5_000_000; queue_bytes = 1_000_000 }
 
 let sfu_ip = Addr.ip_of_string "10.0.0.1"
 

@@ -59,8 +59,8 @@ val make_software :
 val fast_link : Netsim.Link.config
 (** Effectively unconstrained: infinite rate, 100 µs propagation. *)
 
-val client_link : ?rate_bps:float -> ?propagation_ns:int -> unit -> Netsim.Link.config
-(** 100 Mb/s, 5 ms by default. *)
+val client_link : unit -> Netsim.Link.config
+(** 100 Mb/s, 5 ms propagation, 1 MB queue. *)
 
 val add_client :
   Netsim.Engine.t ->

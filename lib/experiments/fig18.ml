@@ -150,7 +150,10 @@ let run_heuristic variant arrivals ~suppressed_at ~arrived =
 
 let losses = [ 0.0; 0.02; 0.05; 0.1; 0.15; 0.2; 0.3; 0.4 ]
 
-let compute ?(quick = false) ?(reorder = 0.01) () =
+(* probability a packet is held back past its successors *)
+let reorder = 0.01
+
+let compute ?(quick = false) () =
   let frames = if quick then 1_200 else 6_000 in
   let points =
     List.map

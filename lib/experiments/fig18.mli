@@ -25,5 +25,5 @@ type point = {
 
 type result = { points : point list }
 
-val compute : ?quick:bool -> ?reorder:float -> unit -> result
+val compute : ?quick:bool -> unit -> result
 val run : ?quick:bool -> unit -> unit

@@ -32,7 +32,7 @@ let prefix_key p = Choice.to_string p
    hash was already seen are not expanded (they converged to a visited
    state); a memo table keeps deepening passes from re-simulating
    prefixes they already ran. *)
-let search ?(budget = default_budget) ?(bad = Scenario.failed) ~run () =
+let search ?(budget = default_budget) ~run () =
   let memo : (string, Scenario.outcome) Hashtbl.t = Hashtbl.create 64 in
   let seen_states : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let runs = ref 0 in
@@ -56,7 +56,7 @@ let search ?(budget = default_budget) ?(bad = Scenario.failed) ~run () =
   in
   let rec dfs ~depth prefix =
     let o = execute prefix in
-    if bad o then begin
+    if Scenario.failed o then begin
       counterexample := Some o;
       raise Done
     end;
@@ -98,5 +98,5 @@ let search ?(budget = default_budget) ?(bad = Scenario.failed) ~run () =
       };
   }
 
-let search_scenario ?budget ?bad ?(config = Scenario.default) () =
-  search ?budget ?bad ~run:(fun ~forced -> Scenario.run ~config ~forced ()) ()
+let search_scenario ?budget ?(config = Scenario.default) () =
+  search ?budget ~run:(fun ~forced -> Scenario.run ~config ~forced ()) ()

@@ -11,8 +11,8 @@
     - {b memo}: outcomes are cached by prefix, so deepening passes never
       re-simulate a schedule they already ran.
 
-    The search stops at the first outcome matching [bad], returning it
-    with its full choice log — a replayable counterexample. *)
+    The search stops at the first {!Scenario.failed} outcome, returning
+    it with its full choice log — a replayable counterexample. *)
 
 type budget = {
   b_max_runs : int;  (** total schedule simulations allowed *)
@@ -33,22 +33,16 @@ type stats = {
 
 type result = {
   r_counterexample : Scenario.outcome option;
-      (** first outcome matching [bad]; its [o_chosen] replays it *)
+      (** first failed outcome; its [o_chosen] replays it *)
   r_stats : stats;
 }
 
 val search :
-  ?budget:budget ->
-  ?bad:(Scenario.outcome -> bool) ->
-  run:(forced:int array -> Scenario.outcome) ->
-  unit ->
-  result
-(** [bad] defaults to {!Scenario.failed}. [run] must be deterministic in
-    [forced] (as {!Scenario.run} is). *)
+  ?budget:budget -> run:(forced:int array -> Scenario.outcome) -> unit -> result
+(** [run] must be deterministic in [forced] (as {!Scenario.run} is). *)
 
 val search_scenario :
   ?budget:budget ->
-  ?bad:(Scenario.outcome -> bool) ->
   ?config:Scenario.config ->
   unit ->
   result

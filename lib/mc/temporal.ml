@@ -109,11 +109,13 @@ type checker = {
   rules : rule list;
   mutable idx : int;
   mutable viols : violation list;  (** newest first *)
-  max_violations : int;
 }
 
-let create ?(max_violations = 256) rules =
-  { rules; idx = 0; viols = []; max_violations }
+(* stored step-violations are capped so a badly broken run cannot
+   accumulate unbounded reports *)
+let max_violations = 256
+
+let create rules = { rules; idx = 0; viols = [] }
 
 let feed c ev =
   let idx = c.idx in
@@ -123,7 +125,7 @@ let feed c ev =
       match r.r_step ~idx ev with
       | [] -> ()
       | vs ->
-          if List.length c.viols < c.max_violations then
+          if List.length c.viols < max_violations then
             c.viols <- List.rev_append vs c.viols)
     c.rules
 

@@ -79,9 +79,9 @@ val arg_s : Trace.event -> string -> string option
 
 type checker
 
-val create : ?max_violations:int -> rule list -> checker
-(** [max_violations] caps stored step-violations (default 256) so a
-    badly broken run cannot accumulate unbounded reports. *)
+val create : rule list -> checker
+(** Stores at most 256 step-violations, so a badly broken run cannot
+    accumulate unbounded reports. *)
 
 val feed : checker -> Trace.event -> unit
 

@@ -44,19 +44,16 @@ let take t =
           let k = if k < 0 || k >= n then 0 else k in
           Eventq.pop_nth t.q k)
 
-let run ?until ?max_events t =
-  let budget = ref (Option.value max_events ~default:max_int) in
+let run ?until t =
   let fits time = match until with None -> true | Some u -> time <= u in
   let rec loop () =
-    if !budget > 0 then
-      match Eventq.peek_time t.q with
-      | Some time when fits time ->
-          let _, f = Option.get (take t) in
-          t.clock <- max t.clock time;
-          decr budget;
-          f ();
-          loop ()
-      | Some _ | None -> ()
+    match Eventq.peek_time t.q with
+    | Some time when fits time ->
+        let _, f = Option.get (take t) in
+        t.clock <- max t.clock time;
+        f ();
+        loop ()
+    | Some _ | None -> ()
   in
   loop ();
   match until with Some u when u > t.clock -> t.clock <- u | _ -> ()

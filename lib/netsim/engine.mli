@@ -22,10 +22,10 @@ val every : t -> ?start:int -> interval:int -> (unit -> bool) -> unit
 (** [every t ~interval f] runs [f] at [start] (default [now + interval])
     and then every [interval] ns for as long as [f] returns [true]. *)
 
-val run : ?until:int -> ?max_events:int -> t -> unit
-(** Processes events in time order. Stops when the queue is empty, when
-    virtual time would exceed [until], or after [max_events] events. The
-    clock is advanced to [until] if given. *)
+val run : ?until:int -> t -> unit
+(** Processes events in time order. Stops when the queue is empty or
+    when virtual time would exceed [until]. The clock is advanced to
+    [until] if given. *)
 
 val step : ?until:int -> t -> bool
 (** Process the single earliest event, advancing the clock to it; [false]

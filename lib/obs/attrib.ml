@@ -98,8 +98,12 @@ let sec ns = float_of_int ns /. 1e9
    that hit the victim's own packet timelines are ranked Error; ambient
    evidence (drop storms elsewhere, PRE invalidation storms, controller
    resync epochs, RPC retry storms) surfaces as Warning context. *)
-let attribute ?(min_victim_hits = 3) ?(min_ambient = 20) ?(min_pre_flushes = 10)
-    ?(min_rpc_spans = 5) ~victim ~from_ns ~until_ns () =
+let min_victim_hits = 3
+let min_ambient = 20
+let min_pre_flushes = 10
+let min_rpc_spans = 5
+
+let attribute ~victim ~from_ns ~until_ns () =
   let vkey = Qoe.key_of victim in
   let victim_ids =
     IntSet.of_list (Qoe.traces_between victim ~from_ns ~until_ns)
@@ -263,13 +267,11 @@ let attribute ?(min_victim_hits = 3) ?(min_ambient = 20) ?(min_pre_flushes = 10)
       | c -> c)
     !findings
 
-let of_alert ?min_victim_hits ?min_ambient ?min_pre_flushes ?min_rpc_spans
-    (alert : Slo.alert) =
+let of_alert (alert : Slo.alert) =
   match Qoe.find alert.Slo.a_key with
   | None -> []
   | Some victim ->
-      attribute ?min_victim_hits ?min_ambient ?min_pre_flushes ?min_rpc_spans
-        ~victim ~from_ns:alert.Slo.a_from_ns ~until_ns:alert.Slo.a_until_ns ()
+      attribute ~victim ~from_ns:alert.Slo.a_from_ns ~until_ns:alert.Slo.a_until_ns ()
 
 let render f =
   Printf.sprintf "[%s] %s %s: %s (events %d..%d%s, window [%.3fs, %.3fs]%s)"
@@ -283,18 +285,6 @@ let render f =
 
 (* --- JSON ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let cause_fields = function
   | Link_loss { drops; victim_hits; _ } | Link_queue { drops; victim_hits; _ } ->
       [ ("drops", drops); ("victim_hits", victim_hits) ]
@@ -304,6 +294,7 @@ let cause_fields = function
       [ ("spans", spans); ("attempts", attempts) ]
 
 let finding_to_json f =
+  let esc = Scallop_util.Json.escape in
   let k = f.f_victim in
   Printf.sprintf
     "{\"severity\": \"%s\", \"component\": \"%s\", \"kind\": \"%s\", \
@@ -312,8 +303,8 @@ let finding_to_json f =
      \"%s\"}, \"data\": {%s}, \"trace_ids\": [%s], \"events\": [%d, %d], \
      \"window_ns\": [%d, %d], \"truncated\": %b}"
     (severity_str f.f_severity)
-    (json_escape f.f_component) (json_escape f.f_kind) (json_escape f.f_subject)
-    (json_escape f.f_explanation) k.Qoe.k_meeting k.Qoe.k_receiver
+    (esc f.f_component) (esc f.f_kind) (esc f.f_subject)
+    (esc f.f_explanation) k.Qoe.k_meeting k.Qoe.k_receiver
     k.Qoe.k_sender
     (Qoe.media_str k.Qoe.k_media)
     (Qoe.kind_str k.Qoe.k_kind)

@@ -45,31 +45,17 @@ type finding = {
 
 val severity_str : severity -> string
 
-val attribute :
-  ?min_victim_hits:int ->
-  ?min_ambient:int ->
-  ?min_pre_flushes:int ->
-  ?min_rpc_spans:int ->
-  victim:Qoe.t ->
-  from_ns:int ->
-  until_ns:int ->
-  unit ->
-  finding list
+val attribute : victim:Qoe.t -> from_ns:int -> until_ns:int -> unit -> finding list
 (** Findings for the window, most culpable first (Errors before
-    Warnings, then by victim impact). A link needs [min_victim_hits]
-    (default 3) drops on the victim's own access link for [Error] —
-    every drop there is a packet addressed to the victim. It surfaces as
-    a [Warning] on [min_victim_hits] shared-fate trace-id matches
-    (replicas of packets the victim received, dropped towards someone
-    else) or [min_ambient] (default 20) total drops. *)
+    Warnings, then by victim impact). A link needs 3 drops on the
+    victim's own access link for [Error] — every drop there is a packet
+    addressed to the victim. It surfaces as a [Warning] on 3 shared-fate
+    trace-id matches (replicas of packets the victim received, dropped
+    towards someone else) or 20 total drops. A PRE needs 10 cache
+    flushes and an RPC client 5 retried calls in the window for a
+    [Warning]; every resync inside it is one. *)
 
-val of_alert :
-  ?min_victim_hits:int ->
-  ?min_ambient:int ->
-  ?min_pre_flushes:int ->
-  ?min_rpc_spans:int ->
-  Slo.alert ->
-  finding list
+val of_alert : Slo.alert -> finding list
 (** {!attribute} over the alert's long window and victim collector. *)
 
 val render : finding -> string

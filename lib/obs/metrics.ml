@@ -1,4 +1,5 @@
 module Stats = Scallop_util.Stats
+module Json = Scallop_util.Json
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
@@ -103,17 +104,6 @@ let dump () =
     (sorted_entries ());
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let dump_json () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{";
@@ -121,7 +111,7 @@ let dump_json () =
   List.iter
     (fun ((name, labels), e) ->
       if !first then first := false else Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf "\n  \"%s\": " (json_escape (name ^ labels)));
+      Buffer.add_string b (Printf.sprintf "\n  \"%s\": " (Json.escape (name ^ labels)));
       match e.metric with
       | Counter c -> Buffer.add_string b (string_of_int c.c)
       | Gauge g -> Buffer.add_string b (float_str g.g)

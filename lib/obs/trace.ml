@@ -1,3 +1,5 @@
+module Json = Scallop_util.Json
+
 type level = Off | Rpc | Packet | Verbose
 
 let rank = function Off -> 0 | Rpc -> 1 | Packet -> 2 | Verbose -> 3
@@ -120,17 +122,6 @@ let timeline ~trace = List.filter (fun ev -> ev.trace = trace) (events ())
 
 (* --- Chrome trace-event export --------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Stable thread-row assignment so the Perfetto view groups events by
    component instead of interleaving them on one row. *)
 let tid_of_cat = function
@@ -157,10 +148,10 @@ let add_args b trace args =
   List.iter
     (fun (k, v) ->
       sep ();
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (json_escape k));
+      Buffer.add_string b (Printf.sprintf "\"%s\":" (Json.escape k));
       match v with
       | I i -> Buffer.add_string b (string_of_int i)
-      | S s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape s)))
+      | S s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (Json.escape s)))
     args;
   Buffer.add_string b "}"
 
@@ -174,7 +165,7 @@ let to_chrome_json () =
       Buffer.add_string b "\n";
       Buffer.add_string b
         (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%s,"
-           (json_escape ev.name) (json_escape ev.cat) (tid_of_cat ev.cat) (ts_str ev.ts));
+           (Json.escape ev.name) (Json.escape ev.cat) (tid_of_cat ev.cat) (ts_str ev.ts));
       if ev.dur >= 0 then
         Buffer.add_string b (Printf.sprintf "\"ph\":\"X\",\"dur\":%s," (ts_str ev.dur))
       else Buffer.add_string b "\"ph\":\"i\",\"s\":\"t\",";

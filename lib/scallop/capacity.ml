@@ -95,17 +95,16 @@ let bottlenecks p variant design ~participants:n ~senders:s =
     ("stream tracker", tracker);
   ]
 
-let bottleneck ?(params = default) ?(rewrite = Seq_rewrite.S_LR) design ~participants
-    ~senders () =
-  bottlenecks params rewrite design ~participants ~senders
+let bottleneck ?(rewrite = Seq_rewrite.S_LR) design ~participants ~senders () =
+  bottlenecks default rewrite design ~participants ~senders
   |> List.fold_left (fun (bn, bv) (name, v) -> if v < bv then (name, v) else (bn, bv))
        ("none", max_int)
 
-let meetings_supported ?params ?rewrite design ~participants ~senders () =
-  snd (bottleneck ?params ?rewrite design ~participants ~senders ())
+let meetings_supported ?rewrite design ~participants ~senders () =
+  snd (bottleneck ?rewrite design ~participants ~senders ())
 
-let best_design ?(params = default) ?(rewrite = Seq_rewrite.S_LR) ~rate_adapted
-    ~sender_specific ~participants ~senders () =
+let best_design ?(rewrite = Seq_rewrite.S_LR) ~rate_adapted ~sender_specific ~participants
+    ~senders () =
   let candidates =
     if participants = 2 then [ Two_party ]
     else if not rate_adapted then [ Nra ]
@@ -114,13 +113,13 @@ let best_design ?(params = default) ?(rewrite = Seq_rewrite.S_LR) ~rate_adapted
   in
   let scored =
     List.map
-      (fun d -> (d, meetings_supported ~params ~rewrite d ~participants ~senders ()))
+      (fun d -> (d, meetings_supported ~rewrite d ~participants ~senders ()))
       candidates
   in
   List.fold_left (fun (bd, bv) (d, v) -> if v > bv then (d, v) else (bd, bv))
     (List.hd scored) (List.tl scored)
 
-let gain_over_software ?params ?rewrite design ~participants ~senders () =
-  let scallop = meetings_supported ?params ?rewrite design ~participants ~senders () in
+let gain_over_software ?rewrite design ~participants ~senders () =
+  let scallop = meetings_supported ?rewrite design ~participants ~senders () in
   let software = Sfu.Capacity.meetings_supported ~participants ~senders ~media_types:2 () in
   float_of_int scallop /. float_of_int software

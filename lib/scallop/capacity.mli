@@ -33,11 +33,11 @@ type params = {
 }
 
 val default : params
+(** The calibration every capacity query uses. *)
 
 type design = Two_party | Nra | Ra_r | Ra_sr
 
 val meetings_supported :
-  ?params:params ->
   ?rewrite:Seq_rewrite.variant ->
   design ->
   participants:int ->
@@ -49,7 +49,6 @@ val meetings_supported :
     default S_LR, the conservative bound). *)
 
 val bottleneck :
-  ?params:params ->
   ?rewrite:Seq_rewrite.variant ->
   design ->
   participants:int ->
@@ -59,13 +58,13 @@ val bottleneck :
 (** The binding constraint's name alongside the count. *)
 
 val best_design :
-  ?params:params -> ?rewrite:Seq_rewrite.variant -> rate_adapted:bool ->
+  ?rewrite:Seq_rewrite.variant -> rate_adapted:bool ->
   sender_specific:bool -> participants:int -> senders:int -> unit -> design * int
 (** The design the switch agent would pick for this meeting shape and the
     resulting capacity. *)
 
 val gain_over_software :
-  ?params:params -> ?rewrite:Seq_rewrite.variant -> design ->
+  ?rewrite:Seq_rewrite.variant -> design ->
   participants:int -> senders:int -> unit -> float
 (** Scallop meetings / 32-core-server meetings for the same shape
     (software model from {!Sfu.Capacity}, 2 media types). *)

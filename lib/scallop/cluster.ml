@@ -21,7 +21,6 @@ type t = {
   mutable missed : int;  (** consecutive beats with no live acting primary *)
   mutable promotions : int;
   mutable last_compacted : int;  (** journal index the latest snapshot covers *)
-  mutable health_config : Controller.health_config option;
   mutable running : bool;
 }
 
@@ -71,7 +70,7 @@ let tail_standby t =
       end
 
 let do_promote t sb =
-  Controller.promote ?health_config:t.health_config sb;
+  Controller.promote sb;
   t.promotions <- t.promotions + 1;
   t.missed <- 0
 
@@ -123,16 +122,13 @@ let create ?(config = default) engine network rng ~agents ?control () =
       missed = 0;
       promotions = 0;
       last_compacted = -1;
-      health_config = None;
       running = true;
     }
   in
   Engine.every engine ~interval:config.beat_every_ns (fun () -> beat t);
   t
 
-let start_health ?config t =
-  t.health_config <- config;
-  Controller.start_health ?config (endpoint t)
+let start_health t = Controller.start_health (endpoint t)
 
 let stop_health t = List.iter Controller.stop_health (instances t)
 

@@ -69,10 +69,10 @@ val journal : t -> Controller.persisted Journal.t
 val promotions : t -> int
 (** Promotions performed so far (detector-driven and forced). *)
 
-val start_health : ?config:Controller.health_config -> t -> unit
-(** Start the agent failure detector on the current acting instance;
-    the config is remembered and re-used when a promotion starts the
-    detector on the new primary. *)
+val start_health : t -> unit
+(** Start the agent failure detector, with
+    {!Controller.default_health_config}, on the current acting instance;
+    a promotion starts it on the new primary. *)
 
 val stop_health : t -> unit
 

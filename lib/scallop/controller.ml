@@ -1383,10 +1383,10 @@ let on_pong t h idx ~epoch =
          the replay cache can't help, the straddling request never
          executed before the reboot wiped the cache. Nor may it cut in
          front of ops an operation has buffered and not yet flushed.
-         Leave the agent as-is; the stale submission settles within its
+         Leave the agent as-is; the stale call settles within its
          retry ladder (a blank agent answers [Error]) and a later
-         heartbeat heals the then-quiet channel. Probes are oob and
-         never hold the window, so they cannot postpone a heal. *)
+         heartbeat heals the then-quiet channel. Probes do not count as
+         in flight, so they cannot postpone a heal. *)
       ()
     else begin
       if a.ah <> Dead then a.ah_detected_ns <- Engine.now t.engine;
@@ -1874,7 +1874,7 @@ let restart t =
    the wire, and the intent replay erases whatever half-applied state it
    left. The detector starts first so a switch that is down during the
    takeover is simply marked Dead and healed by its next pong. *)
-let promote ?health_config t =
+let promote t =
   if t.killed then invalid_arg "Controller.promote: controller is killed";
   ignore (apply_tail t);
   t.fence <- Journal.acquire_fence t.journal;
@@ -1883,7 +1883,7 @@ let promote ?health_config t =
   if Trace.enabled Trace.Rpc then
     Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_activate"
       ~args:[ ctrl_arg t; ("fence", Trace.I t.fence) ];
-  start_health ?config:health_config t;
+  start_health t;
   Array.iteri (fun idx _ -> ignore (resync t idx)) t.agents
 
 let role t = t.role

@@ -365,9 +365,11 @@ val restart : t -> unit
     traffic), and the instance comes back as a [Standby] — it must be
     {!promote}d before acting. *)
 
-val promote : ?health_config:health_config -> t -> unit
+val promote : t -> unit
 (** Take over as acting primary: catch up with the journal, mint a new
-    fencing epoch, start the failure detector, then push a fenced full
+    fencing epoch, start the failure detector (with
+    {!default_health_config} unless this instance already ran one), then
+    push a fenced full
     resync at every switch — installing the new fence on the agents and
     erasing any half-applied state the previous primary left. *)
 

@@ -164,7 +164,6 @@ type t = {
   pipeline_latency_f : float;
       (** [float_of_int pipeline_latency_ns], preboxed: the per-replica
           latency sample must not box a float per emit *)
-  cpu_port_latency_ns : int;
   header_auth : bool;
   mutable headers_authenticated : int;
   uplinks : (int, uplink_slot) Tofino.Table.t;  (** dst port -> uplink *)
@@ -202,25 +201,25 @@ type t = {
   scratch : media_ctx;
 }
 
+(* Ingress-to-egress pipeline traversal, and the trip to the switch CPU
+   over its PCIe port. *)
+let base_pipeline_latency_ns = 600
+let cpu_port_latency_ns = 50_000
+
 (* Recomputing a short-header HMAC (SipHash-style over ~20 bytes) costs a
    couple of extra stages' worth of latency on the Tofino. *)
 let hmac_latency_ns = 150
 
-let create engine network ~ip ?pre_limits ?(pipeline_latency_ns = 600)
-    ?(cpu_port_latency_ns = 50_000) ?(header_auth = false) ?(mode = Fast)
-    ?(obs_label = "sw0") () =
-  let pre =
-    match pre_limits with
-    | Some limits -> Tofino.Pre.create ~limits ~obs_label ()
-    | None -> Tofino.Pre.create ~obs_label ()
-  in
+let create engine network ~ip ?(header_auth = false) ?(mode = Fast) ?(obs_label = "sw0")
+    () =
+  let pre = Tofino.Pre.create ~obs_label () in
   let labels = [ ("switch", obs_label) ] in
   (* Paranoid doubles as the pool's debug mode: released buffers are
      poisoned, so any reader still aliasing a recycled replica fails the
      byte-differential loudly instead of forwarding stale bytes. *)
   let pool = Bufpool.create ~debug:(mode = Paranoid) () in
   let pipeline_latency_ns =
-    pipeline_latency_ns + if header_auth then hmac_latency_ns else 0
+    base_pipeline_latency_ns + if header_auth then hmac_latency_ns else 0
   in
   let t =
     {
@@ -232,7 +231,6 @@ let create engine network ~ip ?pre_limits ?(pipeline_latency_ns = 600)
       trees = Trees.create pre;
       pipeline_latency_ns;
       pipeline_latency_f = float_of_int pipeline_latency_ns;
-      cpu_port_latency_ns;
       header_auth;
       headers_authenticated = 0;
       uplinks = Tofino.Table.create ~name:"uplink" ~capacity:uplink_table_capacity;
@@ -319,7 +317,7 @@ let to_cpu t dgram =
         Dgram.v ~trace:dgram.Dgram.trace ~src:dgram.Dgram.src ~dst:dgram.Dgram.dst
           (Bytes.copy dgram.Dgram.payload)
   in
-  Engine.schedule t.engine ~after:t.cpu_port_latency_ns (fun () -> t.cpu_sink dgram)
+  Engine.schedule t.engine ~after:cpu_port_latency_ns (fun () -> t.cpu_sink dgram)
 
 let inject t dgram = Network.send t.network dgram
 
@@ -978,12 +976,8 @@ let handler t (dgram : Dgram.t) =
       t.ingress.other_pkts <- t.ingress.other_pkts + 1;
       t.ingress.other_bytes <- t.ingress.other_bytes + size
 
-let create engine network ~ip ?pre_limits ?pipeline_latency_ns ?cpu_port_latency_ns
-    ?header_auth ?mode ?obs_label () =
-  let t =
-    create engine network ~ip ?pre_limits ?pipeline_latency_ns ?cpu_port_latency_ns
-      ?header_auth ?mode ?obs_label ()
-  in
+let create engine network ~ip ?header_auth ?mode ?obs_label () =
+  let t = create engine network ~ip ?header_auth ?mode ?obs_label () in
   Network.bind_host network ~ip (handler t);
   t
 

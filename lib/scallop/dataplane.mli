@@ -39,15 +39,14 @@ val create :
   Netsim.Engine.t ->
   Netsim.Network.t ->
   ip:int ->
-  ?pre_limits:Tofino.Pre.limits ->
-  ?pipeline_latency_ns:int ->
-  ?cpu_port_latency_ns:int ->
   ?header_auth:bool ->
   ?mode:mode ->
   ?obs_label:string ->
   unit ->
   t
-(** Defaults: 600 ns pipeline, 50 µs CPU port, [Fast] forwarding mode.
+(** The model charges 600 ns of pipeline latency per packet and 50 µs
+    for the trip to the switch CPU; the forwarding mode defaults to
+    [Fast]. The embedded {!Tofino.Pre} has {!Tofino.Pre.tofino2_limits}.
 
     [obs_label] (default ["sw0"]) names this switch in the metrics
     registry (label [switch="..."] on the [scallop_dp_*] series) and is

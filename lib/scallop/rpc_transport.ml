@@ -11,9 +11,6 @@ type config = {
   link : Link.config;
   timeout_ns : int;
   max_retries : int;
-  backoff : float;
-  max_backoff_ns : int;
-  window : int;
 }
 
 (* An ideal management network: the seam is real (every call is encoded,
@@ -32,9 +29,6 @@ let default =
     link = ideal_link;
     timeout_ns = Engine.ms 250;
     max_retries = 6;
-    backoff = 2.0;
-    max_backoff_ns = Engine.ms 2_000;
-    window = 8;
   }
 
 let degraded ?(loss = 0.0) ~rtt_ns () =
@@ -232,18 +226,18 @@ module Client = struct
     batched_ops : int;
   }
 
-  (* One submission, from [submit] to settlement. Every entry point —
-     blocking [call], pipelined async [submit], single-shot [probe] — is
-     this same record with different retry/window parameters. *)
+  (* One request, from submission to settlement. Both entry points —
+     blocking [call] and single-shot [probe] — are this same record
+     with different retry parameters. *)
   type pend = {
     p_seq : int;
     p_request : Rpc.request;
     p_max_retries : int;
     p_timeout_ns : int;  (** first attempt's timeout *)
-    p_oob : bool;  (** out-of-band: bypasses the pipeline window *)
+    p_probe : bool;  (** a probe does not count toward [in_flight] *)
     p_start_ns : int;
     mutable p_attempts : int;
-    mutable p_state : [ `Queued | `In_flight | `Settled ];
+    mutable p_settled : bool;
     p_on_result : (Rpc.reply, error) result -> unit;
   }
 
@@ -255,8 +249,7 @@ module Client = struct
     label : string;
     channel : Control_channel.t;
     pending : (int, pend) Hashtbl.t;
-    backlog : pend Queue.t;  (** submissions waiting for a window slot *)
-    mutable in_flight : int;  (** window-occupying submissions on the wire *)
+    mutable in_flight : int;  (** unsettled calls (probes excluded) *)
     mutable request_fault : (seq:int -> attempt:int -> Rpc.request -> fault) option;
     mutable next_seq : int;
     mutable muted : bool;
@@ -276,9 +269,13 @@ module Client = struct
     pipeline_depth : Metrics.gauge;
   }
 
-  let backoff_ns t ~base attempt =
-    let scaled = float_of_int base *. (t.cfg.backoff ** float_of_int attempt) in
-    min t.cfg.max_backoff_ns (int_of_float scaled)
+  (* each retry doubles the previous attempt's timeout, capped at 2 s *)
+  let backoff = 2.0
+  let max_backoff_ns = Engine.ms 2_000
+
+  let backoff_ns ~base attempt =
+    let scaled = float_of_int base *. (backoff ** float_of_int attempt) in
+    min max_backoff_ns (int_of_float scaled)
 
   let transmit t ~seq ~attempt request dgram =
     if t.muted then ()
@@ -319,47 +316,31 @@ module Client = struct
             ("ok", Trace.S (if ok then "true" else "false"));
           ]
 
-  (* Settle a submission (at most once), free its window slot, and start
-     as many backlogged submissions as now fit. *)
-  let rec settle t p result =
-    if p.p_state <> `Settled then begin
-      let held_slot = p.p_state = `In_flight && not p.p_oob in
-      p.p_state <- `Settled;
+  let set_in_flight t n =
+    t.in_flight <- n;
+    Metrics.set t.pipeline_depth (float_of_int n)
+
+  (* Settle a request (at most once). *)
+  let settle t p result =
+    if not p.p_settled then begin
+      p.p_settled <- true;
       Hashtbl.remove t.pending p.p_seq;
-      if held_slot then begin
-        t.in_flight <- t.in_flight - 1;
-        Metrics.set t.pipeline_depth (float_of_int t.in_flight)
-      end;
+      if not p.p_probe then set_in_flight t (t.in_flight - 1);
       span t p ~ok:(Result.is_ok result);
-      p.p_on_result result;
-      if held_slot then pump_backlog t
+      p.p_on_result result
     end
-
-  and pump_backlog t =
-    while t.in_flight < t.cfg.window && not (Queue.is_empty t.backlog) do
-      let p = Queue.pop t.backlog in
-      if p.p_state = `Queued then start_pend t p
-    done
-
-  and start_pend t p =
-    p.p_state <- `In_flight;
-    if not p.p_oob then begin
-      t.in_flight <- t.in_flight + 1;
-      Metrics.set t.pipeline_depth (float_of_int t.in_flight)
-    end;
-    send_attempt t p ~attempt:0
 
   (* One attempt: (maybe) put the request on the wire, and arm the retry
      timer. Retries reuse the seq — the agent's replay cache depends on
      it — with exponentially backed-off timeouts. *)
-  and send_attempt t p ~attempt =
+  let rec send_attempt t p ~attempt =
     let payload = Rpc.encode (Rpc.Request { seq = p.p_seq; request = p.p_request }) in
     transmit t ~seq:p.p_seq ~attempt p.p_request
       (Dgram.v ~src:t.local ~dst:t.remote payload);
     Engine.schedule t.engine
-      ~after:(backoff_ns t ~base:p.p_timeout_ns attempt)
+      ~after:(backoff_ns ~base:p.p_timeout_ns attempt)
       (fun () ->
-        if p.p_state = `In_flight then
+        if not p.p_settled then
           if attempt >= p.p_max_retries then
             if p.p_max_retries = 0 then
               (* single shot (the probe lane): a missed reply is a data
@@ -381,15 +362,14 @@ module Client = struct
     | Rpc.Request _ -> Metrics.incr t.stale_replies
     | Rpc.Reply { seq; reply } -> (
         match Hashtbl.find_opt t.pending seq with
-        | Some p when p.p_state = `In_flight ->
+        | Some p ->
             Metrics.incr t.replies_received;
             settle t p (Ok reply)
-        | Some _ | None ->
+        | None ->
             (* duplicate or post-timeout reply; the call already settled *)
             Metrics.incr t.stale_replies)
 
   let connect engine rng ?(config = default) ?(label = "ctl") ~local ~remote server =
-    if config.window < 1 then invalid_arg "Rpc_transport.Client.connect: window < 1";
     let channel =
       Control_channel.create engine rng ~fwd:config.link ~rev:config.link ()
     in
@@ -404,7 +384,6 @@ module Client = struct
         label;
         channel;
         pending = Hashtbl.create 8;
-        backlog = Queue.create ();
         in_flight = 0;
         request_fault = None;
         next_seq = 0;
@@ -428,6 +407,9 @@ module Client = struct
             ~bounds:(Scallop_util.Stats.Histogram.log_bounds ~lo:1.0 ~hi:1000.0 ~per_decade:5)
             "scallop_rpc_batch_size";
         pipeline_depth =
+          (* the gauge tracks [in_flight]; its name and help text are
+             part of the [metrics] output, kept stable for dashboards
+             and output diffs *)
           Metrics.gauge ~labels ~help:"window-occupying requests currently in flight"
             "scallop_rpc_batch_pipeline_depth";
       }
@@ -441,17 +423,9 @@ module Client = struct
   let set_muted t m = t.muted <- m
   let muted t = t.muted
 
-  (* The unified asynchronous entry point. A submission takes a window
-     slot and goes on the wire immediately when fewer than [window]
-     (non-OOB) submissions are in flight; otherwise it waits its turn in
-     the backlog — in-flight pipelining up to the window. [oob] bypasses
-     the window entirely (the heartbeat lane: a probe must not starve
-     behind a stuck pipeline). Note that under loss the server can
-     execute pipelined requests out of submission order (an earlier
-     request's retransmit can land after a later request); callers that
-     need ordering either keep one submission in flight or put the
-     ordered ops inside a single [Rpc.Batch]. *)
-  let submit t ?(oob = false) ?max_retries ?timeout_ns request ~on_result =
+  (* Every request goes on the wire at once; [call] and [probe] differ
+     only in their retry ladder and in whether they count as in flight. *)
+  let submit t ~probe ~max_retries ~timeout_ns request ~on_result =
     Metrics.incr t.calls;
     (match request with
     | Rpc.Batch ops | Rpc.Fenced { op = Rpc.Batch ops; _ } ->
@@ -466,64 +440,50 @@ module Client = struct
       {
         p_seq = seq;
         p_request = request;
-        p_max_retries = Option.value max_retries ~default:t.cfg.max_retries;
-        p_timeout_ns = Option.value timeout_ns ~default:t.cfg.timeout_ns;
-        p_oob = oob;
+        p_max_retries = max_retries;
+        p_timeout_ns = timeout_ns;
+        p_probe = probe;
         p_start_ns = Engine.now t.engine;
         p_attempts = 1;
-        p_state = `Queued;
+        p_settled = false;
         p_on_result = on_result;
       }
     in
     Hashtbl.replace t.pending seq p;
-    if oob || t.in_flight < t.cfg.window then start_pend t p
-    else Queue.push p t.backlog;
-    seq
+    if not probe then set_in_flight t (t.in_flight + 1);
+    send_attempt t p ~attempt:0;
+    p
 
   (* Block (in simulation terms) until the reply lands: pump the engine
      one event at a time, which lets the rest of the simulated world —
      media, timers, other meetings — keep running while this call is in
      flight. With the ideal default link the reply arrives at the same
      instant and no virtual time passes. *)
-  let call_seq t request =
+  let call t request =
     let cell = ref None in
-    let seq = submit t request ~on_result:(fun r -> cell := Some r) in
+    let p =
+      submit t ~probe:false ~max_retries:t.cfg.max_retries ~timeout_ns:t.cfg.timeout_ns
+        request ~on_result:(fun r -> cell := Some r)
+    in
     let rec pump () =
       match !cell with
-      | Some r -> (r, seq)
+      | Some r -> r
       | None ->
           if Engine.step t.engine then pump ()
           else begin
             (* the world ran dry while the reply (or its retry timer) was
                still outstanding — nothing can settle this call anymore *)
-            (match Hashtbl.find_opt t.pending seq with
-            | Some p -> settle t p (Error `Timeout)
-            | None -> ());
-            match !cell with Some r -> (r, seq) | None -> (Error `Timeout, seq)
+            settle t p (Error `Timeout);
+            Error `Timeout
           end
     in
     pump ()
 
-  let call t request = fst (call_seq t request)
-
-  (* the exception face of [call]: a thin wrapper over the typed result *)
-  let call_exn t request =
-    match call_seq t request with
-    | Ok reply, _ -> reply
-    | Error err, seq ->
-        let attempts =
-          match err with `Gave_up n -> n | `Timeout -> 0
-        in
-        raise (Timed_out { op = Rpc.request_name request; seq; attempts })
-
-  (* One shot, no retries, never blocks: the heartbeat primitive as a
-     special case of [submit] — out of band (window-exempt) with an
-     empty retry ladder. *)
-  let probe t ?timeout_ns request ~on_result =
-    ignore (submit t ~oob:true ~max_retries:0 ?timeout_ns request ~on_result)
+  (* One shot, no retries, never blocks: the heartbeat primitive. *)
+  let probe t ?(timeout_ns = t.cfg.timeout_ns) request ~on_result =
+    ignore (submit t ~probe:true ~max_retries:0 ~timeout_ns request ~on_result)
 
   let in_flight t = t.in_flight
-  let backlog_depth t = Queue.length t.backlog
 
   let channel t = t.channel
   let request_link t = Control_channel.fwd_link t.channel

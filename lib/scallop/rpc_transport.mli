@@ -15,27 +15,24 @@
     - a fault-injection hook on each side (drop / delay / duplicate by
       predicate) for experiments on a degraded control plane.
 
-    {!Client.call} blocks in simulation terms: it pumps the event
+    The client has two call shapes, both on the wire at once:
+    {!Client.call} blocks in simulation terms — it pumps the event
     engine one event at a time until its reply lands (or it gives up),
     so media and timers elsewhere in the simulated world keep running
-    while a call is in flight. With the ideal default link the round
-    trip completes at the same virtual instant. *)
+    while a call is in flight — and {!Client.probe} is a single
+    non-blocking attempt, the heartbeat. With the ideal default link the
+    round trip completes at the same virtual instant. *)
 
 type config = {
   link : Netsim.Link.config;  (** both directions of the control channel *)
-  timeout_ns : int;  (** first attempt's timeout *)
+  timeout_ns : int;
+      (** first attempt's timeout; each retry doubles it, up to 2 s *)
   max_retries : int;  (** retransmissions after the first attempt *)
-  backoff : float;  (** timeout multiplier per retry *)
-  max_backoff_ns : int;  (** backoff ceiling *)
-  window : int;
-      (** in-flight pipelining limit for {!Client.submit}: submissions
-          beyond this many outstanding requests wait in a backlog queue
-          until a slot frees (≥ 1; probes are exempt) *)
 }
 
 val default : config
 (** Ideal link (zero latency/loss, infinite rate), 250 ms initial
-    timeout, 6 retries, 2x backoff capped at 2 s, window 8. *)
+    timeout, 6 retries. *)
 
 val degraded : ?loss:float -> rtt_ns:int -> unit -> config
 (** [default] with the given round-trip propagation and iid loss on
@@ -52,9 +49,8 @@ type error = [ `Timeout | `Gave_up of int ]
     not an error condition. *)
 
 exception Timed_out of { op : string; seq : int; attempts : int }
-(** Raised by {!Client.call_exn} after every retry is exhausted — the
-    exception face of {!error} for callers (CLI, tests) that treat a
-    dead control channel as fatal. *)
+(** The exception face of {!error}, raised by a controller without
+    health tracking when a call fails ({!Controller.start_health}). *)
 
 module Server : sig
   type t
@@ -122,61 +118,29 @@ module Client : sig
       the metrics registry (label [client="..."] on the
       [scallop_rpc_*] series) and in its trace spans. *)
 
-  val submit :
-    t ->
-    ?oob:bool ->
-    ?max_retries:int ->
-    ?timeout_ns:int ->
-    Rpc.request ->
-    on_result:((Rpc.reply, error) result -> unit) ->
-    int
-  (** The unified asynchronous entry point every other call shape is
-      built on; returns the submission's sequence number. The request
-      goes on the wire immediately while fewer than [window]
-      submissions are outstanding, and waits in a FIFO backlog
-      otherwise — in-flight pipelining up to the window. [on_result]
-      fires exactly once, from the reply event or after the retry
-      ladder ([max_retries], default from config) expires — with
-      [Error (`Gave_up n)], or [Error `Timeout] when [max_retries] is
-      [0] (the single-shot probe semantics). [oob] (default false)
-      bypasses the window — the heartbeat lane, so a probe is never
-      starved behind a stuck pipeline.
-
-      Ordering caveat: under loss, pipelined submissions can execute on
-      the server out of submission order (an early request's retransmit
-      may land after a later request). Callers needing server-side
-      order keep one submission in flight (as the blocking {!call}
-      does) or ship the ordered ops inside one [Rpc.Batch]. *)
-
   val call : t -> Rpc.request -> (Rpc.reply, error) result
-  (** Blocking face of {!submit}: pumps the engine until its own
-      submission settles. Returns the (possibly replayed) reply, or
-      [Error (`Gave_up n)] once [max_retries] retransmissions all
-      expire — never raises, so the controller can treat an
-      unreachable agent as a state transition rather than an
-      exception. When tracing is at level [Rpc] or above, each
-      submission emits one complete span (category ["rpc"], named
-      after the request) whose duration covers every retry, with
-      [seq]/[attempts]/[ok] args. *)
-
-  val call_exn : t -> Rpc.request -> Rpc.reply
-  (** Thin wrapper over the typed-result {!call} for callers without a
-      failure detector (CLI, tests).
-      @raise Timed_out on any [Error]. *)
+  (** Put the request on the wire and pump the engine until it settles.
+      Returns the (possibly replayed) reply, or [Error (`Gave_up n)]
+      once [max_retries] retransmissions all expire — never raises, so
+      the controller can treat an unreachable agent as a state
+      transition rather than an exception. Calls may nest: an event the
+      pump runs can issue its own [call]. Under loss, nested calls can
+      execute on the server out of issue order (an outer request's
+      retransmit may land after an inner one); callers needing
+      server-side order ship the ordered ops inside one [Rpc.Batch].
+      When tracing is at level [Rpc] or above, each call emits one
+      complete span (category ["rpc"], named after the request) whose
+      duration covers every retry, with [seq]/[attempts]/[ok] args. *)
 
   val probe : t -> ?timeout_ns:int -> Rpc.request -> on_result:((Rpc.reply, error) result -> unit) -> unit
-  (** [submit ~oob:true ~max_retries:0]: single attempt, window-exempt,
-      never blocks; [on_result] fires from the reply event, or with
-      [Error `Timeout] after [timeout_ns] (default: the config's
-      first-attempt timeout). The heartbeat primitive — a missed probe
-      is a data point for the failure detector, not a call worth the
-      retry ladder. *)
+  (** Single attempt, never blocks: [on_result] fires from the reply
+      event, or with [Error `Timeout] after [timeout_ns] (default: the
+      config's first-attempt timeout). The heartbeat primitive — a
+      missed probe is a data point for the failure detector, not a call
+      worth the retry ladder. *)
 
   val in_flight : t -> int
-  (** Window-occupying submissions currently on the wire. *)
-
-  val backlog_depth : t -> int
-  (** Submissions waiting for a window slot. *)
+  (** Unsettled {!call}s (probes excluded). *)
 
   val set_request_fault :
     t -> (seq:int -> attempt:int -> Rpc.request -> fault) option -> unit
@@ -184,7 +148,7 @@ module Client : sig
   val set_muted : t -> bool -> unit
   (** [set_muted t true] silences the client entirely: nothing reaches
       the wire — not new requests, not retransmits of in-flight ones,
-      not probes. Pending submissions settle through their normal
+      not probes. Pending calls and probes settle through their normal
       timeout ladders in virtual time. Models a killed controller
       process whose channel endpoints still exist in the simulation. *)
 
@@ -205,7 +169,7 @@ module Client : sig
     replies_received : int;
     stale_replies : int;  (** late/duplicate replies for settled calls *)
     failures : int;  (** calls that exhausted every retry *)
-    batches : int;  (** [Rpc.Batch] requests submitted, fenced or bare *)
+    batches : int;  (** [Rpc.Batch] requests issued, fenced or bare *)
     batched_ops : int;  (** ops carried inside those batches *)
   }
 

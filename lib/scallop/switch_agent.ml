@@ -54,7 +54,6 @@ type t = {
   dp : Dataplane.t;
   rewrite : Seq_rewrite.variant;
   select : select_decode_target;
-  migration_enabled : bool;
   rewriting_enabled : bool;
   feedback_filter : bool;
   meetings : (meeting_id, meeting_state) Hashtbl.t;
@@ -129,10 +128,8 @@ let rebuild t m want =
   t.migrations <- t.migrations + 1
 
 let maybe_migrate t m =
-  if t.migration_enabled then begin
-    let want = desired_design t m in
-    if want <> m.design then rebuild t m want
-  end
+  let want = desired_design t m in
+  if want <> m.design then rebuild t m want
 
 (* --- registration API --------------------------------------------------------
 
@@ -189,7 +186,7 @@ let register_participant t ~meeting:mid ~participant ~egress_port ~sends =
               (List.length (List.filter (fun (p, _) -> p = participant) m.members))
           );
         ];
-  let want = if t.migration_enabled then desired_design t m else m.design in
+  let want = desired_design t m in
   if want <> m.design then rebuild t m want
   else Trees.add_participant (Dataplane.trees t.dp) m.handle (participant, egress_port) ~sends
 
@@ -230,7 +227,7 @@ let remove_participant t ~meeting:mid ~participant =
           if s.best_leg = Some l.leg_port then s.best_leg <- None)
         mine)
     kept;
-  let want = if t.migration_enabled then desired_design t m else m.design in
+  let want = desired_design t m in
   if want <> m.design then rebuild t m want
   else Trees.remove_participant (Dataplane.trees t.dp) m.handle participant
 
@@ -573,14 +570,13 @@ let rec dispatch t (req : Rpc.request) : Rpc.reply =
       else Rpc.Stale_fence { fence = t.fence }
 
 let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(select = default_select)
-    ?(migration_enabled = true) ?(rewriting_enabled = true) ?(feedback_filter = true) () =
+    ?(rewriting_enabled = true) ?(feedback_filter = true) () =
   let t =
     {
       engine;
       dp;
       rewrite;
       select;
-      migration_enabled;
       rewriting_enabled;
       feedback_filter;
       meetings = Hashtbl.create 32;

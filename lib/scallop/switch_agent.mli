@@ -44,7 +44,6 @@ val create :
   Dataplane.t ->
   ?rewrite:Seq_rewrite.variant ->
   ?select:select_decode_target ->
-  ?migration_enabled:bool ->
   ?rewriting_enabled:bool ->
   ?feedback_filter:bool ->
   unit ->

@@ -15,7 +15,10 @@ let graph_depth = 3 + 1 + 1 + (2 * max_extension_elements) + 1 + 1
 
 exception Reject of int  (** depth at rejection *)
 
-let walk ?(av1_extension_id = 1) buf =
+(* the extension id the AV1 dependency descriptor travels under *)
+let av1_extension_id = 1
+
+let walk buf =
   let len = Bytes.length buf in
   let byte i = if i >= len then raise (Reject 0) else Char.code (Bytes.get buf i) in
   (* the simulator hands us the UDP payload; the wire headers in front of

@@ -31,9 +31,10 @@ val graph_depth : int
     RTP + extension header, two states per element slot, and the AV1
     descriptor extraction — 27, the paper's Table 3 value. *)
 
-val walk : ?av1_extension_id:int -> bytes -> walk
-(** Parse one UDP payload. Never raises: malformed input classifies as
-    [Other] at whatever depth the graph rejected it. *)
+val walk : bytes -> walk
+(** Parse one UDP payload, extracting the AV1 template id from extension
+    element 1. Never raises: malformed input classifies as [Other] at
+    whatever depth the graph rejected it. *)
 
 type t
 

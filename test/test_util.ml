@@ -574,6 +574,21 @@ let prop_timeseries_matches_reference =
          |> List.rev |> Array.of_list
          |> same_series Int.equal (Ref_timeseries.bins r))
 
+(* --- Json.escape ---------------------------------------------------------- *)
+
+let json_escape () =
+  let check input expected =
+    Alcotest.(check string) (String.escaped input) expected (Scallop_util.Json.escape input)
+  in
+  check "" "";
+  check "plain text, 1.5 ms" "plain text, 1.5 ms";
+  check "say \"hi\"" "say \\\"hi\\\"";
+  check "a\\b" "a\\\\b";
+  (* every control byte takes the \u form, even those with short escapes *)
+  check "\n\t\r\000\031" "\\u000a\\u0009\\u000d\\u0000\\u001f";
+  (* bytes from 0x20 up pass through, UTF-8 included *)
+  check "\x7f caf\xc3\xa9" "\x7f caf\xc3\xa9"
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_percentile_bounded; prop_online_mean_matches; prop_addr_roundtrip;
       prop_bufpool_model; prop_timeseries_matches_reference ]
@@ -661,5 +676,6 @@ let () =
             bufpool_poison_on_release;
           Alcotest.test_case "class depth cap" `Quick bufpool_class_depth_cap;
         ] );
+      ("json", [ Alcotest.test_case "escape" `Quick json_escape ]);
       ("properties", qsuite);
     ]
