@@ -7,9 +7,13 @@ type t = {
 let create () =
   let t = { q = Eventq.create (); clock = 0; chooser = None } in
   (* Publish this engine's virtual clock to the tracer so components
-     without an engine handle (e.g. the PRE) can stamp events. Worlds are
-     created one at a time; the newest engine owns the shared clock. *)
+     without an engine handle (e.g. the PRE) can stamp events, and its
+     queue's rebase count to the registry. Worlds are created one at a
+     time; the newest engine owns both. *)
   Scallop_obs.Trace.set_clock (fun () -> t.clock);
+  Scallop_obs.Metrics.register_callback "scallop_eventq_rebases"
+    ~help:"event-queue pushes that landed below the wheel window and re-homed it"
+    (fun () -> float_of_int (Eventq.rebases t.q));
   t
 let now t = t.clock
 let set_chooser t c = t.chooser <- c
@@ -68,7 +72,6 @@ let step ?until t =
   | Some _ | None -> false
 
 let pending t = Eventq.length t.q
-let ready t = Eventq.ready_count t.q
 let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000

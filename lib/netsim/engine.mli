@@ -8,6 +8,9 @@
 type t
 
 val create : unit -> t
+(** A fresh engine at time 0. It becomes the owner of the tracer's clock
+    and of the [scallop_eventq_rebases] registry entry, its queue's
+    {!Eventq.rebases} count. *)
 
 val now : t -> int
 (** Current virtual time in nanoseconds. *)
@@ -34,10 +37,6 @@ val step : ?until:int -> t -> bool
     by pumping events until its reply lands, without running past it. *)
 
 val pending : t -> int
-
-val ready : t -> int
-(** Number of events tied at the earliest timestamp (see
-    {!Eventq.ready_count}). *)
 
 val set_chooser : t -> (ready:int -> int) option -> unit
 (** Install (or clear) a same-timestamp scheduling chooser. When several

@@ -10,9 +10,15 @@
    Invariants:
    - a wheel bucket [s land wheel_mask] holds exactly the entries whose
      absolute slot ([time asr slot_bits]) is [s], for [s] in
-     [wbase, wbase + wheel_slots); the window base [wbase] only moves
-     when the wheel drains (jump to the heap minimum) or an
-     earlier-than-[wbase] push forces a rebase;
+     [wbase, wbase + wheel_slots);
+   - [wbase] never passes the slot of the last taken event: it moves
+     forward only when [pop]/[pop_nth] (or the [ready_count] that
+     precedes [pop_nth]) finds the wheel drained, and then jumps to the
+     slot of the heap minimum — the event about to be taken. [peek_time]
+     and [push] into an empty queue never move it forward. A push at or
+     after the last taken time (every engine push) therefore lands at or
+     above [wbase]; only an earlier push, legal for a standalone queue,
+     forces a [rebase];
    - the heap holds exactly the entries with slot >= wbase + wheel_slots,
      so a slot's entries are never split across the two structures and
      the wheel minimum is always the global minimum;
@@ -46,6 +52,7 @@ type 'a t = {
   mutable hsize : int;
   mutable size : int;
   mutable next_seq : int;
+  mutable rebases : int;
 }
 
 let create () =
@@ -64,10 +71,12 @@ let create () =
     hsize = 0;
     size = 0;
     next_seq = 0;
+    rebases = 0;
   }
 
 let is_empty t = t.size = 0
 let length t = t.size
+let rebases t = t.rebases
 
 let before t a b =
   t.e_time.(a) < t.e_time.(b)
@@ -191,11 +200,13 @@ let insert_wheel t i =
     end
   end
 
-(* A push below the window base (arbitrary time orders are legal for a
-   standalone queue; the engine never does this). Re-home the window at
-   the new minimum and re-insert every wheel entry — entries now beyond
-   the shrunk window spill to the heap. O(wheel occupancy), rare. *)
+(* A push below the window base: legal for a standalone queue pushed out
+   of order, never reached by the engine, whose pushes are never earlier
+   than its clock and so never below the last taken slot. Re-home the
+   window at the new minimum and re-insert every wheel entry — entries
+   now beyond the shrunk window spill to the heap. O(wheel slots). *)
 let rebase t new_base =
+  t.rebases <- t.rebases + 1;
   let moved = ref [] in
   for b = 0 to wheel_slots - 1 do
     let i = ref t.bhead.(b) in
@@ -216,9 +227,16 @@ let rebase t new_base =
       else insert_wheel t i)
     !moved
 
+(* Advance [cursor] to the first occupied bucket. Requires [wcount > 0]. *)
+let slide_cursor t =
+  while t.bhead.(t.cursor land wheel_mask) < 0 do
+    t.cursor <- t.cursor + 1
+  done
+
 (* Make the global minimum the head of the bucket at [cursor]. Requires
-   [size > 0]. If the wheel drained, jump the window to the heap minimum
-   and migrate everything now inside it. *)
+   [size > 0]; called only on the way to taking an event. If the wheel
+   drained, jump the window to the heap minimum (the event about to be
+   taken) and migrate everything now inside it. *)
 let reposition t =
   if t.wcount = 0 then begin
     t.wbase <- slot_of t.e_time.(t.heap.(0));
@@ -228,9 +246,7 @@ let reposition t =
       insert_wheel t (heap_pop t)
     done
   end;
-  while t.bhead.(t.cursor land wheel_mask) < 0 do
-    t.cursor <- t.cursor + 1
-  done
+  slide_cursor t
 
 (* --- public API ------------------------------------------------------------ *)
 
@@ -239,22 +255,15 @@ let push t ~time value =
   t.next_seq <- seq + 1;
   let i = arena_alloc t ~time ~seq value in
   let s = slot_of time in
-  if t.size = 0 then begin
-    (* anchor the window on the first event *)
-    t.wbase <- s;
-    t.cursor <- s;
-    t.size <- 1;
-    insert_wheel t i
-  end
-  else begin
-    t.size <- t.size + 1;
-    if s < t.wbase then begin
-      rebase t s;
-      insert_wheel t i
+  if s < t.wbase then
+    if t.size = 0 then begin
+      (* nothing to re-home: lower the window for free *)
+      t.wbase <- s;
+      t.cursor <- s
     end
-    else if s >= t.wbase + wheel_slots then heap_push t i
-    else insert_wheel t i
-  end
+    else rebase t s;
+  t.size <- t.size + 1;
+  if s >= t.wbase + wheel_slots then heap_push t i else insert_wheel t i
 
 let pop t =
   if t.size = 0 then None
@@ -271,10 +280,15 @@ let pop t =
     Some (time, v)
   end
 
+(* Answers without moving the window: a drained wheel's minimum is the
+   heap top. Jumping [wbase] here would put it ahead of a clock that
+   [Engine.run ~until] then stops short of, and the next near-term push
+   would land below it. *)
 let peek_time t =
   if t.size = 0 then None
+  else if t.wcount = 0 then Some t.e_time.(t.heap.(0))
   else begin
-    reposition t;
+    slide_cursor t;
     Some t.e_time.(t.bhead.(t.cursor land wheel_mask))
   end
 

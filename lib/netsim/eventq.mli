@@ -5,6 +5,19 @@
     list, and the arena only grows when more events are simultaneously
     pending than ever before (see DESIGN.md §13 for the layout).
 
+    {2 Window rule}
+
+    The wheel's window never moves past the slot of the last event taken
+    ([pop] or [pop_nth]): [peek_time] and [push] leave it where it is, and
+    a take that finds the wheel drained re-anchors it at the event taken
+    ([ready_count], which the engine calls only just before [pop_nth],
+    re-anchors the same way).
+    A push at or after the last taken time — every push the engine makes,
+    since it never schedules before its clock — therefore never lands
+    below the window. A push earlier than that, legal for a standalone
+    queue, re-homes the whole wheel (O(wheel slots)); {!rebases} counts
+    these.
+
     {2 Tie-breaking contract (stable public API)}
 
     Events with equal timestamps fire in {b insertion order}: every [push]
@@ -29,6 +42,11 @@ val pop : 'a t -> (int * 'a) option
     order (see the tie-breaking contract above). *)
 
 val peek_time : 'a t -> int option
+(** Time of the earliest event, without moving the window. *)
+
+val rebases : 'a t -> int
+(** Number of pushes that landed below the window and re-homed the wheel
+    (see the window rule above); stays [0] under engine push orders. *)
 
 val ready_count : 'a t -> int
 (** Number of events tied at the minimum timestamp — the size of the

@@ -149,11 +149,16 @@ let eventq_spill_preserves_ties () =
 (* A push below the window base rebases the wheel, spilling entries that
    fall beyond the shrunk window to the heap. Ties split across that
    rebase (one entry spilled, one pushed straight to the heap) must still
-   fire in insertion order. *)
+   fire in insertion order. Taking "warm" anchors the window at 9 ms,
+   which pulls "a" out of the heap into the wheel. *)
 let eventq_rebase_preserves_ties () =
   let q = Eventq.create () in
   Eventq.push q ~time:10_000_000 "a";
+  Eventq.push q ~time:9_000_000 "warm";
+  Alcotest.(check (option string)) "anchor" (Some "warm")
+    (Option.map snd (Eventq.pop q));
   Eventq.push q ~time:50 "early";  (* rebase: "a" spills to the heap *)
+  Alcotest.(check int) "one rebase" 1 (Eventq.rebases q);
   Eventq.push q ~time:10_000_000 "b";
   Alcotest.(check (option string)) "rebased minimum" (Some "early")
     (Option.map snd (Eventq.pop q));
@@ -236,7 +241,103 @@ let prop_eventq_model =
         ops;
       !ok)
 
+(* Engine-legal push orders: every push is at or after the last taken
+   time, as the engine's are (it never schedules before its clock).
+   Pushes mix near-term deltas, deltas beyond the ~8.4 ms window and
+   10^7 s timers; "run until" mirrors [Engine.run ~until] (peek, take
+   while not past the bound, then move the clock to it), and takes
+   alternate between [pop] and [ready_count] + [pop_nth] as
+   [Engine.take] does with a chooser. Every answer must match the
+   sorted-list reference, and the window must never be re-homed. *)
+let prop_eventq_engine_legal =
+  QCheck.Test.make ~count:300 ~name:"engine-legal pushes = reference, zero rebases"
+    QCheck.(list_of_size Gen.(1 -- 150) (pair (int_bound 5) (int_bound 30_000_000)))
+    (fun ops ->
+      let q = Eventq.create () in
+      let model = ref [] (* (time, seq), sorted *) and seq = ref 0 in
+      let clock = ref 0 and last_taken = ref 0 in
+      let ok = ref true in
+      let expect a b = if a <> b then ok := false in
+      let push time =
+        incr seq;
+        Eventq.push q ~time !seq;
+        model := List.merge compare !model [ (time, !seq) ]
+      in
+      let take k =
+        match !model with
+        | [] -> expect None (Eventq.pop q)
+        | (t0, _) :: _ ->
+            let tied = List.filter (fun (t, _) -> t = t0) !model in
+            let k = if k < List.length tied then k else 0 in
+            let ((_, s) as e) = List.nth tied k in
+            model := List.filter (fun x -> x <> e) !model;
+            let got =
+              if k = 0 then Eventq.pop q
+              else begin
+                expect (List.length tied) (Eventq.ready_count q);
+                Eventq.pop_nth q k
+              end
+            in
+            expect (Some (t0, s)) got;
+            last_taken := t0;
+            clock := max !clock t0
+      in
+      let peek () =
+        let p = Eventq.peek_time q in
+        expect (match !model with [] -> None | (t, _) :: _ -> Some t) p;
+        p
+      in
+      List.iter
+        (fun (tag, d) ->
+          (match tag with
+          | 0 -> push (!clock + (d mod 20_000))
+          | 1 -> push (!clock + d)
+          | 2 -> push (!last_taken + (d mod 5_000))
+          | 3 -> push (!clock + 10_000_000_000_000_000 + d)
+          | 4 ->
+              let until = !clock + (d mod 2_000_000) in
+              let rec run () =
+                match peek () with
+                | Some t when t <= until ->
+                    take (d mod 3);
+                    run ()
+                | _ -> ()
+              in
+              run ();
+              clock := max !clock until
+          | _ -> take (d mod 3));
+          expect (List.length !model) (Eventq.length q);
+          ignore (peek ()))
+        ops;
+      !ok && Eventq.rebases q = 0)
+
 (* --- engine ------------------------------------------------------------------ *)
+
+(* The registry's [scallop_eventq_rebases] value, owned by the newest engine. *)
+let registry_rebases () =
+  let prefix = "scallop_eventq_rebases " in
+  let n = String.length prefix in
+  String.split_on_char '\n' (Scallop_obs.Metrics.dump ())
+  |> List.find_map (fun l ->
+         if String.length l > n && String.sub l 0 n = prefix then
+           int_of_string_opt (String.sub l n (String.length l - n))
+         else None)
+
+(* The ledger's fanout_bare op: one packet, then a 1 ms run, with a quiet
+   client's timer parked 10^7 s ahead. Draining the wheel must not move
+   the window up to that timer, or every next arrival lands below it and
+   re-homes the whole wheel. *)
+let engine_fanout_pattern_never_rebases () =
+  let engine = Engine.create () in
+  Engine.at engine ~time:(Engine.sec 1e7) (fun () -> ());
+  let fired = ref 0 in
+  for _ = 1 to 100 do
+    let now = Engine.now engine in
+    Engine.at engine ~time:(now + Engine.us 100) (fun () -> incr fired);
+    Engine.run engine ~until:(now + Engine.ms 1)
+  done;
+  Alcotest.(check int) "every arrival fired" 100 !fired;
+  Alcotest.(check (option int)) "no rebase" (Some 0) (registry_rebases ())
 
 let engine_schedule_order () =
   let engine = Engine.create () in
@@ -534,7 +635,12 @@ let cpu_wakeup_latency () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_eventq_sorted; prop_eventq_pop_nth0_is_pop; prop_eventq_model ]
+    [
+      prop_eventq_sorted;
+      prop_eventq_pop_nth0_is_pop;
+      prop_eventq_model;
+      prop_eventq_engine_legal;
+    ]
 
 let () =
   Alcotest.run "netsim"
@@ -560,6 +666,8 @@ let () =
           Alcotest.test_case "chooser permutes ties" `Quick engine_chooser_permutes;
           Alcotest.test_case "chooser default and fallback" `Quick
             engine_chooser_default_and_fallback;
+          Alcotest.test_case "fan-out pattern never rebases" `Quick
+            engine_fanout_pattern_never_rebases;
         ] );
       ( "link",
         [
