@@ -389,7 +389,7 @@ let check_uplink ctx intent sw (uv : D.uplink_view) =
             "routing yields no receivers but %d members expect sender %d's media"
             (List.length expected) uv.uv_sender;
         Some []
-    | T.Unicast { port; receiver } -> Some [ (Some receiver, port) ]
+    | T.Unicast { port; receiver } -> Some [ (receiver, port) ]
     | T.Replicate { mgid; l1_xid; rid; l2_xid } ->
         (* the packet's self-prune metadata must name an exclusion set
            covering the sender's own egress port *)
@@ -427,13 +427,13 @@ let check_uplink ctx intent sw (uv : D.uplink_view) =
         delivered;
       let seen = Hashtbl.create 8 in
       List.iter
-        (fun (rcv, port) ->
-          match rcv with
-          | None ->
-              if not (List.mem port sender_ports) then
-                errf ctx Pre Orphan_replica subj
-                  "replica on port %d addresses no registered participant" port
-          | Some pid -> (
+        (fun (pid, port) ->
+          if pid < 0 then begin
+            if not (List.mem port sender_ports) then
+              errf ctx Pre Orphan_replica subj
+                "replica on port %d addresses no registered participant" port
+          end
+          else (
               if Hashtbl.mem seen pid then
                 errf ctx Pre Orphan_replica subj
                   "participant %d receives more than one replica" pid

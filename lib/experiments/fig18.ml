@@ -99,7 +99,7 @@ let run_heuristic variant arrivals ~suppressed_at ~arrived =
     (fun p ->
       if not p.suppressed then begin
         let off0 = Sr.offset rw in
-        let action =
+        let out =
           Sr.on_packet rw ~seq:(p.seq land 0xFFFF) ~frame:(p.frame land 0xFFFF)
             ~start_of_frame:p.sof ~end_of_frame:p.eof
         in
@@ -132,17 +132,17 @@ let run_heuristic variant arrivals ~suppressed_at ~arrived =
         (match !mirror_last with
         | Some last when p.seq > last -> mirror_last := Some p.seq
         | _ -> ());
-        match action with
-        | Sr.Drop ->
-            (* an arrived kept packet silently dropped becomes a receiver
-               gap unless its slot was already masked away *)
-            incr spurious
-        | Sr.Forward out ->
-            incr forwarded;
+        if out < 0 then
+          (* an arrived kept packet silently dropped becomes a receiver
+             gap unless its slot was already masked away *)
+          incr spurious
+        else begin
+          incr forwarded;
             (match Hashtbl.find_opt seen out with
             | Some original when original <> p.seq -> incr duplicates
             | Some _ -> ()
             | None -> Hashtbl.replace seen out p.seq)
+        end
       end)
     arrivals;
   ( float_of_int (!spurious + !masked_wrong) /. float_of_int (max 1 !forwarded),

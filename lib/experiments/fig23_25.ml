@@ -32,9 +32,8 @@ let compute ?(quick = false) () =
         let kbits = float_of_int (size * 8) /. 1000.0 in
         if receiver = recv_a then begin
           to_a.(sec) <- to_a.(sec) +. kbits;
-          match template with
-          | Some id when id < 5 -> a_tpl.(sec).(id) <- a_tpl.(sec).(id) +. kbits
-          | Some _ | None -> ()
+          if template >= 0 && template < 5 then
+            a_tpl.(sec).(template) <- a_tpl.(sec).(template) +. kbits
         end
         else if receiver = recv_b then to_b.(sec) <- to_b.(sec) +. kbits
       end);

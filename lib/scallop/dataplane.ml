@@ -1,5 +1,4 @@
 module Addr = Scallop_util.Addr
-module Stats = Scallop_util.Stats
 module Metrics = Scallop_obs.Metrics
 module Trace = Scallop_obs.Trace
 module Engine = Netsim.Engine
@@ -14,13 +13,13 @@ let stream_index_capacity = 65_536
 (* Steady-state fast-path allocation ceiling, in bytes of minor-heap
    allocation per ingress packet for the canonical 30-receiver fan-out
    (replica buffers pooled, batches recycled). The bench gate and the
-   regression test both pin against this one constant. What remains is
-   per-replica scaffolding — the [Dgram.t] record, table-lookup options,
-   the decide action — at ~40 words per replica (measured ~11 KB for 30
-   receivers); payload copies are out of the picture, so reintroducing a
-   per-replica [Bytes.copy] (~1.2 KB each) blows this ceiling
-   immediately. *)
-let alloc_budget_bytes_per_packet = 16_384
+   regression test both pin against this one constant. The replica path
+   itself allocates only the egress [Dgram.t]; the rest is the network's
+   per-datagram delivery work, ~16 words per replica in all (measured
+   ~3.8 KB for 30 receivers). Payload copies are out of the picture, so
+   reintroducing a per-replica [Bytes.copy] (~1.2 KB each) blows this
+   ceiling immediately. *)
+let alloc_budget_bytes_per_packet = 8_192
 
 (* Match-action table sizes of the programmed pipeline (§6.2): exceeding
    one is the same hard failure a real switch would report at insert. *)
@@ -93,6 +92,7 @@ type leg = {
   leg_video_ssrc : int;
   dst : Addr.t;
   src_port : int;
+  src : Addr.t;  (** the switch's [ip:src_port], built once at registration *)
   uplink_port : int;
   mutable target : Dd.decode_target;
   mutable forward_remb : bool;
@@ -101,14 +101,45 @@ type leg = {
   stream_index : int;  (** -1 when not rate-adapted *)
 }
 
+(* The egress table's miss, compared by [==]: the per-replica lookup
+   returns it instead of consing an option. *)
+let nil_leg =
+  let nowhere = Addr.v 0 0 in
+  {
+    leg_receiver = -1;
+    leg_video_ssrc = -1;
+    dst = nowhere;
+    src_port = 0;
+    src = nowhere;
+    uplink_port = 0;
+    target = Dd.DT_30fps;
+    forward_remb = false;
+    rewriter = None;
+    simulcast = None;
+    stream_index = -1;
+  }
+
+(* Egress-table key: the receiver above the 32-bit SSRC, as the 8-byte
+   hardware key packs them — an immediate int, so the per-replica lookup
+   conses no tuple. *)
+let leg_key ~receiver ~ssrc = (receiver lsl 32) lor ssrc
+
+(* What the pipeline does to one forwarded replica's header. Suppression
+   is not a rewrite, so a suppressed replica has nothing to materialize. *)
+type rewrite =
+  | Verbatim  (** audio / descriptor-less video: bytes unchanged *)
+  | Patch_seq  (** patch the sequence number *)
+  | Patch_splice  (** simulcast splice: patch SSRC, sequence and AV1 frame number *)
+
 (* One ingress media packet, as both paths see it. The decision phase
    (simulcast splice, layer suppression, sequence rewrite — all stateful)
    runs exactly once per replica on the scalar fields below; only the
    materialization of the egress bytes differs between paths, so the
    paranoid mode can run both without double-advancing rewriter state.
-   A single instance lives in [t] and is overwritten per ingress packet:
-   the fan-out completes before the handler returns, so one scratch
-   record suffices and the per-packet context allocation disappears. *)
+   A single instance lives in [t] and is overwritten per ingress packet
+   (and its decision fields per replica): the fan-out completes before
+   the handler returns, so one scratch record suffices and neither the
+   packet context nor a replica's rewrite allocates. *)
 type media_ctx = {
   mutable c_ssrc : int;
   mutable c_seq : int;
@@ -121,6 +152,13 @@ type media_ctx = {
       (** memoized record parse, forced only for non-canonical ingress or
           paranoid checking (and eager in [Slow] mode) *)
   mutable c_trace : int;  (** causal trace id; -1 = untraced *)
+  (* the current replica's egress decision, rewritten by [decide] for
+     each replica and read by both materializers *)
+  mutable c_rw : rewrite;
+  mutable c_out_ssrc : int;  (** egress SSRC (a splice changes it) *)
+  mutable c_out_seq : int;  (** egress sequence number ([Patch_*]) *)
+  mutable c_out_frame : int;  (** egress AV1 frame number ([Patch_splice]) *)
+  mutable c_template : int;  (** descriptor template id; -1 = none *)
 }
 
 let fresh_scratch () =
@@ -133,6 +171,11 @@ let fresh_scratch () =
     c_is_video = false;
     c_parsed = None;
     c_trace = -1;
+    c_rw = Verbatim;
+    c_out_ssrc = 0;
+    c_out_seq = 0;
+    c_out_frame = 0;
+    c_template = -1;
   }
 
 (* Every replica of one ingress packet leaves the pipeline at the same
@@ -161,13 +204,10 @@ type t = {
   pre : Tofino.Pre.t;
   trees : Trees.t;
   pipeline_latency_ns : int;
-  pipeline_latency_f : float;
-      (** [float_of_int pipeline_latency_ns], preboxed: the per-replica
-          latency sample must not box a float per emit *)
   header_auth : bool;
   mutable headers_authenticated : int;
   uplinks : (int, uplink_slot) Tofino.Table.t;  (** dst port -> uplink *)
-  legs : (int * int, leg) Tofino.Table.t;  (** (receiver, ssrc) -> leg *)
+  legs : (int, leg) Tofino.Table.t;  (** [leg_key ~receiver ~ssrc] -> leg *)
   leg_by_port : (int, leg) Tofino.Table.t;  (** src_port -> leg (feedback match) *)
   mutable free_stream_indices : int list;
   mutable next_stream_index : int;
@@ -189,9 +229,8 @@ type t = {
   replica_copies : Metrics.counter;
   paranoid_checks : Metrics.counter;
   paranoid_mismatches : Metrics.counter;
-  forward_delay : Stats.Samples.t;
   parser_stats : Tofino.Parser.t;
-  mutable egress_hook : receiver:int -> ssrc:int -> template:int option -> size:int -> unit;
+  mutable egress_hook : receiver:int -> ssrc:int -> template:int -> size:int -> unit;
   (* allocation-free fast-path scaffolding *)
   pool : Bufpool.t;  (** replica buffer pool; debug (poison) iff Paranoid *)
   pool_some : Bufpool.t option;
@@ -230,7 +269,6 @@ let create engine network ~ip ?(header_auth = false) ?(mode = Fast) ?(obs_label 
       pre;
       trees = Trees.create pre;
       pipeline_latency_ns;
-      pipeline_latency_f = float_of_int pipeline_latency_ns;
       header_auth;
       headers_authenticated = 0;
       uplinks = Tofino.Table.create ~name:"uplink" ~capacity:uplink_table_capacity;
@@ -266,7 +304,6 @@ let create engine network ~ip ?(header_auth = false) ?(mode = Fast) ?(obs_label 
       paranoid_mismatches =
         Metrics.counter ~labels ~help:"paranoid byte comparisons that failed"
           "scallop_dp_paranoid_mismatches";
-      forward_delay = Stats.Samples.create ();
       parser_stats = Tofino.Parser.create ();
       egress_hook = (fun ~receiver:_ ~ssrc:_ ~template:_ ~size:_ -> ());
       pool;
@@ -362,14 +399,16 @@ let batch_add b dgram =
 (* [pool] is [t.pool_some] for replica buffers the pool owns (released by
    the network layer when the datagram's life ends) and [None] for
    GC-owned payloads. *)
-let emit t ~batch ~pool ~trace ~receiver ~ssrc ~template ~src_port ~dst payload =
+let emit t ~batch ~pool ~trace ~receiver ~ssrc ~template ~src ~dst payload =
   let size = Bytes.length payload + 42 in
   if t.header_auth then t.headers_authenticated <- t.headers_authenticated + 1;
   t.egress_pkts <- t.egress_pkts + 1;
   t.egress_bytes <- t.egress_bytes + size;
   t.egress_hook ~receiver ~ssrc ~template ~size;
-  Stats.Samples.observe t.forward_delay t.pipeline_latency_f;
-  batch_add batch (Dgram.v ~trace ?pool ~src:(Addr.v t.ip src_port) ~dst payload)
+  (* a record literal, not [Dgram.v]: passing [~trace] to its optional
+     argument would box it, and the datagram is this path's only
+     allocation *)
+  batch_add batch { Dgram.src; dst; payload; trace; pool }
 
 let flush_egress t ~ingress_ns batch =
   if batch.b_n = 0 then recycle_batch t batch
@@ -422,6 +461,7 @@ let register_leg ?simulcast t ~receiver ~video_ssrc ~audio_ssrc ~dst ~src_port ~
       leg_video_ssrc = video_ssrc;
       dst;
       src_port;
+      src = Addr.v t.ip src_port;
       uplink_port;
       target = Dd.DT_30fps;
       forward_remb = false;
@@ -430,15 +470,18 @@ let register_leg ?simulcast t ~receiver ~video_ssrc ~audio_ssrc ~dst ~src_port ~
       stream_index;
     }
   in
-  table_insert t.legs (receiver, video_ssrc) leg;
-  table_insert t.legs (receiver, audio_ssrc) leg;
-  Option.iter
-    (Array.iter (fun ssrc -> table_insert t.legs (receiver, ssrc) leg))
-    simulcast;
+  let insert ssrc =
+    if ssrc land 0xFFFF_FFFF <> ssrc then
+      invalid_arg (Printf.sprintf "Dataplane.register_leg: SSRC %#x is not 32-bit" ssrc);
+    table_insert t.legs (leg_key ~receiver ~ssrc) leg
+  in
+  insert video_ssrc;
+  insert audio_ssrc;
+  Option.iter (Array.iter insert) simulcast;
   table_insert t.leg_by_port src_port leg
 
 let unregister_leg t ~receiver ~video_ssrc =
-  match Tofino.Table.lookup t.legs (receiver, video_ssrc) with
+  match Tofino.Table.lookup t.legs (leg_key ~receiver ~ssrc:video_ssrc) with
   | None -> ()
   | Some leg ->
       if leg.stream_index >= 0 then begin
@@ -467,7 +510,7 @@ let reset t =
   t.next_stream_index <- 0
 
 let set_leg_target t ~receiver ~video_ssrc target =
-  match Tofino.Table.lookup t.legs (receiver, video_ssrc) with
+  match Tofino.Table.lookup t.legs (leg_key ~receiver ~ssrc:video_ssrc) with
   | None -> ()
   | Some leg ->
       leg.target <- target;
@@ -515,48 +558,46 @@ let parsed ctx =
       ctx.c_parsed <- Some p;
       p
 
-(* What the pipeline does to one forwarded replica's header. Keeping the
-   rewrite separate from the forward/suppress decision makes
-   "materialize a suppressed replica" unrepresentable: [materialize] only
-   accepts a [rewrite], so the suppress arm can never reach a buffer
-   checkout. *)
-type rewrite =
-  | Verbatim  (** audio / descriptor-less video: bytes unchanged *)
-  | Patch_seq of { seq : int; template : int }  (** patch the sequence number *)
-  | Patch_splice of { ssrc : int; seq : int; frame : int; template : int }
-      (** simulcast splice: patch SSRC, sequence and AV1 frame number *)
-
-type egress_action = Suppress | Forward of rewrite
-
-(* preallocated: the audio-dominant verbatim arm must not cons *)
-let forward_verbatim = Forward Verbatim
-
-let decide leg ~ssrc ~seq (fields : Dd.fields option) =
-  match fields with
-  | None -> forward_verbatim
-  | Some f when leg.simulcast <> None -> (
-      let sc = Option.get leg.simulcast in
-      let keyframe_start = f.Dd.f_start_of_frame && f.Dd.f_template_id = 0 in
-      match
-        Simulcast.on_packet sc ~ssrc ~seq ~frame:f.Dd.f_frame_number ~keyframe_start
-      with
-      | Simulcast.Drop -> Suppress
-      | Simulcast.Forward { ssrc; seq; frame } ->
-          Forward (Patch_splice { ssrc; seq; frame; template = f.Dd.f_template_id }))
-  | Some f ->
-      if not (Dd.template_in_target_l1t3 f.Dd.f_template_id leg.target) then Suppress
-      else begin
-        let action =
-          match leg.rewriter with
-          | Some rw ->
-              Seq_rewrite.on_packet rw ~seq ~frame:f.Dd.f_frame_number
-                ~start_of_frame:f.Dd.f_start_of_frame ~end_of_frame:f.Dd.f_end_of_frame
-          | None -> Seq_rewrite.Forward seq
-        in
-        match action with
-        | Seq_rewrite.Drop -> Suppress
-        | Seq_rewrite.Forward seq -> Forward (Patch_seq { seq; template = f.Dd.f_template_id })
-      end
+(* The stateful egress decision for one replica of the packet in [ctx]
+   (simulcast splice, layer suppression, sequence rewrite): [false]
+   suppresses it; [true] forwards it, with the rewrite left in [ctx]'s
+   decision fields for the materializers. *)
+let decide leg ctx =
+  ctx.c_out_ssrc <- ctx.c_ssrc;
+  match ctx.c_fields with
+  | None ->
+      ctx.c_rw <- Verbatim;
+      ctx.c_template <- -1;
+      true
+  | Some f -> (
+      ctx.c_template <- f.Dd.f_template_id;
+      match leg.simulcast with
+      | Some sc -> (
+          let keyframe_start = f.Dd.f_start_of_frame && f.Dd.f_template_id = 0 in
+          match
+            Simulcast.on_packet sc ~ssrc:ctx.c_ssrc ~seq:ctx.c_seq ~frame:f.Dd.f_frame_number
+              ~keyframe_start
+          with
+          | Simulcast.Drop -> false
+          | Simulcast.Forward { ssrc; seq; frame } ->
+              ctx.c_rw <- Patch_splice;
+              ctx.c_out_ssrc <- ssrc;
+              ctx.c_out_seq <- seq;
+              ctx.c_out_frame <- frame;
+              true)
+      | None ->
+          Dd.template_in_target_l1t3 f.Dd.f_template_id leg.target
+          &&
+          let seq =
+            match leg.rewriter with
+            | Some rw ->
+                Seq_rewrite.on_packet rw ~seq:ctx.c_seq ~frame:f.Dd.f_frame_number
+                  ~start_of_frame:f.Dd.f_start_of_frame ~end_of_frame:f.Dd.f_end_of_frame
+            | None -> ctx.c_seq
+          in
+          ctx.c_rw <- Patch_seq;
+          ctx.c_out_seq <- seq;
+          seq >= 0)
 
 (* Fast materialization: blit the ingress bytes into a pooled buffer, then
    fixed-offset patches — the model equivalent of the hardware header
@@ -564,36 +605,36 @@ let decide leg ~ssrc ~seq (fields : Dd.fields option) =
    (media streams use few distinct packet sizes), so the fan-out's
    dominant allocation cost disappears; the buffer returns to the pool
    when the network layer terminates the datagram. *)
-let materialize_fast t (view : Packet.View.t) rw =
+let materialize_fast t (view : Packet.View.t) ctx =
   Metrics.incr t.replica_copies;
   let src = view.Packet.View.buf in
   let len = Bytes.length src in
   let buf = Bufpool.checkout t.pool len in
   Bytes.blit src 0 buf 0 len;
-  (match rw with
+  (match ctx.c_rw with
   | Verbatim -> ()
-  | Patch_seq { seq; _ } -> Rtp.Wire.Patch.u16 buf ~pos:Packet.View.sequence_pos seq
-  | Patch_splice { ssrc; seq; frame; _ } ->
-      Rtp.Wire.Patch.u16 buf ~pos:Packet.View.sequence_pos seq;
-      Rtp.Wire.Patch.u32 buf ~pos:Packet.View.ssrc_pos ssrc;
+  | Patch_seq -> Rtp.Wire.Patch.u16 buf ~pos:Packet.View.sequence_pos ctx.c_out_seq
+  | Patch_splice ->
+      Rtp.Wire.Patch.u16 buf ~pos:Packet.View.sequence_pos ctx.c_out_seq;
+      Rtp.Wire.Patch.u32 buf ~pos:Packet.View.ssrc_pos ctx.c_out_ssrc;
       Rtp.Wire.Patch.u16 buf
         ~pos:(view.Packet.View.ext_off + Dd.frame_number_pos)
-        frame);
+        ctx.c_out_frame);
   buf
 
 (* Slow materialization: the record-based path, kept verbatim as the
    executable spec the fast path is byte-checked against. *)
-let materialize_slow (pkt, dd) rw =
-  match rw with
+let materialize_slow (pkt, dd) ctx =
+  match ctx.c_rw with
   | Verbatim -> Packet.serialize pkt
-  | Patch_seq { seq; _ } -> Packet.serialize (Packet.with_sequence pkt seq)
-  | Patch_splice { ssrc; seq; frame; _ } ->
+  | Patch_seq -> Packet.serialize (Packet.with_sequence pkt ctx.c_out_seq)
+  | Patch_splice ->
       let dd = Option.get dd in
-      let dd' = { dd with Dd.frame_number = frame } in
+      let dd' = { dd with Dd.frame_number = ctx.c_out_frame } in
       let data = Dd.serialize dd' in
       let pkt' =
         {
-          (Packet.with_sequence (Packet.with_ssrc pkt ssrc) seq) with
+          (Packet.with_sequence (Packet.with_ssrc pkt ctx.c_out_ssrc) ctx.c_out_seq) with
           Packet.extensions =
             List.map
               (fun (e : Packet.extension) ->
@@ -603,13 +644,13 @@ let materialize_slow (pkt, dd) rw =
       in
       Packet.serialize pkt'
 
-let materialize t ctx rw =
+let materialize t ctx =
   match (t.mode, ctx.c_view) with
-  | Slow, _ | _, None -> materialize_slow (parsed ctx) rw
-  | Fast, Some view -> materialize_fast t view rw
+  | Slow, _ | _, None -> materialize_slow (parsed ctx) ctx
+  | Fast, Some view -> materialize_fast t view ctx
   | Paranoid, Some view ->
-      let fast = materialize_fast t view rw in
-      let slow = materialize_slow (parsed ctx) rw in
+      let fast = materialize_fast t view ctx in
+      let slow = materialize_slow (parsed ctx) ctx in
       Metrics.incr t.paranoid_checks;
       if not (Bytes.equal fast slow) then begin
         Metrics.incr t.paranoid_mismatches;
@@ -621,39 +662,34 @@ let materialize t ctx rw =
       end;
       fast
 
-(* Deliver one replica of a media packet to a receiver's leg. *)
+(* Deliver one replica of a media packet to a receiver's leg. On the
+   fast path, untraced and off simulcast legs, the egress [Dgram.t] is
+   its only allocation. *)
 let egress_media t ~batch ~receiver ctx =
-  match Tofino.Table.lookup t.legs (receiver, ctx.c_ssrc) with
-  | None -> ()
-  | Some leg -> (
-      match decide leg ~ssrc:ctx.c_ssrc ~seq:ctx.c_seq ctx.c_fields with
-      | Suppress ->
-          t.replicas_suppressed <- t.replicas_suppressed + 1;
-          if ctx.c_trace >= 0 && Trace.enabled Trace.Verbose then
-            Trace.instant ~ts:(Engine.now t.engine) ~trace:ctx.c_trace ~cat:"dp"
-              "suppress" ~args:[ ("receiver", Trace.I receiver) ]
-      | Forward rw ->
-          let ssrc =
-            match rw with Patch_splice { ssrc; _ } -> ssrc | _ -> ctx.c_ssrc
-          in
-          let template =
-            match rw with
-            | Verbatim -> None
-            | Patch_seq { template; _ } | Patch_splice { template; _ } -> Some template
-          in
-          if ctx.c_trace >= 0 && Trace.enabled Trace.Packet then
-            Trace.instant ~ts:(Engine.now t.engine) ~trace:ctx.c_trace ~cat:"dp"
-              "egress"
-              ~args:[ ("receiver", Trace.I receiver); ("ssrc", Trace.I ssrc) ];
-          let payload = materialize t ctx rw in
-          (* pooled iff the fast materializer produced it *)
-          let pool =
-            match (t.mode, ctx.c_view) with
-            | Slow, _ | _, None -> None
-            | _ -> t.pool_some
-          in
-          emit t ~batch ~pool ~trace:ctx.c_trace ~receiver ~ssrc ~template
-            ~src_port:leg.src_port ~dst:leg.dst payload)
+  let leg =
+    Tofino.Table.lookup_or t.legs (leg_key ~receiver ~ssrc:ctx.c_ssrc) ~default:nil_leg
+  in
+  if leg == nil_leg then ()
+  else if not (decide leg ctx) then begin
+    t.replicas_suppressed <- t.replicas_suppressed + 1;
+    if ctx.c_trace >= 0 && Trace.enabled Trace.Verbose then
+      Trace.instant ~ts:(Engine.now t.engine) ~trace:ctx.c_trace ~cat:"dp" "suppress"
+        ~args:[ ("receiver", Trace.I receiver) ]
+  end
+  else begin
+    if ctx.c_trace >= 0 && Trace.enabled Trace.Packet then
+      Trace.instant ~ts:(Engine.now t.engine) ~trace:ctx.c_trace ~cat:"dp" "egress"
+        ~args:[ ("receiver", Trace.I receiver); ("ssrc", Trace.I ctx.c_out_ssrc) ];
+    let payload = materialize t ctx in
+    (* pooled iff the fast materializer produced it *)
+    let pool =
+      match (t.mode, ctx.c_view) with
+      | Slow, _ | _, None -> None
+      | _ -> t.pool_some
+    in
+    emit t ~batch ~pool ~trace:ctx.c_trace ~receiver ~ssrc:ctx.c_out_ssrc
+      ~template:ctx.c_template ~src:leg.src ~dst:leg.dst payload
+  end
 
 let fanout t ~ingress_ns uplink ctx =
   let layer =
@@ -682,9 +718,8 @@ let fanout t ~ingress_ns uplink ctx =
             ]
       in
       let each (r : Tofino.Pre.replica) =
-        match Trees.receiver_of_replica t.trees uplink.meeting ~mgid ~rid:r.rid with
-        | Some receiver -> egress_media t ~batch ~receiver ctx
-        | None -> ()
+        let receiver = Trees.receiver_of_replica t.trees uplink.meeting ~mgid ~rid:r.rid in
+        if receiver >= 0 then egress_media t ~batch ~receiver ctx
       in
       if t.mode = Slow then begin
         let replicas = Tofino.Pre.replicate t.pre ~mgid ~l1_xid ~rid ~l2_xid in
@@ -835,28 +870,22 @@ let handle_sender_rtcp t uplink (dgram : Dgram.t) =
     | Some _ -> Bytes.copy dgram.payload
   in
   let batch = take_batch t in
+  let to_receiver receiver =
+    match Tofino.Table.lookup t.legs (leg_key ~receiver ~ssrc:uplink.video_ssrc) with
+    | Some leg ->
+        emit t ~batch ~pool:None ~trace:dgram.Dgram.trace ~receiver ~ssrc:uplink.video_ssrc
+          ~template:(-1) ~src:leg.src ~dst:leg.dst payload
+    | None -> ()
+  in
   (match
      Trees.route_media t.trees uplink.meeting ~sender:uplink.sender ~layer:Dd.T0
    with
   | Trees.No_receivers -> ()
-  | Trees.Unicast { receiver; _ } -> (
-      match Tofino.Table.lookup t.legs (receiver, uplink.video_ssrc) with
-      | Some leg ->
-          emit t ~batch ~pool:None ~trace:dgram.Dgram.trace ~receiver
-            ~ssrc:uplink.video_ssrc ~template:None ~src_port:leg.src_port
-            ~dst:leg.dst payload
-      | None -> ())
+  | Trees.Unicast { receiver; _ } -> to_receiver receiver
   | Trees.Replicate { mgid; l1_xid; rid; l2_xid } ->
       let each (r : Tofino.Pre.replica) =
-        match Trees.receiver_of_replica t.trees uplink.meeting ~mgid ~rid:r.rid with
-        | Some receiver -> (
-            match Tofino.Table.lookup t.legs (receiver, uplink.video_ssrc) with
-            | Some leg ->
-                emit t ~batch ~pool:None ~trace:dgram.Dgram.trace ~receiver
-                  ~ssrc:uplink.video_ssrc ~template:None ~src_port:leg.src_port
-                  ~dst:leg.dst payload
-            | None -> ())
-        | None -> ()
+        let receiver = Trees.receiver_of_replica t.trees uplink.meeting ~mgid ~rid:r.rid in
+        if receiver >= 0 then to_receiver receiver
       in
       if t.mode = Slow then
         List.iter each (Tofino.Pre.replicate t.pre ~mgid ~l1_xid ~rid ~l2_xid)
@@ -989,7 +1018,6 @@ let cpu_bytes t = t.cpu_bytes
 let egress_pkts t = t.egress_pkts
 let egress_bytes t = t.egress_bytes
 let replicas_suppressed t = t.replicas_suppressed
-let forward_delay_samples t = t.forward_delay
 
 type fastpath_stats = {
   fp_fast_pkts : int;
@@ -1093,7 +1121,8 @@ type leg_view = {
 
 let legs_view t =
   let by_leg = Hashtbl.create 64 in
-  Tofino.Table.iter t.legs (fun (receiver, ssrc) leg ->
+  Tofino.Table.iter t.legs (fun key leg ->
+      let receiver = key asr 32 and ssrc = key land 0xFFFF_FFFF in
       let keys =
         match Hashtbl.find_opt by_leg (receiver, leg.src_port) with
         | Some (_, keys) -> ssrc :: keys

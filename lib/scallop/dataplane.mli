@@ -170,7 +170,6 @@ val cpu_bytes : t -> int
 val egress_pkts : t -> int
 val egress_bytes : t -> int
 val replicas_suppressed : t -> int
-val forward_delay_samples : t -> Scallop_util.Stats.Samples.t
 
 type fastpath_stats = {
   fp_fast_pkts : int;  (** ingress media packets forwarded via copy-and-patch *)
@@ -211,8 +210,10 @@ val alloc_budget_bytes_per_packet : int
     constant; raising it is an explicit, reviewed decision. *)
 
 val set_egress_hook :
-  t -> (receiver:int -> ssrc:int -> template:int option -> size:int -> unit) -> unit
-(** Per-replica observation point for Figs. 23–25. *)
+  t -> (receiver:int -> ssrc:int -> template:int -> size:int -> unit) -> unit
+(** Per-replica observation point for Figs. 23–25. [template] is the AV1
+    descriptor template id of the replica, [-1] when it carries none
+    (audio, RTCP). *)
 
 val header_auth_enabled : t -> bool
 val headers_authenticated : t -> int

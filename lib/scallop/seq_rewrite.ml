@@ -4,8 +4,6 @@ type variant = S_LM | S_LR
 
 let words_per_stream = function S_LM -> 3 | S_LR -> 6
 
-type action = Forward of int | Drop
-
 type t = {
   variant : variant;
   mutable target : Dd.decode_target;
@@ -60,7 +58,8 @@ let frames_between f1 f2 =
   if d = 0 || d > 64 then None
   else Some (List.init (d - 1) (fun i -> (f1 + i + 1) land 0xFFFF))
 
-let emit t seq = Forward ((seq - t.offset) land 0xFFFF)
+let drop = -1
+let emit t seq = (seq - t.offset) land 0xFFFF
 
 let enter_frame t ~seq ~frame ~end_of_frame =
   t.last_frame <- frame;
@@ -117,7 +116,7 @@ let on_packet t ~seq ~frame ~start_of_frame ~end_of_frame =
       advance t ~seq ~frame ~end_of_frame;
       emit t seq
     end
-    else if delta = 0 then Drop
+    else if delta = 0 then drop
     else if t.offset = 0 then
       (* no rewriting has happened on this stream yet, so the mapping is
          the identity and any old packet (a retransmission, say) can pass
@@ -129,7 +128,7 @@ let on_packet t ~seq ~frame ~start_of_frame ~end_of_frame =
       | S_LM ->
           (* one step back is safe if it is not inside a masked region *)
           if delta = -1 && Rtp.Packet.seq_sub seq t.mask_boundary >= 0 then emit t seq
-          else Drop
+          else drop
       | S_LR ->
           if
             frame = t.last_frame
@@ -143,9 +142,9 @@ let on_packet t ~seq ~frame ~start_of_frame ~end_of_frame =
           end
           else if suppressed_by_cadence t.target frame then
             (* straggler of a suppressed frame: silence it *)
-            Drop
+            drop
           else if delta = -1 && Rtp.Packet.seq_sub seq t.mask_boundary >= 0 then emit t seq
-          else Drop
+          else drop
     end
   end
 

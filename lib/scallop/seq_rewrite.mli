@@ -32,10 +32,6 @@ val words_per_stream : variant -> int
 (** Register cells consumed per rate-adapted stream: 3 for S-LM, 6 for
     S-LR — the memory-vs-overhead trade-off of Figs. 15 and 17. *)
 
-type action =
-  | Forward of int  (** Emit with this rewritten sequence number. *)
-  | Drop  (** Suppress silently (never risk a duplicate). *)
-
 type t
 
 val create : variant -> target:Av1.Dd.decode_target -> t
@@ -49,11 +45,13 @@ val reset : t -> unit
     as the control plane would reallocate the stream index. *)
 
 val on_packet :
-  t -> seq:int -> frame:int -> start_of_frame:bool -> end_of_frame:bool -> action
+  t -> seq:int -> frame:int -> start_of_frame:bool -> end_of_frame:bool -> int
 (** Process one {e surviving} packet (suppressed packets never reach the
     egress rewrite stage). [seq] and [frame] are the original 16-bit
     values; the frame-boundary flags come from the AV1 dependency
-    descriptor the parser already extracted. *)
+    descriptor the parser already extracted. Returns the rewritten 16-bit
+    sequence number to emit, or [-1] to suppress the packet silently
+    (never risk a duplicate). Allocates nothing: it runs per replica. *)
 
 val suppressed_by_cadence : Av1.Dd.decode_target -> int -> bool
 (** [suppressed_by_cadence target frame] — does the cadence drop this

@@ -556,15 +556,10 @@ let rev_of h tbl =
 let receiver_of_replica _t h ~mgid ~rid =
   ignore mgid;
   match h.impl with
-  | I_two_party -> None
+  | I_two_party -> -1
   | I_shared { slot; pidx; _ } ->
-      if rid / rid_stride <> slot then None
-      else
-        let p = (rev_of h pidx).(rid mod rid_stride) in
-        if p < 0 then None else Some p
-  | I_ra_sr { ridx; _ } ->
-      let p = (rev_of h ridx).(rid mod rid_stride) in
-      if p < 0 then None else Some p
+      if rid / rid_stride <> slot then -1 else (rev_of h pidx).(rid mod rid_stride)
+  | I_ra_sr { ridx; _ } -> (rev_of h ridx).(rid mod rid_stride)
 
 let participants h = h.h_participants
 let senders h = h.h_senders

@@ -79,8 +79,10 @@ val route_media :
 (** The PRE invocation metadata for a media packet of [layer] from
     [sender] (paper: assigned in the ingress pipeline). *)
 
-val receiver_of_replica : t -> handle -> mgid:int -> rid:int -> int option
-(** Egress-side lookup: which participant a replica addresses. *)
+val receiver_of_replica : t -> handle -> mgid:int -> rid:int -> int
+(** Egress-side lookup: which participant a replica addresses, or [-1]
+    when it addresses none (participant ids are non-negative). Allocates
+    nothing: it runs once per replica. *)
 
 val participants : handle -> (int * int) list
 val senders : handle -> int list

@@ -1,6 +1,5 @@
 module Addr = Scallop_util.Addr
 module Rng = Scallop_util.Rng
-module Stats = Scallop_util.Stats
 module Engine = Netsim.Engine
 module Network = Netsim.Network
 module Dgram = Netsim.Dgram
@@ -53,7 +52,6 @@ type t = {
   mutable next_meeting : int;
   mutable packets_processed : int;
   mutable bytes_processed : int;
-  forward_delay : Stats.Samples.t;
 }
 
 let create engine network rng ~ip ?(cpu = Cpu_queue.default_server) () =
@@ -70,7 +68,6 @@ let create engine network rng ~ip ?(cpu = Cpu_queue.default_server) () =
     next_meeting = 0;
     packets_processed = 0;
     bytes_processed = 0;
-    forward_delay = Stats.Samples.create ();
   }
 
 let ip t = t.ip
@@ -102,7 +99,7 @@ let template_of pkt =
 
 (* Re-originate one media packet on an output leg. The split proxy owns
    the leg's sequence space, so drops never leave gaps. *)
-let emit_media t ingress_ns out (pkt : Packet.t) ~is_video =
+let emit_media t out (pkt : Packet.t) ~is_video =
   let seq =
     if is_video then begin
       let s = out.next_video_seq in
@@ -121,11 +118,9 @@ let emit_media t ingress_ns out (pkt : Packet.t) ~is_video =
   Cpu_queue.submit t.cpu ~size:(Bytes.length buf) (fun () ->
       account t buf;
       out.packets_out <- out.packets_out + 1;
-      Stats.Samples.observe t.forward_delay (float_of_int (Engine.now t.engine - ingress_ns));
       send_from t ~port:out.sfu_port ~dst:out.dst buf)
 
 let forward_media t sender buf =
-  let ingress_ns = Engine.now t.engine in
   Cpu_queue.submit t.cpu ~size:(Bytes.length buf) (fun () ->
       account t buf;
       match Packet.parse buf with
@@ -140,7 +135,7 @@ let forward_media t sender buf =
                 | Some id -> Dd.template_in_target_l1t3 id out.target
                 | None -> true
               in
-              if keep then emit_media t ingress_ns out pkt ~is_video)
+              if keep then emit_media t out pkt ~is_video)
             sender.outs)
 
 (* Forward a sender's RTCP (SRs, SDES) to every receiver leg. *)
@@ -354,7 +349,6 @@ let bytes_processed t = t.bytes_processed
 let cpu_utilization t = Cpu_queue.utilization t.cpu
 let cpu_busy_ns t = Cpu_queue.busy_ns t.cpu
 let cpu_dropped t = Cpu_queue.dropped t.cpu
-let forward_delay_samples t = t.forward_delay
 
 let out_stream_count t =
   Hashtbl.fold

@@ -55,10 +55,6 @@ val cpu_utilization : t -> float
 val cpu_busy_ns : t -> int
 val cpu_dropped : t -> int
 
-val forward_delay_samples : t -> Scallop_util.Stats.Samples.t
-(** Per-media-packet SFU residence time (ingress arrival to egress send),
-    nanoseconds — the Fig. 19 quantity. *)
-
 val out_stream_count : t -> int
 (** Concurrent re-originated stream legs (the capacity unit of the
     32-core calibration in DESIGN.md §4). *)

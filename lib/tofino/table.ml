@@ -20,6 +20,7 @@ let insert t k v =
   end
 
 let lookup t k = Hashtbl.find_opt t.tbl k
+let lookup_or t k ~default = match Hashtbl.find t.tbl k with v -> v | exception Not_found -> default
 let remove t k = Hashtbl.remove t.tbl k
 let clear t = Hashtbl.reset t.tbl
 let iter t f = Hashtbl.iter f t.tbl

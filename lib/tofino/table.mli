@@ -15,6 +15,10 @@ val insert : ('k, 'v) t -> 'k -> 'v -> (unit, [ `Table_full ]) result
 (** Replacing an existing key always succeeds. *)
 
 val lookup : ('k, 'v) t -> 'k -> 'v option
+val lookup_or : ('k, 'v) t -> 'k -> default:'v -> 'v
+(** [lookup] with the table's default action: [default] on a miss. Unlike
+    [lookup], allocates nothing — for per-packet lookups. *)
+
 val remove : ('k, 'v) t -> 'k -> unit
 val clear : ('k, 'v) t -> unit
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit

@@ -5,8 +5,8 @@
 module Sr = Scallop.Seq_rewrite
 module Dd = Av1.Dd
 
-let fwd = function Sr.Forward s -> s | Sr.Drop -> Alcotest.fail "unexpected drop"
-let is_drop = function Sr.Drop -> true | Sr.Forward _ -> false
+let fwd s = if s < 0 then Alcotest.fail "unexpected drop" else s
+let is_drop s = s < 0
 
 (* A generated L1T3 stream: (seq, frame, sof, eof) with [ppf] packets per
    frame. Frame numbers align with the cycle (pos = frame mod 4). *)
@@ -169,14 +169,13 @@ let run_invariant variant (seed, loss, reorder) =
     (fun ((seq, frame, _, _) as p) ->
       if Sr.suppressed_by_cadence Dd.DT_15fps frame then true
       else
-        match push rw p with
-        | Sr.Drop -> true
-        | Sr.Forward out ->
-            if Hashtbl.mem seen out && Hashtbl.find seen out <> seq then false
-            else begin
-              Hashtbl.replace seen out seq;
-              true
-            end)
+        let out = push rw p in
+        if is_drop out then true
+        else if Hashtbl.mem seen out && Hashtbl.find seen out <> seq then false
+        else begin
+          Hashtbl.replace seen out seq;
+          true
+        end)
     arrivals
 
 let prop_no_duplicates_slm =
@@ -196,7 +195,9 @@ let prop_clean_stream_consecutive =
         stream ~frames:24 ~ppf
         |> List.filter_map (fun ((_, f, _, _) as p) ->
                if Sr.suppressed_by_cadence Dd.DT_15fps f then None
-               else match push rw p with Sr.Forward s -> Some s | Sr.Drop -> None)
+               else
+                 let s = push rw p in
+                 if is_drop s then None else Some s)
       in
       let rec consecutive = function
         | a :: (b :: _ as rest) -> b = a + 1 && consecutive rest

@@ -16,8 +16,8 @@ let deliveries pre t handle ~sender ~layer =
   | Trees.Unicast { receiver; _ } -> [ receiver ]
   | Trees.Replicate { mgid; l1_xid; rid; l2_xid } ->
       Pre.replicate pre ~mgid ~l1_xid ~rid ~l2_xid
-      |> List.filter_map (fun (r : Pre.replica) ->
-             Trees.receiver_of_replica t handle ~mgid ~rid:r.Pre.rid)
+      |> List.map (fun (r : Pre.replica) -> Trees.receiver_of_replica t handle ~mgid ~rid:r.Pre.rid)
+      |> List.filter (fun pid -> pid >= 0)
       |> List.sort compare
 
 let participants n = List.init n (fun i -> (i, 100 + i))
