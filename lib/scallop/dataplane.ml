@@ -1122,7 +1122,7 @@ type leg_view = {
 let legs_view t =
   let by_leg = Hashtbl.create 64 in
   Tofino.Table.iter t.legs (fun key leg ->
-      let receiver = key asr 32 and ssrc = key land 0xFFFF_FFFF in
+      let receiver = leg.leg_receiver and ssrc = key land 0xFFFF_FFFF in
       let keys =
         match Hashtbl.find_opt by_leg (receiver, leg.src_port) with
         | Some (_, keys) -> ssrc :: keys
