@@ -4,10 +4,8 @@
    throughput macro-benchmark gating the zero-copy fast path
    (results land in BENCH_3.json).
 
-   Usage: main.exe [--quick] [--no-micro] [--no-experiments] [--ctrl-churn]
-   [--gc-stats] [experiment ids...]. --ctrl-churn runs only the
-   control-plane batching gate (BENCH_ctrl_churn.json, batched >= 5x
-   per-op ops/sec). --gc-stats (or FANOUT_GC=1) additionally writes
+   Usage: main.exe [--quick] [--no-micro] [--no-experiments] [--gc-stats]
+   [experiment ids...]. --gc-stats (or FANOUT_GC=1) additionally writes
    BENCH_gc.json with the fan-out loop's GC pressure breakdown. *)
 
 let microbench () =
@@ -299,39 +297,6 @@ let fanout_bench ~quick ~micro ~gc_stats =
   end;
   if not (paranoid_ok && gate_alloc_ok && gate_p99_ok && gate_speedup_ok) then exit 1
 
-(* --- control-plane churn: the batching gate ---------------------------------- *)
-
-(* Replays the campus-churn schedule per-op and batched (virtual time, so
-   the numbers are deterministic for a fixed seed) and gates batched
-   throughput at >= 5x per-op at 30% control loss. Results land in
-   BENCH_ctrl_churn.json. *)
-let ctrl_churn_bench ~quick =
-  print_endline "\n== Control-plane churn: batched vs per-op RPC throughput ==";
-  let r = Experiments.Ctrl_churn.compute ~quick () in
-  Experiments.Ctrl_churn.run ~quick ();
-  let side name (s : Experiments.Ctrl_churn.side) =
-    Printf.sprintf
-      "\"%s\": {\n    \"ops\": %d,\n    \"virtual_s\": %.3f,\n    \
-       \"ops_per_sec\": %.4f,\n    \"mean_ms\": %.1f,\n    \"p50_ms\": %.1f,\n    \
-       \"p99_ms\": %.1f,\n    \"wire_requests\": %d,\n    \"retries\": %d,\n    \
-       \"failures\": %d,\n    \"batches\": %d,\n    \"batched_ops\": %d\n  }"
-      name s.ops s.elapsed_s s.ops_per_sec s.mean_ms s.p50_ms s.p99_ms
-      s.wire_requests s.retries s.failures s.batches s.batched_ops
-  in
-  let oc = open_out "BENCH_ctrl_churn.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"ctrl_churn\",\n  \"events\": %d,\n  \"loss\": %.2f,\n  \
-     \"rtt_ms\": %d,\n  %s,\n  %s,\n  \"speedup\": %.3f,\n  \"gate\": 5.0,\n  \
-     \"gate_ok\": %b\n}\n"
-    r.events r.loss r.rtt_ms (side "per_op" r.per_op) (side "batched" r.batched)
-    r.speedup (r.speedup >= 5.0);
-  close_out oc;
-  print_endline "wrote BENCH_ctrl_churn.json";
-  if r.speedup < 5.0 then begin
-    Printf.printf "CTRL-CHURN GATE FAILED: %.2fx < 5x\n" r.speedup;
-    exit 1
-  end
-
 (* --csv <dir>: every printed table is also written as <dir>/<title>.csv *)
 let install_csv_sink dir =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -356,16 +321,10 @@ let () =
   let quick = List.mem "--quick" args in
   let no_micro = List.mem "--no-micro" args in
   let no_experiments = List.mem "--no-experiments" args in
-  let ctrl_churn_only = List.mem "--ctrl-churn" args in
   let gc_stats =
     List.mem "--gc-stats" args || Sys.getenv_opt "FANOUT_GC" = Some "1"
   in
   Option.iter install_csv_sink (find_csv_dir args);
-  if ctrl_churn_only then begin
-    (* the batching gate alone (used by CI): no figures, no microbench *)
-    ctrl_churn_bench ~quick;
-    exit 0
-  end;
   let ids =
     let rec strip = function
       | "--csv" :: _ :: rest -> strip rest

@@ -143,9 +143,6 @@ val snapshot : Scallop.Controller.t -> t
 (** Capture controller intent plus a per-switch snapshot of every agent
     and data plane the controller manages. *)
 
-val snapshot_switch :
-  index:int -> Scallop.Switch_agent.t -> Scallop.Dataplane.t -> switch_snapshot
-
 (** {1 Checking} *)
 
 val state_hash : t -> int

@@ -163,11 +163,6 @@ let fields_of_t t =
 
 let frame_number_succ n = (n + 1) land 0xFFFF
 
-let pp fmt t =
-  Format.fprintf fmt "DD{tpl=%d frame=%d sof=%b eof=%b%s}" t.template_id t.frame_number
-    t.start_of_frame t.end_of_frame
-    (if t.structure = None then "" else " +structure")
-
 let equal a b =
   a.start_of_frame = b.start_of_frame && a.end_of_frame = b.end_of_frame
   && a.template_id = b.template_id && a.frame_number = b.frame_number

@@ -43,7 +43,6 @@ val l1t3_template : keyframe:bool -> frame_in_cycle:int -> int
     cycle at 30 fps: T0, T2, T1, T2. Frame 0 of a key-framed cycle uses
     template 0, otherwise 1. *)
 
-val layer_of_template : structure -> int -> temporal_layer
 val layer_of_template_l1t3 : int -> temporal_layer
 
 val target_includes : decode_target -> temporal_layer -> bool
@@ -88,5 +87,4 @@ val fields_of_t : t -> fields
     [f_canonical] is trivially true. *)
 
 val frame_number_succ : int -> int
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

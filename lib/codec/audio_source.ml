@@ -8,13 +8,12 @@ type t = {
   rng : Rng.t;
   cfg : config;
   mutable sequence : int;
-  mutable packets_emitted : int;
 }
 
 let interval_ns = 20_000_000
 
 let create rng cfg =
-  { rng; cfg; sequence = Rng.int rng 0x10000; packets_emitted = 0 }
+  { rng; cfg; sequence = Rng.int rng 0x10000 }
 
 let next_packet t ~time_ns =
   (* 48 kHz clock: 20833 ns per tick. Size varies a little with VBR. *)
@@ -22,8 +21,5 @@ let next_packet t ~time_ns =
   let size = max 32 (t.cfg.frame_bytes + Rng.int t.rng 33 - 16) in
   let seq = t.sequence in
   t.sequence <- Rtp.Packet.seq_succ t.sequence;
-  t.packets_emitted <- t.packets_emitted + 1;
   Rtp.Packet.make ~payload_type:t.cfg.payload_type ~sequence:seq ~timestamp:ts
     ~ssrc:t.cfg.ssrc (Bytes.create size)
-
-let packets_emitted t = t.packets_emitted

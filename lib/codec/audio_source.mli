@@ -13,7 +13,5 @@ val create : Scallop_util.Rng.t -> config -> t
 val next_packet : t -> time_ns:int -> Rtp.Packet.t
 (** Call every 20 ms; timestamps use the 48 kHz Opus clock. *)
 
-val packets_emitted : t -> int
-
 val interval_ns : int
 (** 20 ms. *)

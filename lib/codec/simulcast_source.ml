@@ -35,8 +35,6 @@ let create rng cfg =
   in
   { sources; ssrcs }
 
-let ssrcs t = t.ssrcs
-
 let next_frames t ~time_ns =
   Array.to_list (Array.map (fun src -> Video_source.next_frame src ~time_ns) t.sources)
 

@@ -18,8 +18,6 @@ type t
 
 val create : Scallop_util.Rng.t -> config -> t
 
-val ssrcs : t -> int array
-
 val next_frames : t -> time_ns:int -> Video_source.frame list
 (** One frame per rendition, to be sent every 1/30 s. *)
 

@@ -106,4 +106,3 @@ let next_frame t ~time_ns =
 let set_bitrate t b = t.bitrate <- max 50_000 b
 let bitrate t = t.bitrate
 let request_keyframe t = t.keyframe_pending <- true
-let frames_emitted t = t.frames_emitted

@@ -44,6 +44,3 @@ val bitrate : t -> int
 val request_keyframe : t -> unit
 (** Force the next frame to be a key frame (PLI handling). *)
 
-val frames_emitted : t -> int
-val fps : float
-(** Nominal full frame rate (30). *)

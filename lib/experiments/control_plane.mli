@@ -20,6 +20,4 @@ type point = {
   agent_rpc_calls : int;  (** request messages the agent saw on the wire *)
 }
 
-val measure : ?participants:int -> rtt_ms:int -> loss:float -> unit -> point
-val compute : ?quick:bool -> unit -> point list
 val run : ?quick:bool -> unit -> unit

@@ -2,8 +2,8 @@
     join/leave/migrate/screen-share sequence replayed back-to-back (its
     session churn compressed 100-1000x onto the controller) over a lossy
     control channel, once with per-op RPCs and once with control-plane
-    batching. The CI gate requires batched throughput to be at least 5x
-    per-op throughput at 30% control loss. *)
+    batching. The tier-1 gate requires batched throughput to be at least
+    5x per-op throughput at 30% control loss. *)
 
 type side = {
   ops : int;

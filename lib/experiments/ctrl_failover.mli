@@ -20,5 +20,4 @@ type point = {
 
 type result = { points : point list; beat_ms : float }
 
-val compute : ?quick:bool -> ?seed:int -> unit -> result
 val run : ?quick:bool -> unit -> unit

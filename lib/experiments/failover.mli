@@ -26,5 +26,4 @@ type result = {
   findings_after : Scallop_analysis.finding list;  (** post-recovery verify *)
 }
 
-val compute : ?quick:bool -> ?seed:int -> unit -> result
 val run : ?quick:bool -> unit -> unit

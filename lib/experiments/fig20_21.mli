@@ -13,5 +13,4 @@ type result = {
   weekend_weekday_ratio : float;  (** peak weekend load / peak weekday load *)
 }
 
-val compute : ?quick:bool -> unit -> result
 val run : ?quick:bool -> unit -> unit

@@ -35,8 +35,3 @@ let of_string s =
              | Some k when k >= 0 -> k
              | _ -> invalid_arg "Choice.of_string: not a choice sequence")
       |> Array.of_list
-
-let pp_log ppf log =
-  Format.fprintf ppf "[%s]"
-    (String.concat "; "
-       (List.map (fun (k, a) -> Printf.sprintf "%d/%d" k a) log))

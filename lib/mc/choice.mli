@@ -33,4 +33,3 @@ val to_string : int array -> string
 val of_string : string -> int array
 (** Inverse of {!to_string}. @raise Invalid_argument on junk. *)
 
-val pp_log : Format.formatter -> (int * int) list -> unit

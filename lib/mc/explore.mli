@@ -37,13 +37,9 @@ type result = {
   r_stats : stats;
 }
 
-val search :
-  ?budget:budget -> run:(forced:int array -> Scenario.outcome) -> unit -> result
-(** [run] must be deterministic in [forced] (as {!Scenario.run} is). *)
-
 val search_scenario :
   ?budget:budget ->
   ?config:Scenario.config ->
   unit ->
   result
-(** {!search} over {!Scenario.run} with the given config. *)
+(** Depth-first search over {!Scenario.run} with the given config. *)

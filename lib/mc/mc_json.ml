@@ -44,14 +44,6 @@ let violation (v : Temporal.violation) =
       ("events", arr (List.map int v.Temporal.v_events));
     ]
 
-let check_report findings =
-  obj
-    [
-      ("findings", arr (List.map finding findings));
-      ("errors", int (List.length (An.errors findings)));
-      ("clean", bool (An.errors findings = []));
-    ]
-
 let outcome (o : Scenario.outcome) =
   obj
     [

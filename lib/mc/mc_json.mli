@@ -14,10 +14,6 @@ val obj : (string * string) list -> string
 val arr : string list -> string
 
 val finding : Scallop_analysis.finding -> string
-val violation : Temporal.violation -> string
-
-val check_report : Scallop_analysis.finding list -> string
-(** [{"findings":[...],"errors":N,"clean":bool}] *)
 
 val outcome : Scenario.outcome -> string
 (** One explored schedule: violations, findings, the replayable choice

@@ -30,15 +30,5 @@
     Each call builds fresh rule instances (they carry per-run mutable
     state) — never share a list across runs. *)
 
-val exactly_once_wire : unit -> Temporal.rule
-val exactly_once_effect : unit -> Temporal.rule
-val epoch_monotone : unit -> Temporal.rule
-val no_exec_while_crashed : unit -> Temporal.rule
-val batch_order : unit -> Temporal.rule
-val skipped_ops_healed : unit -> Temporal.rule
-val hb_liveness : unit -> Temporal.rule
-val replay_identical : unit -> Temporal.rule
-val quiet_heal : unit -> Temporal.rule
-
 val all : unit -> Temporal.rule list
 (** Fresh instances of the full catalogue, in the order above. *)

@@ -58,8 +58,6 @@ type outcome = {
   o_now : int;  (** final virtual time, ns *)
 }
 
-val has_violations : outcome -> bool
-
 val failed : outcome -> bool
 (** Temporal violations or [Error]-severity end-state findings. *)
 

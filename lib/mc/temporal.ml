@@ -18,9 +18,6 @@ type rule = {
   r_final : now:int -> violation list;
 }
 
-let rule_name r = r.r_name
-let rule_doc r = r.r_doc
-
 let make ~name ~doc ~step ~final =
   { r_name = name; r_doc = doc; r_step = step; r_final = final }
 

@@ -26,9 +26,6 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type rule
 
-val rule_name : rule -> string
-val rule_doc : rule -> string
-
 val make :
   name:string ->
   doc:string ->
@@ -92,9 +89,6 @@ val detach : unit -> unit
 (** Clear the global trace listener. *)
 
 val events_seen : checker -> int
-
-val violations : checker -> violation list
-(** Step violations so far, oldest first (finalizers not included). *)
 
 val finish : ?now:int -> checker -> violation list
 (** Step violations plus every rule's finalizer output. Does not detach;

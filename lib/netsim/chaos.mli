@@ -24,17 +24,9 @@ type fault =
 
 type schedule = fault list
 
-val fault_node : fault -> int
-val fault_start : fault -> int
-
-val fault_end : fault -> int
-(** When the fault's effect is lifted (restart time / heal time). *)
-
 val horizon_end : schedule -> int
-(** Latest {!fault_end} — the earliest moment the whole system is
+(** Latest fault end (restart or heal time) — the earliest moment the whole system is
     fault-free again (0 for an empty schedule). *)
-
-val pp_fault : Format.formatter -> fault -> unit
 
 val describe : schedule -> string
 (** One fault per line, in schedule order — stable across runs of the

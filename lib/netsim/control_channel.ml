@@ -8,17 +8,13 @@ type t = {
   rev : Link.t;
   fwd_sink : (Dgram.t -> unit) ref;
   rev_sink : (Dgram.t -> unit) ref;
-  unclaimed : int ref;
   interpose : (dir:direction -> Dgram.t -> verdict) option ref;
-  interposed_drops : int ref;
 }
 
 let create engine rng ?(fwd = Link.default) ?(rev = Link.default) () =
-  let unclaimed = ref 0 in
-  let fwd_sink = ref (fun (_ : Dgram.t) -> incr unclaimed) in
-  let rev_sink = ref (fun (_ : Dgram.t) -> incr unclaimed) in
+  let fwd_sink = ref (fun (_ : Dgram.t) -> ()) in
+  let rev_sink = ref (fun (_ : Dgram.t) -> ()) in
   let interpose = ref None in
-  let interposed_drops = ref 0 in
   (* Deliveries pass through the interposer (when installed) after the
      link has decided to deliver; a [Delay] re-enters the event queue so
      the rescheduled delivery competes in later ready sets. *)
@@ -28,21 +24,19 @@ let create engine rng ?(fwd = Link.default) ?(rev = Link.default) () =
     | Some f -> (
         match f ~dir d with
         | Deliver -> !sink d
-        | Drop -> incr interposed_drops
+        | Drop -> ()
         | Delay after ->
             let after = max 0 after in
             Engine.schedule engine ~after (fun () -> !sink d))
   in
   let fwd = Link.create engine (Rng.split rng) fwd ~sink:(admit Fwd fwd_sink) in
   let rev = Link.create engine (Rng.split rng) rev ~sink:(admit Rev rev_sink) in
-  { fwd; rev; fwd_sink; rev_sink; unclaimed; interpose; interposed_drops }
+  { fwd; rev; fwd_sink; rev_sink; interpose }
 
 let set_fwd_sink t f = t.fwd_sink := f
 let set_rev_sink t f = t.rev_sink := f
 let set_interposer t f = t.interpose := f
-let interposed_drops t = !(t.interposed_drops)
 let send_fwd t d = Link.send t.fwd d
 let send_rev t d = Link.send t.rev d
 let fwd_link t = t.fwd
 let rev_link t = t.rev
-let unclaimed t = !(t.unclaimed)

@@ -7,7 +7,7 @@
 
     Sinks may be attached after creation (the two endpoints typically
     come up in either order); datagrams arriving before a sink is set
-    are counted in {!unclaimed} and dropped. *)
+    are dropped. *)
 
 type t
 
@@ -16,7 +16,7 @@ type direction = Fwd | Rev
 type verdict =
   | Deliver  (** hand the datagram to the sink now *)
   | Delay of int  (** re-deliver after [n] ns (clamped to >= 0) *)
-  | Drop  (** discard; counted in {!interposed_drops} *)
+  | Drop  (** discard *)
 
 val create :
   Engine.t ->
@@ -40,9 +40,6 @@ val set_interposer : t -> (dir:direction -> Dgram.t -> verdict) option -> unit
     bounded delay/reorder/drop choice points. Default: none — deliveries
     go straight to the sink. *)
 
-val interposed_drops : t -> int
-(** Datagrams discarded by the interposer ([Drop] verdicts). *)
-
 val send_fwd : t -> Dgram.t -> unit
 (** Enqueue on the forward-direction link at the current engine time. *)
 
@@ -54,5 +51,3 @@ val fwd_link : t -> Link.t
 
 val rev_link : t -> Link.t
 
-val unclaimed : t -> int
-(** Datagrams delivered before any sink was attached. *)

@@ -83,7 +83,3 @@ let utilization t =
   else
     let capacity = float_of_int (elapsed * t.cfg.cores) in
     min 1.0 (float_of_int t.busy_ns /. capacity)
-
-let backlog_ns t =
-  let now = Engine.now t.engine in
-  max 0 (t.free_at.(least_loaded t) - now)

@@ -43,6 +43,3 @@ val busy_ns : t -> int
 (** Total busy time accumulated; callers can difference it for windowed
     utilization. *)
 
-val backlog_ns : t -> int
-(** Time until the least-loaded core frees up — the queueing delay a new
-    arrival would see. *)

@@ -16,7 +16,3 @@ let release t =
 (* 14 B Ethernet + 20 B IPv4 + 8 B UDP *)
 let header_overhead = 42
 let wire_size t = header_overhead + Bytes.length t.payload
-
-let pp fmt t =
-  Format.fprintf fmt "%a -> %a (%d B)" Scallop_util.Addr.pp t.src Scallop_util.Addr.pp
-    t.dst (Bytes.length t.payload)

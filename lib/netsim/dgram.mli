@@ -37,4 +37,3 @@ val wire_size : t -> int
 (** Payload plus the 42-byte Ethernet+IPv4+UDP overhead — what links and
     throughput accounting charge for. *)
 
-val pp : Format.formatter -> t -> unit

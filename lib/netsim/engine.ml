@@ -72,8 +72,6 @@ let step ?until t =
   | Some _ | None -> false
 
 let pending t = Eventq.length t.q
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = int_of_float (x *. 1e9)
-let to_sec x = float_of_int x /. 1e9

@@ -48,8 +48,6 @@ val set_chooser : t -> (ready:int -> int) option -> unit
     choice point. *)
 
 (* Time unit helpers — readable literals for callers. *)
-val ns : int -> int
 val us : int -> int
 val ms : int -> int
 val sec : float -> int
-val to_sec : int -> float

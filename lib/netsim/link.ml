@@ -40,10 +40,8 @@ type t = {
   mutable busy_until : int;
   mutable queued_bytes : int;
   mutable in_bad_state : bool;  (** Gilbert-Elliott chain state *)
-  mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable bytes_delivered : int;
 }
 
 let create ?(name = "") engine rng cfg ~sink =
@@ -56,13 +54,10 @@ let create ?(name = "") engine rng cfg ~sink =
     busy_until = 0;
     queued_bytes = 0;
     in_bad_state = false;
-    sent = 0;
     delivered = 0;
     dropped = 0;
-    bytes_delivered = 0;
   }
 
-let set_name t name = t.name <- name
 let name t = t.name
 
 let tx_time_ns cfg size =
@@ -92,7 +87,6 @@ let lose_packet t cfg =
       t.in_bad_state
 
 let send t dgram =
-  t.sent <- t.sent + 1;
   let cfg = t.cfg in
   let size = Dgram.wire_size dgram in
   (* the causal timeline only follows packets that carry a trace id, so
@@ -153,7 +147,6 @@ let send t dgram =
     let arrival = departure + cfg.propagation_ns + jitter + extra in
     Engine.at t.engine ~time:arrival (fun () ->
         t.delivered <- t.delivered + 1;
-        t.bytes_delivered <- t.bytes_delivered + size;
         if dgram.Dgram.trace >= 0 && Trace.enabled Trace.Packet then
           Trace.instant ~ts:arrival ~trace:dgram.Dgram.trace ~cat:"link" "link_deliver"
             ~args:[ ("size", Trace.I size) ];
@@ -162,8 +155,5 @@ let send t dgram =
 
 let set_rate t rate = t.cfg <- { t.cfg with rate_bps = rate }
 let set_loss t loss = t.cfg <- { t.cfg with loss }
-let config t = t.cfg
-let sent t = t.sent
 let delivered t = t.delivered
 let dropped t = t.dropped
-let bytes_delivered t = t.bytes_delivered

@@ -49,7 +49,6 @@ val create :
     attribution can cite it (default [""]; {!Netsim.Network} names host
     links ["up:<ip>"] / ["down:<ip>"]). *)
 
-val set_name : t -> string -> unit
 val name : t -> string
 
 val send : t -> Dgram.t -> unit
@@ -59,10 +58,6 @@ val set_rate : t -> float -> unit
 (** Change the serialization rate at runtime (network deterioration). *)
 
 val set_loss : t -> float -> unit
-val config : t -> config
 
-(** Delivery statistics since creation. *)
-val sent : t -> int
 val delivered : t -> int
 val dropped : t -> int
-val bytes_delivered : t -> int

@@ -61,7 +61,6 @@ let add_host t ~ip ?(uplink = Link.default) ?(downlink = Link.default) () =
 let bind t addr handler = Hashtbl.replace t.handlers addr handler
 let unbind t addr = Hashtbl.remove t.handlers addr
 let bind_host t ~ip handler = Hashtbl.replace t.host_handlers ip handler
-let unbind_host t ~ip = Hashtbl.remove t.host_handlers ip
 
 let send t dgram =
   match Hashtbl.find_opt t.hosts dgram.Dgram.src.ip with
@@ -88,5 +87,4 @@ let downlink t ~ip =
   | Some h -> h.downlink
   | None -> raise Not_found
 
-let engine t = t.engine
 let undeliverable t = t.undeliverable

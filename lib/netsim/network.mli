@@ -22,8 +22,6 @@ val bind_host : t -> ip:int -> (Dgram.t -> unit) -> unit
 (** Wildcard bind: receives datagrams to any port of [ip] that has no
     exact {!bind}. This is how the Scallop switch ingests all traffic. *)
 
-val unbind_host : t -> ip:int -> unit
-
 val send : t -> Dgram.t -> unit
 (** Inject a datagram at the current engine time from [dgram.src]'s host.
     Unknown source/destination hosts or unbound destination addresses
@@ -33,5 +31,4 @@ val uplink : t -> ip:int -> Link.t
 (** @raise Not_found for unknown hosts. *)
 
 val downlink : t -> ip:int -> Link.t
-val engine : t -> Engine.t
 val undeliverable : t -> int

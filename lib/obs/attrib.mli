@@ -43,8 +43,6 @@ type finding = {
   f_truncated : bool;  (** ring wrapped over part of the window *)
 }
 
-val severity_str : severity -> string
-
 val attribute : victim:Qoe.t -> from_ns:int -> until_ns:int -> unit -> finding list
 (** Findings for the window, most culpable first (Errors before
     Warnings, then by victim impact). A link needs 3 drops on the

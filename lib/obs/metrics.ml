@@ -42,7 +42,6 @@ let gauge ?labels ?help name =
   g
 
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let histogram ?labels ?help ?bounds name =
   let h = Stats.Histogram.create ?bounds () in
@@ -54,8 +53,6 @@ let register_callback ?labels ?help name f = register ?labels ?help name (Callba
 (* Adopt a histogram the caller already owns (and keeps observing into)
    instead of minting a fresh zeroed one like {!histogram} does. *)
 let register_histogram ?labels ?help name h = register ?labels ?help name (Histogram h)
-
-let unregister ?(labels = []) name = Hashtbl.remove registry (name, render_labels labels)
 
 let reset () = Hashtbl.reset registry
 

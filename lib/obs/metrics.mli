@@ -27,7 +27,6 @@ val value : counter -> int
 
 val gauge : ?labels:(string * string) list -> ?help:string -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram :
   ?labels:(string * string) list ->
@@ -51,8 +50,6 @@ val register_histogram :
   unit
 (** Register a histogram handle the caller already owns and keeps
     observing into — unlike {!histogram}, which mints a fresh zeroed one. *)
-
-val unregister : ?labels:(string * string) list -> string -> unit
 
 val dump : unit -> string
 (** Prometheus text exposition format, entries sorted by name then

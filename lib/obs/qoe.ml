@@ -44,7 +44,6 @@ type t = {
       (* receiver host address ("10.0.1.3"); names the victim's access
          links ("up:<host>"/"down:<host>") for attribution *)
   mutable first_ns : int;  (* -1 until the first observation *)
-  mutable last_ns : int;
   mutable packets : int;
   mutable bytes : int;
   mutable gap_packets : int;
@@ -52,7 +51,6 @@ type t = {
   mutable duplicates : int;
   mutable frames : int;
   layer_frames : int array;
-  layer_series : Timeseries.t array;
   mutable freeze_count : int;
   mutable frozen_closed_ns : int;
   mutable freeze_since : int;  (* -1 = not frozen *)
@@ -111,7 +109,6 @@ let create_collector ?(bin_ns = default_bin_ns) key =
       bin_ns;
       host = "";
       first_ns = -1;
-      last_ns = -1;
       packets = 0;
       bytes = 0;
       gap_packets = 0;
@@ -119,7 +116,6 @@ let create_collector ?(bin_ns = default_bin_ns) key =
       duplicates = 0;
       frames = 0;
       layer_frames = Array.make layers 0;
-      layer_series = Array.init layers (fun _ -> Timeseries.create ~bin_ns);
       freeze_count = 0;
       frozen_closed_ns = 0;
       freeze_since = -1;
@@ -159,8 +155,7 @@ let all () =
 let reset () = Hashtbl.reset registry
 
 let touch t time_ns =
-  if t.first_ns < 0 then t.first_ns <- time_ns;
-  if time_ns > t.last_ns then t.last_ns <- time_ns
+  if t.first_ns < 0 then t.first_ns <- time_ns
 
 (* --- collection hooks ------------------------------------------------------ *)
 
@@ -190,8 +185,7 @@ let on_frame t ~time_ns ~layer =
   touch t time_ns;
   t.frames <- t.frames + 1;
   let l = if layer < 0 then 0 else if layer >= layers then layers - 1 else layer in
-  t.layer_frames.(l) <- t.layer_frames.(l) + 1;
-  Timeseries.incr t.layer_series.(l) time_ns
+  t.layer_frames.(l) <- t.layer_frames.(l) + 1
 
 let on_mouth_to_ear t ~time_ns ~ms =
   if not (Float.is_nan ms) then begin
@@ -371,6 +365,4 @@ let summary t ~now_ns =
   }
 
 let first_ns t = t.first_ns
-let last_ns t = t.last_ns
-let layer_series t l = t.layer_series.(l)
 let m2e_histogram t = t.m2e

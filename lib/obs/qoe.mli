@@ -128,6 +128,4 @@ val summary : t -> now_ns:int -> summary
 val first_ns : t -> int
 (** Time of the first observation; [-1] before any. *)
 
-val last_ns : t -> int
-val layer_series : t -> int -> Scallop_util.Timeseries.t
 val m2e_histogram : t -> Scallop_util.Stats.Histogram.t

@@ -80,8 +80,6 @@ let create ?(specs = default_specs ()) () =
     specs;
   { specs; fired = []; active = Hashtbl.create 16; counters }
 
-let specs t = t.specs
-
 let bad_fraction spec q ~from_ns ~until_ns =
   match spec.objective with
   | Mouth_to_ear { threshold_ms } ->

@@ -26,10 +26,6 @@ type spec = {
   fire_burn : float;  (** fire when both window burn rates reach this *)
 }
 
-val default_specs : unit -> spec list
-(** p99 mouth-to-ear ≤ 150 ms, freeze ratio ≤ 0.5%, loss ratio ≤ 1%;
-    8 s / 2 s windows scaled to simulated-meeting horizons. *)
-
 type alert = {
   a_slo : string;
   a_key : Qoe.key;
@@ -43,9 +39,10 @@ type alert = {
 type t
 
 val create : ?specs:spec list -> unit -> t
-(** Registers one [scallop_slo_alerts_total{slo=...}] counter per spec. *)
-
-val specs : t -> spec list
+(** Registers one [scallop_slo_alerts_total{slo=...}] counter per spec.
+    [specs] defaults to p99 mouth-to-ear ≤ 150 ms, freeze ratio ≤ 0.5%
+    and loss ratio ≤ 1%, over 8 s / 2 s windows scaled to
+    simulated-meeting horizons. *)
 
 val evaluate : t -> now_ns:int -> alert list
 (** Evaluate every spec against every live collector; returns the alerts

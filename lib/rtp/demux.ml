@@ -17,9 +17,3 @@ let rtcp_packet_type buf =
   match classify buf with
   | Rtcp_feedback -> Some (Char.code (Bytes.get buf 1))
   | Rtp_media | Stun_packet | Unknown -> None
-
-let pp_kind fmt = function
-  | Rtp_media -> Format.pp_print_string fmt "RTP"
-  | Rtcp_feedback -> Format.pp_print_string fmt "RTCP"
-  | Stun_packet -> Format.pp_print_string fmt "STUN"
-  | Unknown -> Format.pp_print_string fmt "UNKNOWN"

@@ -14,4 +14,3 @@ val rtcp_packet_type : bytes -> int option
 (** Packet type of the first RTCP packet in a compound payload, without a
     full parse — what the data plane matches on to pick CPU-port copies. *)
 
-val pp_kind : Format.formatter -> kind -> unit

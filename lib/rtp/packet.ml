@@ -324,10 +324,6 @@ let seq_sub a b =
 
 let seq_newer a b = seq_sub a b > 0
 
-let pp fmt t =
-  Format.fprintf fmt "RTP{pt=%d seq=%d ts=%d ssrc=%#x m=%b len=%d}" t.payload_type
-    t.sequence t.timestamp t.ssrc t.marker (Bytes.length t.payload)
-
 let equal a b =
   a.marker = b.marker && a.payload_type = b.payload_type && a.sequence = b.sequence
   && a.timestamp = b.timestamp && a.ssrc = b.ssrc && a.csrcs = b.csrcs

@@ -96,5 +96,4 @@ val seq_sub : int -> int -> int
 val seq_newer : int -> int -> bool
 (** [seq_newer a b] — [a] is strictly ahead of [b] modulo 2^16. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

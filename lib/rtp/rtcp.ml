@@ -304,20 +304,6 @@ let parse_compound buf =
   let rec loop acc = if Wire.Reader.eof r then List.rev acc else loop (parse_one r :: acc) in
   loop []
 
-let pp fmt t =
-  match t with
-  | Sender_report { ssrc; reports; _ } ->
-      Format.fprintf fmt "SR{ssrc=%#x reports=%d}" ssrc (List.length reports)
-  | Receiver_report { ssrc; reports } ->
-      Format.fprintf fmt "RR{ssrc=%#x reports=%d}" ssrc (List.length reports)
-  | Sdes chunks -> Format.fprintf fmt "SDES{chunks=%d}" (List.length chunks)
-  | Bye { ssrcs; _ } -> Format.fprintf fmt "BYE{ssrcs=%d}" (List.length ssrcs)
-  | Nack { media_ssrc; lost; _ } ->
-      Format.fprintf fmt "NACK{ssrc=%#x lost=%d}" media_ssrc (List.length lost)
-  | Pli { media_ssrc; _ } -> Format.fprintf fmt "PLI{ssrc=%#x}" media_ssrc
-  | Remb { bitrate_bps; _ } -> Format.fprintf fmt "REMB{%d bps}" bitrate_bps
-  | Twcc { deltas; _ } -> Format.fprintf fmt "TWCC{%d pkts}" (List.length deltas)
-
 let equal a b =
   match (a, b) with
   | Nack n1, Nack n2 ->

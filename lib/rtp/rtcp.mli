@@ -58,5 +58,4 @@ val packet_type : t -> int
 (** Wire packet type: 200 SR, 201 RR, 202 SDES, 203 BYE, 205 RTPFB,
     206 PSFB. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -170,16 +170,6 @@ let is_stun buf =
   && Char.code (Bytes.get buf 6) = 0xA4
   && Char.code (Bytes.get buf 7) = 0x42
 
-let pp fmt t =
-  let cls =
-    match t.cls with
-    | Request -> "req"
-    | Success_response -> "ok"
-    | Error_response -> "err"
-    | Indication -> "ind"
-  in
-  Format.fprintf fmt "STUN{%s m=%#x attrs=%d}" cls t.method_ (List.length t.attributes)
-
 let equal a b =
   a.cls = b.cls && a.method_ = b.method_
   && Bytes.equal a.transaction_id b.transaction_id

@@ -21,8 +21,6 @@ type t = {
   attributes : attribute list;
 }
 
-val magic_cookie : int
-
 val binding_request :
   ?username:string -> ?priority:int -> transaction_id:bytes -> unit -> t
 
@@ -36,5 +34,4 @@ val is_stun : bytes -> bool
 (** Cheap check on the first two bits + magic cookie, usable as the data
     plane's lookahead classification. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -40,8 +40,6 @@ module Reader = struct
     let lo = u16 t in
     (hi lsl 16) lor lo
 
-  let u32 t = Int32.of_int (u32_int t)
-
   let take t n =
     need t n;
     let b = Bytes.sub t.buf t.pos n in
@@ -77,7 +75,6 @@ module Writer = struct
     u16 t (v lsr 16);
     u16 t v
 
-  let u32 t v = u32_int t (Int32.to_int v land 0xFFFFFFFF)
   let bytes t b = Buffer.add_bytes t b
   let contents t = Buffer.to_bytes t
 end

@@ -13,7 +13,6 @@ module Reader : sig
   type t
 
   val of_bytes : bytes -> t
-  val of_sub : bytes -> pos:int -> len:int -> t
   val pos : t -> int
   val remaining : t -> int
   val eof : t -> bool
@@ -21,7 +20,6 @@ module Reader : sig
   val u8 : t -> int
   val u16 : t -> int
   val u24 : t -> int
-  val u32 : t -> int32
   val u32_int : t -> int
   (** [u32] as a non-negative OCaml int. *)
 
@@ -41,7 +39,6 @@ module Writer : sig
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u24 : t -> int -> unit
-  val u32 : t -> int32 -> unit
   val u32_int : t -> int -> unit
   val bytes : t -> bytes -> unit
   val contents : t -> bytes

@@ -54,9 +54,6 @@ val endpoint : t -> Controller.t
     acted — callers see {!Controller.Unavailable} and retry, the
     client-library contract. *)
 
-val acting : t -> Controller.t option
-(** Whichever instance currently holds the [Acting] role, dead or not. *)
-
 val standby_instance : t -> Controller.t option
 (** The live tailing standby, if any. *)
 
@@ -70,11 +67,9 @@ val promotions : t -> int
 (** Promotions performed so far (detector-driven and forced). *)
 
 val start_health : t -> unit
-(** Start the agent failure detector, with
-    {!Controller.default_health_config}, on the current acting instance;
+(** Start the agent failure detector, with the default
+    {!Controller.health_config}, on the current acting instance;
     a promotion starts it on the new primary. *)
-
-val stop_health : t -> unit
 
 val kill_primary : t -> unit
 (** Kill the live acting instance (no-op if none). The beat timer's

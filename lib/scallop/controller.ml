@@ -1518,7 +1518,6 @@ let stop_health t =
           ~args:[ ctrl_arg t ];
       h.hs_running <- false
   | None -> ()
-let health_running t = match t.health with Some h -> h.hs_running | None -> false
 
 let agent_health t idx =
   if idx < 0 || idx >= Array.length t.agents then
@@ -1891,7 +1890,6 @@ let fence t = t.fence
 let label t = t.label
 let journal t = Some t.journal
 let journal_applied t = t.applied
-let recovering t = t.recovering
 
 (* Compact the journal behind the cluster's most caught-up follower:
    snapshot [t]'s state at its high-water mark, dropping the entries it

@@ -149,11 +149,6 @@ val participant_home : t -> participant_id -> int
 val switch_agent : t -> int -> Switch_agent.t * Dataplane.t
 (** The agent and data plane at the given agent-list index. *)
 
-val relay_pid : int -> participant_id
-(** The pseudo participant id standing for "everything behind switch
-    [idx]" when a cascaded meeting registers one switch as a receiver on
-    another (Appendix A). *)
-
 (** {1 Failure detection and recovery}
 
     Opt-in: until {!start_health} is called the controller keeps its
@@ -188,22 +183,17 @@ type health_config = {
   dead_after : int;  (** consecutive missed probes before Dead *)
 }
 
-val default_health_config : health_config
-(** 500 ms heartbeats, 250 ms probe timeout, Suspect after 2 misses,
-    Dead after 4. *)
-
 val start_health : ?config:health_config -> t -> unit
 (** Arm the heartbeat loop. The loop keeps the engine's event queue
     non-empty, so callers that [Engine.run] to quiescence must
     {!stop_health} (or run [~until:]) to terminate. Restarting after
     {!stop_health} re-arms the loop; [config] is only read the first
-    time. *)
+    time. It defaults to 500 ms heartbeats, a 250 ms probe timeout,
+    Suspect after 2 misses and Dead after 4. *)
 
 val stop_health : t -> unit
 (** Stop probing (idempotent). Agent states survive a stop/start
     cycle. *)
-
-val health_running : t -> bool
 
 val agent_health : t -> int -> agent_health
 (** State of the switch at the given agent-list index ([Healthy] when
@@ -351,8 +341,6 @@ val journal_applied : t -> int
 (** Highest journal index reflected in this instance's intent, [-1]
     before anything was applied. *)
 
-val recovering : t -> bool
-
 val alive : t -> bool
 val kill : t -> unit
 (** Crash the instance: its control channels transmit nothing (not even
@@ -368,7 +356,7 @@ val restart : t -> unit
 val promote : t -> unit
 (** Take over as acting primary: catch up with the journal, mint a new
     fencing epoch, start the failure detector (with
-    {!default_health_config} unless this instance already ran one), then
+    the default {!health_config} unless this instance already ran one), then
     push a fenced full
     resync at every switch — installing the new fence on the agents and
     erasing any half-applied state the previous primary left. *)

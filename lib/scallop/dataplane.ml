@@ -229,7 +229,6 @@ type t = {
   replica_copies : Metrics.counter;
   paranoid_checks : Metrics.counter;
   paranoid_mismatches : Metrics.counter;
-  parser_stats : Tofino.Parser.t;
   mutable egress_hook : receiver:int -> ssrc:int -> template:int -> size:int -> unit;
   (* allocation-free fast-path scaffolding *)
   pool : Bufpool.t;  (** replica buffer pool; debug (poison) iff Paranoid *)
@@ -304,7 +303,6 @@ let create engine network ~ip ?(header_auth = false) ?(mode = Fast) ?(obs_label 
       paranoid_mismatches =
         Metrics.counter ~labels ~help:"paranoid byte comparisons that failed"
           "scallop_dp_paranoid_mismatches";
-      parser_stats = Tofino.Parser.create ();
       egress_hook = (fun ~receiver:_ ~ssrc:_ ~template:_ ~size:_ -> ());
       pool;
       pool_some = Some pool;
@@ -332,7 +330,6 @@ let ip t = t.ip
 let obs_label t = t.obs_label
 let trees t = t.trees
 let pre t = t.pre
-let mode t = t.mode
 
 let set_mode t mode =
   t.mode <- mode;
@@ -424,9 +421,6 @@ let register_uplink ?(renditions = [||]) t ~port ~sender ~meeting ~video_ssrc ~a
     { entry = { sender; meeting; video_ssrc; audio_ssrc; renditions; feedback_dst = None } }
 
 let unregister_uplink t ~port = Tofino.Table.remove t.uplinks port
-
-let uplink_entry t ~port =
-  Option.map (fun slot -> slot.entry) (Tofino.Table.lookup t.uplinks port)
 
 let swap_meeting_handle t ~port handle =
   match Tofino.Table.lookup t.uplinks port with
@@ -978,7 +972,6 @@ let handle_receiver_rtcp t leg (dgram : Dgram.t) =
 (* --- top-level classification ------------------------------------------------ *)
 
 let handler t (dgram : Dgram.t) =
-  ignore (Tofino.Parser.observe t.parser_stats dgram.payload);
   let size = Dgram.wire_size dgram in
   let port = dgram.dst.Addr.port in
   match Rtp.Demux.classify dgram.payload with
@@ -1057,8 +1050,6 @@ let fastpath_stats t =
 let pool_stats t = Bufpool.stats t.pool
 let header_auth_enabled t = t.header_auth
 let headers_authenticated t = t.headers_authenticated
-
-let parser_stats t = t.parser_stats
 
 (* --- introspection (snapshot layer) ---------------------------------------- *)
 

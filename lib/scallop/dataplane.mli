@@ -46,7 +46,7 @@ val create :
   t
 (** The model charges 600 ns of pipeline latency per packet and 50 µs
     for the trip to the switch CPU; the forwarding mode defaults to
-    [Fast]. The embedded {!Tofino.Pre} has {!Tofino.Pre.tofino2_limits}.
+    [Fast]. The embedded {!Tofino.Pre} has the Tofino2 limits.
 
     [obs_label] (default ["sw0"]) names this switch in the metrics
     registry (label [switch="..."] on the [scallop_dp_*] series) and is
@@ -69,7 +69,6 @@ val obs_label : t -> string
 val trees : t -> Trees.t
 val pre : t -> Tofino.Pre.t
 
-val mode : t -> mode
 val set_mode : t -> mode -> unit
 (** Switching modes is safe at any quiescent point; per-leg rewriter
     state is shared by both paths, so the choice only affects how egress
@@ -99,7 +98,6 @@ val register_uplink :
   video_ssrc:int -> audio_ssrc:int -> unit
 
 val unregister_uplink : t -> port:int -> unit
-val uplink_entry : t -> port:int -> uplink option
 val swap_meeting_handle : t -> port:int -> Trees.handle -> unit
 (** Migration step 2: repoint an uplink at a new tree set. *)
 
@@ -219,10 +217,6 @@ val header_auth_enabled : t -> bool
 val headers_authenticated : t -> int
 (** Egress replicas whose header HMAC was recomputed (0 unless
     [header_auth]). *)
-
-val parser_stats : t -> Tofino.Parser.t
-(** Depth statistics of the Appendix-E parse graph over every packet that
-    arrived at the switch. *)
 
 val resource_program : t -> Tofino.Resources.program
 (** Static description of this program for the Table 3 model. *)

@@ -28,9 +28,6 @@ type t =
 
 val all : t list
 val name : t -> string
-val of_name : string -> t option
-val describe : t -> string
 val enable : t -> unit
-val disable : t -> unit
 val disable_all : unit -> unit
 val on : t -> bool

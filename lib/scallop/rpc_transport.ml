@@ -107,7 +107,6 @@ module Server = struct
 
   let set_reply_fault t f = t.reply_fault <- f
   let set_online t up = t.online <- up
-  let online t = t.online
 
   (* A freshly restarted agent process has no memory of past sequence
      numbers; dropping the cache models that. Retransmits of pre-crash
@@ -421,7 +420,6 @@ module Client = struct
 
   let set_request_fault t f = t.request_fault <- f
   let set_muted t m = t.muted <- m
-  let muted t = t.muted
 
   (* Every request goes on the wire at once; [call] and [probe] differ
      only in their retry ladder and in whether they count as in flight. *)

@@ -70,9 +70,6 @@ module Server : sig
       its [rpc_exec] trace events, correlating them with controller-side
       health events about the same switch. *)
 
-  val deliver : t -> reply_via:(Netsim.Dgram.t -> unit) -> Netsim.Dgram.t -> unit
-  (** Wire-side entry point (the control channel's sink). *)
-
   val set_reply_fault : t -> (seq:int -> Rpc.reply -> fault) option -> unit
 
   val set_online : t -> bool -> unit
@@ -80,8 +77,6 @@ module Server : sig
       delivered request is dropped on the floor (counted in
       [dropped_offline]), so client calls time out exactly as they
       would against a dead host. *)
-
-  val online : t -> bool
 
   val flush_cache : t -> unit
   (** Drop the reply cache — a freshly restarted process remembers no
@@ -151,8 +146,6 @@ module Client : sig
       not probes. Pending calls and probes settle through their normal
       timeout ladders in virtual time. Models a killed controller
       process whose channel endpoints still exist in the simulation. *)
-
-  val muted : t -> bool
 
   val channel : t -> Netsim.Control_channel.t
 

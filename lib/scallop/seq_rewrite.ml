@@ -35,15 +35,6 @@ let create variant ~target =
 let set_target t target = t.target <- target
 let offset t = t.offset
 
-let reset t =
-  t.initialized <- false;
-  t.last_seq <- 0;
-  t.last_frame <- 0;
-  t.offset <- 0;
-  t.mask_boundary <- 0;
-  t.first_seq_cur <- 0;
-  t.cur_frame_ended <- false
-
 (* L1T3 cycle position -> temporal layer (paper Fig. 9): T0 T2 T1 T2. *)
 let layer_of_frame frame =
   match frame land 3 with 0 -> Dd.T0 | 1 -> Dd.T2 | 2 -> Dd.T1 | _ -> Dd.T2

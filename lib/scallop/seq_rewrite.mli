@@ -39,11 +39,6 @@ val set_target : t -> Av1.Dd.decode_target -> unit
 (** The control plane's frame-skip cadence for this stream (which frames
     of the L1T3 cycle are suppressed). *)
 
-val reset : t -> unit
-(** Forget all per-stream state; the next packet re-initializes. The data
-    plane resets a stream's tracker when adaptation (re)engages, exactly
-    as the control plane would reallocate the stream index. *)
-
 val on_packet :
   t -> seq:int -> frame:int -> start_of_frame:bool -> end_of_frame:bool -> int
 (** Process one {e surviving} packet (suppressed packets never reach the

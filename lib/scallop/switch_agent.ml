@@ -247,6 +247,9 @@ let unregister_uplink t ~meeting:mid ~port =
         s.legs)
     gone
 
+(* [renditions] declares a simulcast uplink: (ssrc, bitrate) pairs, best
+   first. Its legs are spliced between renditions instead of SVC
+   layer-dropping. *)
 let register_uplink ?(renditions = [||]) t ~meeting:mid ~sender ~port ~video_ssrc
     ~audio_ssrc ~full_bitrate =
   let m = meeting t mid in
@@ -268,6 +271,11 @@ let register_uplink ?(renditions = [||]) t ~meeting:mid ~sender ~port ~video_ssr
   Dataplane.register_uplink t.dp ~port ~sender ~meeting:m.handle ~video_ssrc ~audio_ssrc
     ~renditions:(Array.map fst renditions)
 
+(* [uplink_port] picks among a sender's streams (camera vs screen share).
+   [adaptive:false] marks a cascade leg towards a downstream switch
+   (Appendix A): its REMB still feeds the best-downlink filter, but the
+   leg always carries full quality, because the downstream switch adapts
+   per receiver itself. *)
 let register_leg t ~meeting:mid ~sender ?uplink_port ~receiver ~leg_port ~dst
     ?(adaptive = true) () =
   let m = meeting t mid in
@@ -622,9 +630,7 @@ let rpc_server t = Option.get t.rpc_server
    reply cache, and a bumped epoch so the controller's next heartbeat
    can tell "rebooted and blank" from "was merely unreachable". *)
 
-let alive t = t.alive
 let epoch t = t.epoch
-let fence t = t.fence
 
 let crash t =
   if t.alive then begin
@@ -743,8 +749,6 @@ let introspect t =
       :: acc)
     t.meetings []
   |> List.sort (fun a b -> compare a.amv_id b.amv_id)
-
-let feedback_filter_enabled t = t.feedback_filter
 
 let current_target t ~meeting:mid ~sender ~receiver =
   let m = meeting t mid in

@@ -36,9 +36,6 @@ type select_decode_target =
 (** The paper's [selectDecodeTarget(currDT, estHist, newEst) -> newDT]
     extension point. *)
 
-val default_select : select_decode_target
-(** The fixed-threshold heuristic ({!Codec.Rate_policy}). *)
-
 val create :
   Netsim.Engine.t ->
   Dataplane.t ->
@@ -62,43 +59,10 @@ val create :
 
 type meeting_id = int
 
-val new_meeting : t -> two_party:bool -> meeting_id
 val meeting_design : t -> meeting_id -> Trees.design
 
 val register_participant :
   t -> meeting:meeting_id -> participant:int -> egress_port:int -> sends:bool -> unit
-
-val remove_participant : t -> meeting:meeting_id -> participant:int -> unit
-
-val unregister_uplink : t -> meeting:meeting_id -> port:int -> unit
-(** Tear down one stream (and its legs) without removing the participant —
-    the paper's "participant stops sharing a media type" trigger. *)
-
-val register_uplink :
-  ?renditions:(int * int) array -> t -> meeting:meeting_id -> sender:int -> port:int ->
-  video_ssrc:int -> audio_ssrc:int -> full_bitrate:int -> unit
-(** [renditions] declares a simulcast uplink: (ssrc, bitrate) pairs, best
-    first. Legs of such a stream are spliced between renditions by the
-    agent instead of SVC layer-dropping. *)
-
-val register_leg :
-  t -> meeting:meeting_id -> sender:int -> ?uplink_port:int -> receiver:int ->
-  leg_port:int -> dst:Scallop_util.Addr.t -> ?adaptive:bool -> unit -> unit
-(** Wires the (sender → receiver) egress leg into the data plane, with
-    sequence rewriting enabled per the agent's [rewrite] variant.
-    [uplink_port] selects among a sender's streams when it has several
-    (camera vs screen share); it defaults to the sender's only stream.
-
-    [adaptive:false] marks a cascade leg towards a downstream switch
-    (Appendix A): its REMB still feeds the best-downlink filter — the
-    downstream switch only reports its best receiver — but the leg itself
-    always carries the full-quality stream, because the downstream switch
-    performs its own per-receiver adaptation. *)
-
-val set_pair_target :
-  t -> meeting:meeting_id -> sender:int -> receiver:int ->
-  Av1.Dd.decode_target -> unit
-(** Force a sender-specific target (drives the meeting towards RA-SR). *)
 
 (** {1 Control-plane endpoint} *)
 
@@ -135,15 +99,7 @@ val restart : t -> unit
 (** Boot (back) up with empty state and [epoch + 1]. Restarting a
     running switch models a reboot — the crash happens implicitly. *)
 
-val alive : t -> bool
 val epoch : t -> int
-
-val fence : t -> int
-(** Highest fencing epoch seen on any [Rpc.Fenced] request (0 until one
-    arrives). Requests under a lower fence are answered [Stale_fence]
-    without executing — a deposed primary cannot double-execute here.
-    Reset to 0 by {!restart} (fence memory dies with the power); the
-    acting controller's fenced resync re-installs it. *)
 
 (** {1 Statistics} *)
 
@@ -206,4 +162,3 @@ type meeting_view = {
 val introspect : t -> meeting_view list
 (** Every meeting the agent manages, sorted by id. *)
 
-val feedback_filter_enabled : t -> bool

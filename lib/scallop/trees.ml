@@ -501,8 +501,6 @@ let set_pair_target t h ~sender ~receiver target =
   Hashtbl.replace h.pair_targets (sender, receiver) target;
   resync_receiver t h receiver
 
-let receiver_target _t h ~receiver = target_of h receiver
-
 (* --- routing --------------------------------------------------------------- *)
 
 type route =
@@ -562,18 +560,10 @@ let receiver_of_replica _t h ~mgid ~rid =
   | I_ra_sr { ridx; _ } -> (rev_of h ridx).(rid mod rid_stride)
 
 let participants h = h.h_participants
-let senders h = h.h_senders
 
 (* --- introspection (snapshot layer) ---------------------------------------- *)
 
 let handle_id h = h.id
-
-let handle_mgids h =
-  match h.impl with
-  | I_two_party -> []
-  | I_shared { group; _ } -> Array.to_list group.mgids
-  | I_ra_sr { pairs; _ } ->
-      List.concat_map (fun pair -> Array.to_list pair.pair_mgids) pairs
 
 type node_binding = {
   nb_node : Pre.node_id;

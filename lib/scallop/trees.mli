@@ -25,12 +25,6 @@ type t
 
 type design = Two_party | Nra | Ra_r | Ra_sr
 
-val meetings_per_tree : int
-(** m = 2. *)
-
-val qualities : int
-(** q = 3 (L1T3 temporal layers). *)
-
 val create : Tofino.Pre.t -> t
 
 type handle
@@ -63,8 +57,6 @@ val set_pair_target :
 (** Sender-specific target; only meaningful under Ra_sr.
     @raise Invalid_argument under other designs. *)
 
-val receiver_target : t -> handle -> receiver:int -> Av1.Dd.decode_target
-
 val migrate : t -> handle -> design -> handle
 (** Paper's three-step migration: the returned handle replaces the old
     one; media routed during the call never sees a missing tree. *)
@@ -85,18 +77,12 @@ val receiver_of_replica : t -> handle -> mgid:int -> rid:int -> int
     nothing: it runs once per replica. *)
 
 val participants : handle -> (int * int) list
-val senders : handle -> int list
 
 (** {1 Introspection (read-only, for the {!Scallop_analysis} snapshot layer)} *)
 
 val handle_id : handle -> int
 (** Stable identifier of this registration; a data-plane uplink's
     [meeting] handle can be matched against the agent's by id. *)
-
-val handle_mgids : handle -> int list
-(** Every MGID this meeting's media can be steered to. Shared-group
-    designs (NRA/RA-R) aggregate [meetings_per_tree] meetings per tree,
-    so two handles may legitimately report the same MGID. *)
 
 type node_binding = {
   nb_node : Tofino.Pre.node_id;

@@ -76,5 +76,4 @@ val answer : offer:t -> session_id:int -> origin:Scallop_util.Addr.t ->
     direction to [Inactive]). Codec and payload type must match the offer;
     directions are mirrored. *)
 
-val media_kind_to_string : media_kind -> string
 val equal : t -> t -> bool

@@ -1,5 +1,4 @@
 let legs_per_32core = 38_400
-let single_core_pps = 240_000
 
 let stream_legs ~participants ~senders ~media_types =
   if participants < 2 || senders < 1 || senders > participants then

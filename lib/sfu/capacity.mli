@@ -6,9 +6,6 @@
     because a split proxy terminates every uplink and downlink leg of every
     media type. *)
 
-val legs_per_32core : int
-(** 38,400. *)
-
 val stream_legs : participants:int -> senders:int -> media_types:int -> int
 (** Terminated legs for one meeting: each sender has [media_types] uplink
     legs plus [media_types * (participants - 1)] downlink legs. *)
@@ -17,6 +14,3 @@ val meetings_supported :
   ?cores:int -> participants:int -> senders:int -> media_types:int -> unit -> int
 (** Concurrent meetings a [cores]-core server (default 32) sustains. *)
 
-val single_core_pps : int
-(** Forwarded packets/second one pinned core sustains (~240K; §2.2
-    saturation at ~80 participants). *)

@@ -70,8 +70,6 @@ let create engine network rng ~ip ?(cpu = Cpu_queue.default_server) () =
     bytes_processed = 0;
   }
 
-let ip t = t.ip
-
 let fresh_port t =
   let p = t.next_port in
   t.next_port <- t.next_port + 1;

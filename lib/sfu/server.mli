@@ -28,8 +28,6 @@ val create :
 (** [cpu] defaults to {!Netsim.Cpu_queue.default_server} (a single pinned
     core, as in the paper's §2.2 experiment). *)
 
-val ip : t -> int
-
 type meeting_id = int
 type participant_id = int
 

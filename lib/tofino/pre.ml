@@ -226,17 +226,10 @@ let iter_nodes t f = Hashtbl.iter (fun id _ -> f id) t.nodes
 
 let iter_l2_xids t f = Hashtbl.iter (fun xid ports -> f ~xid ~ports) t.l2_xids
 
-let l2_xid_ports t ~xid = Hashtbl.find_opt t.l2_xids xid
-
 module Unsafe = struct
   let set_node_rid t id rid =
     let n = find_node t id in
     Hashtbl.replace t.nodes id { n with rid };
-    flush_cache t
-
-  let set_node_ports t id ports =
-    let n = find_node t id in
-    Hashtbl.replace t.nodes id { n with ports };
     flush_cache t
 
   let drop_tree_record t mgid =

@@ -21,11 +21,11 @@ type t
 
 type limits = { max_trees : int; max_l1_nodes : int; max_rids_per_tree : int }
 
-val tofino2_limits : limits
-(** 65,536 trees; 16,777,216 L1 nodes; 65,536 RIDs per tree. *)
-
 val create : ?limits:limits -> ?obs_label:string -> unit -> t
-(** [obs_label] names this instance in the metrics registry (label
+(** [limits] defaults to Tofino2's: 65,536 trees, 16,777,216 L1 nodes
+    and 65,536 RIDs per tree.
+
+    [obs_label] names this instance in the metrics registry (label
     [pre="..."] on the [scallop_pre_cache_*] series); re-creating an
     instance under the same label replaces its registry entries. *)
 
@@ -120,8 +120,6 @@ val iter_nodes : t -> (node_id -> unit) -> unit
 val iter_l2_xids : t -> (xid:int -> ports:int list -> unit) -> unit
 (** Visit every programmed L2-XID exclusion set. Read-only. *)
 
-val l2_xid_ports : t -> xid:int -> int list option
-
 (** Deliberate state corruption for the analysis-layer mutation harness
     ({!Scallop_analysis}) and fault-injection tests. Never called by the
     production control path: each entry point violates an invariant the
@@ -129,8 +127,6 @@ val l2_xid_ports : t -> xid:int -> int list option
 module Unsafe : sig
   val set_node_rid : t -> node_id -> int -> unit
   (** Rewrite a node's RID in place, bypassing per-tree uniqueness. *)
-
-  val set_node_ports : t -> node_id -> int list -> unit
 
   val drop_tree_record : t -> mgid -> unit
   (** Forget a tree without detaching its nodes — leaves every member

@@ -25,5 +25,4 @@ let remove t k = Hashtbl.remove t.tbl k
 let clear t = Hashtbl.reset t.tbl
 let iter t f = Hashtbl.iter f t.tbl
 let fold t f init = Hashtbl.fold f t.tbl init
-let mem t k = Hashtbl.mem t.tbl k
 let utilization t = float_of_int (size t) /. float_of_int t.capacity

@@ -27,5 +27,4 @@ val fold : ('k, 'v) t -> ('k -> 'v -> 'acc -> 'acc) -> 'acc -> 'acc
 (** Fold over every entry, in an unspecified order — the snapshot
     layer's read-only view of programmed table state. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
 val utilization : ('k, 'v) t -> float

@@ -62,6 +62,4 @@ val byte_rate_series :
     software SFU touches every media byte (uplinks + fan-out), while the
     agent sees only the control-plane share (0.35% of bytes, Table 1). *)
 
-val video_bps : float
-val audio_bps : float
 val agent_byte_share : float

@@ -32,14 +32,3 @@ let of_string s =
 let to_string t = Printf.sprintf "%s:%d" (ip_to_string t.ip) t.port
 let compare a b = if a.ip <> b.ip then compare a.ip b.ip else compare a.port b.port
 let equal a b = a.ip = b.ip && a.port = b.port
-let hash t = (t.ip * 65599) lxor t.port
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-module Ord = struct
-  type nonrec t = t
-
-  let compare = compare
-end
-
-module Map = Map.Make (Ord)
-module Set = Set.Make (Ord)

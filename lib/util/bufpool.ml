@@ -49,7 +49,6 @@ let create ?(debug = false) ?(max_class_depth = 1024) () =
   }
 
 let set_debug t d = t.debug <- d
-let debug t = t.debug
 
 let class_of t len =
   if t.last_len = len then t.last_class

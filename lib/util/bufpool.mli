@@ -50,7 +50,6 @@ val create : ?debug:bool -> ?max_class_depth:int -> unit -> t
     class. *)
 
 val set_debug : t -> bool -> unit
-val debug : t -> bool
 
 val checkout : t -> int -> bytes
 (** [checkout t len] returns a buffer of exactly [len] bytes, recycled

@@ -1,12 +1,11 @@
-type t = { alpha : float; mutable avg : float option; mutable count : int }
+type t = { alpha : float; mutable avg : float option }
 
 let create ~alpha =
   if not (alpha > 0.0 && alpha <= 1.0) then
     invalid_arg "Ewma.create: alpha must be in (0, 1]";
-  { alpha; avg = None; count = 0 }
+  { alpha; avg = None }
 
 let observe t x =
-  t.count <- t.count + 1;
   match t.avg with
   | None -> t.avg <- Some x
   | Some avg -> t.avg <- Some (((1.0 -. t.alpha) *. avg) +. (t.alpha *. x))
@@ -17,8 +16,3 @@ let value t =
   | None -> invalid_arg "Ewma.value: no observations"
 
 let value_opt t = t.avg
-let count t = t.count
-
-let reset t =
-  t.avg <- None;
-  t.count <- 0

@@ -16,5 +16,3 @@ val value : t -> float
 (** Current average. @raise Invalid_argument if nothing was observed. *)
 
 val value_opt : t -> float option
-val count : t -> int
-val reset : t -> unit

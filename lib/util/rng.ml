@@ -30,7 +30,6 @@ let unit_float t =
   bits *. (1.0 /. 9007199254740992.0)
 
 let float t bound = unit_float t *. bound
-let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p = unit_float t < p
 let uniform t lo hi = lo +. (unit_float t *. (hi -. lo))
 
@@ -48,10 +47,6 @@ let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
 let pareto t ~scale ~shape =
   let u = 1.0 -. unit_float t in
   scale /. (u ** (1.0 /. shape))
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -24,8 +24,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
@@ -44,9 +42,6 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val pareto : t -> scale:float -> shape:float -> float
 (** Heavy-tailed sample, minimum [scale]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

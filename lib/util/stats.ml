@@ -17,7 +17,6 @@ module Online = struct
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let count t = t.n
   let mean t = t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
   let stddev t = sqrt (variance t)
@@ -71,14 +70,6 @@ module Samples = struct
       t.sorted <- true
     end
 
-  let mean t =
-    if t.n = 0 then invalid_arg "Stats.Samples.mean: empty";
-    let sum = ref 0.0 in
-    for i = 0 to t.n - 1 do
-      sum := !sum +. t.data.(i)
-    done;
-    !sum /. float_of_int t.n
-
   let percentile t p =
     ensure_sorted t;
     percentile_of_array (Array.sub t.data 0 t.n) p
@@ -86,16 +77,6 @@ module Samples = struct
   let median t = percentile t 50.0
   let min t = percentile t 0.0
   let max t = percentile t 100.0
-
-  let to_array t =
-    ensure_sorted t;
-    Array.sub t.data 0 t.n
-
-  let cdf t ~points =
-    if points < 2 then invalid_arg "Stats.Samples.cdf: need at least 2 points";
-    List.init points (fun i ->
-        let frac = float_of_int i /. float_of_int (points - 1) in
-        (percentile t (100.0 *. frac), frac))
 end
 
 module Histogram = struct
@@ -161,7 +142,6 @@ module Histogram = struct
 
   let count t = t.n
   let sum t = t.sum
-  let mean t = if t.n = 0 then invalid_arg "Stats.Histogram.mean: empty" else t.sum /. float_of_int t.n
   let min t = t.minv
   let max t = t.maxv
 

@@ -6,7 +6,6 @@ module Online : sig
 
   val create : unit -> t
   val observe : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
   val variance : t -> float
   val stddev : t -> float
@@ -26,7 +25,6 @@ module Samples : sig
       observation time rather than poisoning later queries. *)
 
   val count : t -> int
-  val mean : t -> float
   val percentile : t -> float -> float
   (** [percentile t p] for [p] in [\[0, 100\]], linear interpolation.
       @raise Invalid_argument if empty. *)
@@ -34,12 +32,7 @@ module Samples : sig
   val median : t -> float
   val min : t -> float
   val max : t -> float
-  val to_array : t -> float array
-  (** Sorted copy of the samples. *)
 
-  val cdf : t -> points:int -> (float * float) list
-  (** [(value, cumulative fraction)] at [points] evenly spaced fractions —
-      the series a CDF plot needs. *)
 end
 
 val percentile_of_array : float array -> float -> float
@@ -57,9 +50,6 @@ module Histogram : sig
   (** Log-spaced upper bounds covering [\[lo, hi\]] with [per_decade]
       buckets per factor of ten. *)
 
-  val default_bounds : float array
-  (** 100 ns .. 10 s at 5 buckets/decade — nanosecond latencies. *)
-
   val create : ?bounds:float array -> unit -> t
   (** [bounds] must be strictly ascending; values above the last bound
       land in an implicit overflow bucket. *)
@@ -69,7 +59,6 @@ module Histogram : sig
 
   val count : t -> int
   val sum : t -> float
-  val mean : t -> float
   val min : t -> float
   val max : t -> float
 

@@ -57,13 +57,10 @@ type connection = {
   video_rx : Codec.Video_receiver.t option;
   audio_rx : Codec.Audio_receiver.t option;
   gcc : Gcc.Estimator.t option;
-  mutable rembs_sent : int;
   mutable twccs_sent : int;
   mutable twcc_deltas : int list;  (** pending arrival deltas, newest first *)
   mutable twcc_base_seq : int;
   mutable twcc_last_arrival : int;
-  mutable nacks_received : int;
-  mutable plis_sent : int;
   mutable srs_received : int;
   mutable stun_rtt : float option;
   stun_pending : (bytes, int) Hashtbl.t;
@@ -217,7 +214,6 @@ let poll_feedback t conn =
       match Gcc.Estimator.poll_remb gcc ~time_ns:now with
       | None -> ()
       | Some estimate ->
-          conn.rembs_sent <- conn.rembs_sent + 1;
           send_rtcp t conn
             [
               Rtp.Rtcp.Receiver_report { ssrc = conn.video_ssrc; reports = report_block conn };
@@ -270,7 +266,6 @@ let poll_loss_recovery t conn =
         send_rtcp t conn
           [ Rtp.Rtcp.Nack { sender_ssrc = 0; media_ssrc = conn.video_ssrc; lost = missing } ];
       if Codec.Video_receiver.poll_pli rx ~time_ns:now then begin
-        conn.plis_sent <- conn.plis_sent + 1;
         send_rtcp t conn [ Rtp.Rtcp.Pli { sender_ssrc = 0; media_ssrc = conn.video_ssrc } ]
       end
 
@@ -386,7 +381,6 @@ let handle_rtcp t conn buf =
                   Codec.Video_source.set_bitrate src (min bitrate_bps t.cfg.video_bitrate_bps))
                 conn.video_src
           | Rtp.Rtcp.Nack { lost; _ } ->
-              conn.nacks_received <- conn.nacks_received + 1;
               (* simulcast splicing invalidates retransmissions; recover by
                  refreshing the active rendition instead *)
               (match conn.simulcast_src with
@@ -521,13 +515,10 @@ let make_connection t ~kind ?send_audio ?video_bitrate ?(simulcast = false) ~loc
       video_rx = (if kind = Recv then Some (Codec.Video_receiver.create ~ssrc:video_ssrc ()) else None);
       audio_rx = (if kind = Recv then Some (Codec.Audio_receiver.create ~ssrc:audio_ssrc) else None);
       gcc = (if kind = Recv then Some (Gcc.Estimator.create ()) else None);
-      rembs_sent = 0;
       twccs_sent = 0;
       twcc_deltas = [];
       twcc_base_seq = 0;
       twcc_last_arrival = 0;
-      nacks_received = 0;
-      plis_sent = 0;
       srs_received = 0;
       stun_rtt = None;
       stun_pending = Hashtbl.create 8;
@@ -574,7 +565,6 @@ let remote_addr conn = conn.remote
 let video_bitrate conn =
   match conn.video_src with Some src -> Codec.Video_source.bitrate src | None -> 0
 
-let video_source conn = conn.video_src
 let retransmissions conn = conn.retransmissions
 let send_fps_series conn = if conn.kind = Send then Some conn.send_fps else None
 let receiver conn = conn.video_rx
@@ -585,9 +575,5 @@ let audio_packets_received conn =
   | None -> 0
 
 let audio_receiver conn = conn.audio_rx
-let rembs_sent conn = conn.rembs_sent
-let twccs_sent conn = conn.twccs_sent
-let nacks_received conn = conn.nacks_received
-let plis_sent conn = conn.plis_sent
 let srs_received conn = conn.srs_received
 let stun_rtt_ms conn = conn.stun_rtt

@@ -111,7 +111,6 @@ val remote_addr : connection -> Scallop_util.Addr.t
 (** {1 Sender-side controls and stats} *)
 
 val video_bitrate : connection -> int
-val video_source : connection -> Codec.Video_source.t option
 val retransmissions : connection -> int
 (** Packets re-sent due to received NACKs. *)
 
@@ -123,10 +122,6 @@ val receiver : connection -> Codec.Video_receiver.t option
 val gcc_estimate : connection -> int option
 val audio_packets_received : connection -> int
 val audio_receiver : connection -> Codec.Audio_receiver.t option
-val rembs_sent : connection -> int
-val twccs_sent : connection -> int
-val nacks_received : connection -> int
-val plis_sent : connection -> int
 val srs_received : connection -> int
 val stun_rtt_ms : connection -> float option
 (** Latest STUN round-trip measurement. *)

@@ -160,6 +160,17 @@ let replay_headline () =
     && r.Experiments.Replay.migrations > 5);
   Alcotest.(check int) "no freezes under churn" 0 r.Experiments.Replay.freezes
 
+(* The control-plane batching gate: the campus churn replayed at full
+   scale over a 30%-loss, 20 ms RTT control channel must run at least 5x
+   faster batched than per-op. Virtual time, so the ratio is exact for
+   the fixed seed. *)
+let ctrl_churn_gate () =
+  let r = Experiments.Ctrl_churn.compute () in
+  Alcotest.(check bool)
+    (Printf.sprintf "batched >= 5x per-op (got %.3fx)" r.Experiments.Ctrl_churn.speedup)
+    true
+    (r.Experiments.Ctrl_churn.speedup >= 5.0)
+
 let registry_complete () =
   (* every artefact of the paper's evaluation is registered *)
   let ids = List.map (fun e -> e.Experiments.Registry.id) Experiments.Registry.all in
@@ -188,6 +199,7 @@ let () =
         [
           Alcotest.test_case "table1 split" `Quick table1_split;
           Alcotest.test_case "replay headline" `Quick replay_headline;
+          Alcotest.test_case "ctrl churn batching gate" `Quick ctrl_churn_gate;
           Alcotest.test_case "fig14 staircase" `Quick fig14_staircase;
           Alcotest.test_case "fig19 latency ratios" `Quick fig19_latency_ratios;
           Alcotest.test_case "fig23 enhancement vanishes" `Quick fig23_enhancement_vanishes;
