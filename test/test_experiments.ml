@@ -95,16 +95,6 @@ let fig23_enhancement_vanishes () =
   Alcotest.(check bool) "T2 gone after" true
     (r.Experiments.Fig23_25.a_enhancement_share_after < 0.02)
 
-let fig3_4_collapse () =
-  let r = Experiments.Fig3_4.compute ~quick:true () in
-  let series = r.Experiments.Fig3_4.series in
-  let early = List.hd (List.filter (fun s -> s.Experiments.Fig3_4.participants = 30) series) in
-  let late = List.hd (List.filter (fun s -> s.Experiments.Fig3_4.participants = 100) series) in
-  Alcotest.(check bool) "healthy early" true (early.Experiments.Fig3_4.mean_fps > 25.0);
-  Alcotest.(check bool) "collapsed late" true (late.Experiments.Fig3_4.mean_fps < 15.0);
-  Alcotest.(check bool) "jitter grows" true
-    (late.Experiments.Fig3_4.jitter_p95_ms > early.Experiments.Fig3_4.jitter_p95_ms)
-
 let ablation_filter () =
   let r = Experiments.Ablations.filter_ablation ~quick:true () in
   Alcotest.(check bool) "filter preserves the sender's rate" true
@@ -208,6 +198,5 @@ let () =
           Alcotest.test_case "feedback modes load" `Quick feedback_modes_load;
           Alcotest.test_case "table2 structure" `Quick table2_structure;
           Alcotest.test_case "simulcast splices" `Quick simulcast_splices;
-          Alcotest.test_case "fig3_4 collapse" `Slow fig3_4_collapse;
         ] );
     ]
