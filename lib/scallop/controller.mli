@@ -262,7 +262,9 @@ type relay_view = {
   rv_meeting : meeting_id;
   rv_src : int;  (** switch replicating towards the relay *)
   rv_dst : int;  (** switch consuming the relayed stream *)
-  rv_pid : participant_id;  (** = [relay_pid rv_dst] *)
+  rv_pid : participant_id;
+      (** pseudo participant standing for everything behind [rv_dst]
+          (Appendix A) *)
   rv_egress_port : int;  (** the pseudo receiver's port on [rv_src] *)
 }
 
