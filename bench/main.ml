@@ -1,84 +1,17 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (via the Experiments registry), runs Bechamel
-   microbenchmarks of the data-plane hot paths, and the fan-out
-   throughput macro-benchmark gating the zero-copy fast path
-   (results land in BENCH_3.json).
+(* Fan-out throughput gate: the one wall-clock comparison nothing else
+   runs. One sender fans out to 30 unhosted legs through the full data
+   plane, best of three runs per mode (Slow, then Fast), then one
+   Paranoid pass that byte-compares both paths. Exits 1 if any gate
+   trips: the paranoid differential, fast p99 < slow p99, or a speedup
+   of at least 4.5x. Results land in BENCH_3.json.
 
-   Usage: main.exe [--quick] [--no-micro] [--no-experiments] [--gc-stats]
-   [experiment ids...]. --gc-stats (or FANOUT_GC=1) additionally writes
-   BENCH_gc.json with the fan-out loop's GC pressure breakdown. *)
+   Usage: dune exec bench/main.exe (no arguments). The experiment tables
+   are `scallop_cli run`; the allocation budget is test_dataplane's
+   "alloc budget regression". *)
 
-let microbench () =
-  print_endline "== Microbenchmarks: data-plane hot paths (model code) ==";
-  let rng = Scallop_util.Rng.create 99 in
-  let video_pkt =
-    let src = Codec.Video_source.create rng (Codec.Video_source.default_config ~ssrc:7) in
-    let frame = Codec.Video_source.next_frame src ~time_ns:0 in
-    List.hd frame.Codec.Video_source.packets
-  in
-  let video_buf = Rtp.Packet.serialize video_pkt in
-  let dd_buf = Option.get (Rtp.Packet.find_extension video_pkt Av1.Dd.extension_id) in
-  let remb_buf =
-    Rtp.Rtcp.serialize_compound
-      [
-        Rtp.Rtcp.Receiver_report { ssrc = 7; reports = [] };
-        Rtp.Rtcp.Remb { sender_ssrc = 7; bitrate_bps = 2_000_000; ssrcs = [ 7 ] };
-      ]
-  in
-  (* a populated PRE: one NRA-style tree with 10 participants *)
-  let pre = Tofino.Pre.create () in
-  let nodes =
-    List.init 10 (fun i ->
-        Tofino.Pre.create_l1_node pre ~rid:i ~l1_xid:1 ~prune_enabled:true ~ports:[ i ] ())
-  in
-  Tofino.Pre.create_tree pre ~mgid:1 ~nodes;
-  Tofino.Pre.set_l2_xid_ports pre ~xid:3 ~ports:[ 3 ];
-  let rewriter = Scallop.Seq_rewrite.create Scallop.Seq_rewrite.S_LR ~target:Av1.Dd.DT_15fps in
-  let seq = ref 0 and frame = ref 0 in
-  let stage = Bechamel.Staged.stage in
-  let tests =
-    Bechamel.Test.make_grouped ~name:"dataplane"
-      [
-        Bechamel.Test.make ~name:"rtp_parse" (stage (fun () -> ignore (Rtp.Packet.parse video_buf)));
-        Bechamel.Test.make ~name:"rtp_serialize" (stage (fun () -> ignore (Rtp.Packet.serialize video_pkt)));
-        Bechamel.Test.make ~name:"av1_dd_parse" (stage (fun () -> ignore (Av1.Dd.parse dd_buf)));
-        Bechamel.Test.make ~name:"demux_classify" (stage (fun () -> ignore (Rtp.Demux.classify video_buf)));
-        Bechamel.Test.make ~name:"rtcp_parse_remb" (stage (fun () -> ignore (Rtp.Rtcp.parse_compound remb_buf)));
-        Bechamel.Test.make ~name:"pre_replicate_10way"
-          (stage (fun () -> ignore (Tofino.Pre.replicate pre ~mgid:1 ~l1_xid:2 ~rid:3 ~l2_xid:3)));
-        Bechamel.Test.make ~name:"seq_rewrite_slr"
-          (stage (fun () ->
-               seq := (!seq + 1) land 0xFFFF;
-               if !seq land 7 = 0 then frame := (!frame + 1) land 0xFFFF;
-               ignore
-                 (Scallop.Seq_rewrite.on_packet rewriter ~seq:!seq ~frame:!frame
-                    ~start_of_frame:(!seq land 7 = 1) ~end_of_frame:(!seq land 7 = 0))));
-      ]
-  in
-  let instance = Bechamel.Toolkit.Instance.monotonic_clock in
-  let cfg = Bechamel.Benchmark.cfg ~limit:1000 ~quota:(Bechamel.Time.second 0.5) () in
-  let raw = Bechamel.Benchmark.all cfg [ instance ] tests in
-  let analysis =
-    Bechamel.Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Bechamel.Measure.run |]
-  in
-  let table =
-    Scallop_util.Table.create ~title:"nanoseconds per operation" ~columns:[ "op"; "ns/run" ]
-  in
-  let results =
-    Hashtbl.fold (fun name r acc -> (name, r) :: acc) raw []
-    |> List.sort compare
-    |> List.filter_map (fun (name, r) ->
-           let est = Bechamel.Analyze.one analysis instance r in
-           match Bechamel.Analyze.OLS.estimates est with
-           | Some (ns :: _) ->
-               Scallop_util.Table.add_row table [ name; Printf.sprintf "%.1f" ns ];
-               Some (name, ns)
-           | Some [] | None -> None)
-  in
-  Scallop_util.Table.print table;
-  results
-
-(* --- fan-out throughput: the zero-copy fast-path gate ------------------------- *)
+let receivers = 30
+let packets = 20_000
+let paranoid_packets = 2_000
 
 (* One sender fanning out to [receivers] legs through the full data plane
    (network ingress, PRE replication, per-leg egress). Slow mode
@@ -88,7 +21,7 @@ let microbench () =
    are deliberately not hosted: every egress replica is a cheap
    undeliverable drop, keeping the network simulator out of the
    numerator. *)
-let fanout_world ~mode ~receivers =
+let fanout_world ~mode =
   let engine = Netsim.Engine.create () in
   let rng = Scallop_util.Rng.create 7 in
   let network = Netsim.Network.create engine rng in
@@ -119,16 +52,11 @@ let fanout_world ~mode ~receivers =
     (List.tl participants);
   (engine, network, dp)
 
-(* Steady-state GC pressure of one run's hot loop, from [Gc.quick_stat]
-   deltas around the timed loop (warm-up excluded). *)
-type gc_sample = {
-  gs_alloc_bytes_per_pkt : float;  (** total allocation / packets *)
-  gs_minor_gcs : int;  (** minor collections during the loop *)
-  gs_promoted_words : float;
-}
-
-let fanout_run ~mode ~receivers ~packets =
-  let engine, network, dp = fanout_world ~mode ~receivers in
+(* One run: packets per second, the per-packet latency histogram, the
+   data plane's fast-path counters, and two GC readings of the timed loop
+   (warm-up excluded): bytes allocated per packet and minor collections. *)
+let fanout_run ~mode ~packets =
+  let engine, network, dp = fanout_world ~mode in
   let module Addr = Scallop_util.Addr in
   let sfu = Addr.v (Addr.ip_of_string "10.0.0.1") 41_000 in
   let src = Addr.v (Addr.ip_of_string "10.0.1.1") 5000 in
@@ -156,11 +84,9 @@ let fanout_run ~mode ~receivers ~packets =
     Netsim.Engine.run engine
   in
   (* Warm-up before measuring: fills the PRE fan-out cache, the replica
-     buffer pool and the egress batch free list, so the GC numbers below
-     are the steady state the alloc budget pins, not first-touch growth. *)
-  let warmup = min 200 packets in
-  let warm = Array.init warmup (fun i -> raw (60_000 + i) (30_000 + i / 2)) in
-  Array.iter one warm;
+     buffer pool and the egress batch free list, so the GC readings are
+     the steady state, not first-touch growth. *)
+  Array.iter one (Array.init 200 (fun i -> raw (60_000 + i) (30_000 + i / 2)));
   (* per-packet wall latency (ingress to full fan-out drained) lands in a
      log-bucketed histogram; chaining one clock read per packet keeps the
      instrumentation cost far below the ~10 µs a packet takes *)
@@ -176,8 +102,7 @@ let fanout_run ~mode ~receivers ~packets =
       t_prev := t)
     stream;
   let gc1 = Gc.quick_stat () in
-  let elapsed = !t_prev -. t0 in
-  let pps = float_of_int packets /. elapsed in
+  let pps = float_of_int packets /. (!t_prev -. t0) in
   (* total words allocated = minor + major - promoted (promoted words are
      counted in both the minor and major tallies) *)
   let words =
@@ -185,70 +110,53 @@ let fanout_run ~mode ~receivers ~packets =
     +. (gc1.Gc.major_words -. gc0.Gc.major_words)
     -. (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
   in
-  let gc =
-    {
-      gs_alloc_bytes_per_pkt =
-        words *. float_of_int (Sys.word_size / 8) /. float_of_int packets;
-      gs_minor_gcs = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
-      gs_promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
-    }
-  in
-  (pps, hist, Scallop.Dataplane.fastpath_stats dp, gc)
+  let alloc_per_pkt = words *. float_of_int (Sys.word_size / 8) /. float_of_int packets in
+  let minor_gcs = gc1.Gc.minor_collections - gc0.Gc.minor_collections in
+  (pps, hist, Scallop.Dataplane.fastpath_stats dp, alloc_per_pkt, minor_gcs)
 
-let fanout_bench ~quick ~micro ~gc_stats =
-  print_endline "\n== Fan-out throughput: zero-copy fast path vs record slow path ==";
-  let receivers = 30 in
-  let packets = if quick then 2_000 else 20_000 in
-  (* peak throughput over three runs per mode: one warm-up effect or a
-     scheduler hiccup must not decide the gate *)
-  let best mode =
-    let runs = List.init 3 (fun _ -> fanout_run ~mode ~receivers ~packets) in
-    List.fold_left
-      (fun ((best_pps, _, _, _) as acc) ((pps, _, _, _) as r) ->
-        if pps > best_pps then r else acc)
-      (List.hd runs) (List.tl runs)
-  in
+(* peak throughput over three runs: one warm-up effect or a scheduler
+   hiccup must not decide the gate *)
+let best mode =
+  let runs = List.init 3 (fun _ -> fanout_run ~mode ~packets) in
+  List.fold_left
+    (fun ((best_pps, _, _, _, _) as acc) ((pps, _, _, _, _) as r) ->
+      if pps > best_pps then r else acc)
+    (List.hd runs) (List.tl runs)
+
+let () =
+  print_endline "== Fan-out throughput: zero-copy fast path vs record slow path ==";
   let p50 h = Scallop_util.Stats.Histogram.percentile h 50.0 in
   let p99 h = Scallop_util.Stats.Histogram.percentile h 99.0 in
-  let slow_pps, slow_hist, _, slow_gc = best Scallop.Dataplane.Slow in
-  let fast_pps, fast_hist, fast_stats, fast_gc = best Scallop.Dataplane.Fast in
+  let slow_pps, slow_hist, _, slow_alloc, slow_gcs = best Scallop.Dataplane.Slow in
+  let fast_pps, fast_hist, fast_stats, fast_alloc, fast_gcs = best Scallop.Dataplane.Fast in
   let paranoid_ok =
     (* differential gate: both paths over the same stream, byte-compared *)
-    match fanout_run ~mode:Scallop.Dataplane.Paranoid ~receivers ~packets:(min packets 2_000) with
-    | _, _, s, _ -> s.Scallop.Dataplane.fp_paranoid_mismatches = 0
+    match fanout_run ~mode:Scallop.Dataplane.Paranoid ~packets:paranoid_packets with
+    | _, _, s, _, _ -> s.Scallop.Dataplane.fp_paranoid_mismatches = 0
     | exception Scallop.Dataplane.Differential_mismatch msg ->
         Printf.printf "DIFFERENTIAL MISMATCH: %s\n" msg;
         false
   in
   let speedup = fast_pps /. slow_pps in
-  let alloc_budget = Scallop.Dataplane.alloc_budget_bytes_per_packet in
-  (* GC-pressure gate: the fast path's steady-state allocation per packet
-     must stay within the pinned budget, and pooling must not have cost
-     the tail — fast p99 strictly under slow p99. *)
-  let gate_alloc_ok = fast_gc.gs_alloc_bytes_per_pkt <= float_of_int alloc_budget in
   let gate_p99_ok = p99 fast_hist < p99 slow_hist in
   let gate_speedup_ok = speedup >= 4.5 in
+  let ok s = if s then "ok" else "FAILED" in
   Printf.printf "receivers: %d  packets: %d\n" receivers packets;
   Printf.printf
     "slow path: %10.0f pps   (per-packet p50 %.0f ns, p99 %.0f ns; %.0f B alloc/pkt, %d minor GCs)\n"
-    slow_pps (p50 slow_hist) (p99 slow_hist) slow_gc.gs_alloc_bytes_per_pkt
-    slow_gc.gs_minor_gcs;
+    slow_pps (p50 slow_hist) (p99 slow_hist) slow_alloc slow_gcs;
   Printf.printf
     "fast path: %10.0f pps   (per-packet p50 %.0f ns, p99 %.0f ns; %.0f B alloc/pkt, %d minor GCs; cache hits %d / misses %d)\n"
-    fast_pps (p50 fast_hist) (p99 fast_hist) fast_gc.gs_alloc_bytes_per_pkt
-    fast_gc.gs_minor_gcs
+    fast_pps (p50 fast_hist) (p99 fast_hist) fast_alloc fast_gcs
     fast_stats.Scallop.Dataplane.fp_cache_hits fast_stats.Scallop.Dataplane.fp_cache_misses;
   Printf.printf "speedup:   %10.2fx\n" speedup;
   Printf.printf "pool:      %d recycled / %d fresh checkouts, high water %d live\n"
     fast_stats.Scallop.Dataplane.fp_pool_recycled
     fast_stats.Scallop.Dataplane.fp_pool_fresh
     fast_stats.Scallop.Dataplane.fp_pool_high_water;
-  Printf.printf "paranoid differential check: %s\n" (if paranoid_ok then "ok" else "FAILED");
-  Printf.printf "alloc budget gate (<= %d B/pkt): %s\n" alloc_budget
-    (if gate_alloc_ok then "ok" else "FAILED");
-  Printf.printf "p99 ordering gate (fast < slow): %s\n"
-    (if gate_p99_ok then "ok" else "FAILED");
-  Printf.printf "speedup gate (>= 4.5x): %s\n" (if gate_speedup_ok then "ok" else "FAILED");
+  Printf.printf "paranoid differential check: %s\n" (ok paranoid_ok);
+  Printf.printf "p99 ordering gate (fast < slow): %s\n" (ok gate_p99_ok);
+  Printf.printf "speedup gate (>= 4.5x): %s\n" (ok gate_speedup_ok);
   let oc = open_out "BENCH_3.json" in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"fanout_pps\",\n  \"receivers\": %d,\n  \"packets\": %d,\n  \
@@ -257,94 +165,18 @@ let fanout_bench ~quick ~micro ~gc_stats =
      \"fast_p50_ns\": %.1f,\n  \"fast_p99_ns\": %.1f,\n  \
      \"slow_alloc_bytes_per_pkt\": %.1f,\n  \"fast_alloc_bytes_per_pkt\": %.1f,\n  \
      \"slow_minor_gcs\": %d,\n  \"fast_minor_gcs\": %d,\n  \
-     \"alloc_budget_bytes_per_pkt\": %d,\n  \
      \"pool_recycled\": %d,\n  \"pool_fresh\": %d,\n  \"pool_high_water\": %d,\n  \
-     \"paranoid_ok\": %b,\n  \"gate_alloc_ok\": %b,\n  \"gate_p99_ok\": %b,\n  \
-     \"gate_speedup_ok\": %b,\n  \
-     \"cache_hits\": %d,\n  \"cache_misses\": %d,\n  \
-     \"microbench_ns_per_op\": {%s}\n}\n"
+     \"paranoid_ok\": %b,\n  \"gate_p99_ok\": %b,\n  \"gate_speedup_ok\": %b,\n  \
+     \"cache_hits\": %d,\n  \"cache_misses\": %d\n}\n"
     receivers packets slow_pps fast_pps speedup
     (p50 slow_hist) (p99 slow_hist) (p50 fast_hist) (p99 fast_hist)
-    slow_gc.gs_alloc_bytes_per_pkt fast_gc.gs_alloc_bytes_per_pkt
-    slow_gc.gs_minor_gcs fast_gc.gs_minor_gcs alloc_budget
+    slow_alloc fast_alloc slow_gcs fast_gcs
     fast_stats.Scallop.Dataplane.fp_pool_recycled
     fast_stats.Scallop.Dataplane.fp_pool_fresh
     fast_stats.Scallop.Dataplane.fp_pool_high_water
-    paranoid_ok gate_alloc_ok gate_p99_ok gate_speedup_ok
+    paranoid_ok gate_p99_ok gate_speedup_ok
     fast_stats.Scallop.Dataplane.fp_cache_hits
-    fast_stats.Scallop.Dataplane.fp_cache_misses
-    (String.concat ", "
-       (List.map (fun (n, ns) -> Printf.sprintf "\"%s\": %.1f" (Scallop_util.Json.escape n) ns) micro));
+    fast_stats.Scallop.Dataplane.fp_cache_misses;
   close_out oc;
   print_endline "wrote BENCH_3.json";
-  if gc_stats then begin
-    (* full process-level GC picture, for the CI artifact *)
-    let s = Gc.stat () in
-    let oc = open_out "BENCH_gc.json" in
-    Printf.fprintf oc
-      "{\n  \"benchmark\": \"fanout_gc\",\n  \
-       \"slow\": { \"alloc_bytes_per_pkt\": %.1f, \"minor_gcs\": %d, \"promoted_words\": %.0f },\n  \
-       \"fast\": { \"alloc_bytes_per_pkt\": %.1f, \"minor_gcs\": %d, \"promoted_words\": %.0f },\n  \
-       \"alloc_budget_bytes_per_pkt\": %d,\n  \
-       \"process\": { \"minor_collections\": %d, \"major_collections\": %d, \
-       \"compactions\": %d, \"heap_words\": %d, \"top_heap_words\": %d }\n}\n"
-      slow_gc.gs_alloc_bytes_per_pkt slow_gc.gs_minor_gcs slow_gc.gs_promoted_words
-      fast_gc.gs_alloc_bytes_per_pkt fast_gc.gs_minor_gcs fast_gc.gs_promoted_words
-      alloc_budget s.Gc.minor_collections s.Gc.major_collections s.Gc.compactions
-      s.Gc.heap_words s.Gc.top_heap_words;
-    close_out oc;
-    print_endline "wrote BENCH_gc.json"
-  end;
-  if not (paranoid_ok && gate_alloc_ok && gate_p99_ok && gate_speedup_ok) then exit 1
-
-(* --csv <dir>: every printed table is also written as <dir>/<title>.csv *)
-let install_csv_sink dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let sanitize title =
-    String.map (fun c -> if ('a' <= Char.lowercase_ascii c && Char.lowercase_ascii c <= 'z') || ('0' <= c && c <= '9') then c else '_') title
-  in
-  Scallop_util.Table.set_csv_sink
-    (Some
-       (fun ~title ~csv ->
-         let path = Filename.concat dir (sanitize title ^ ".csv") in
-         let oc = open_out path in
-         output_string oc csv;
-         close_out oc))
-
-let rec find_csv_dir = function
-  | "--csv" :: dir :: _ -> Some dir
-  | _ :: rest -> find_csv_dir rest
-  | [] -> None
-
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let no_micro = List.mem "--no-micro" args in
-  let no_experiments = List.mem "--no-experiments" args in
-  let gc_stats =
-    List.mem "--gc-stats" args || Sys.getenv_opt "FANOUT_GC" = Some "1"
-  in
-  Option.iter install_csv_sink (find_csv_dir args);
-  let ids =
-    let rec strip = function
-      | "--csv" :: _ :: rest -> strip rest
-      | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" -> strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
-  in
-  print_endline "=== Scallop paper reproduction: all tables and figures ===";
-  Printf.printf "mode: %s\n\n" (if quick then "quick" else "full");
-  (if not no_experiments then
-     match ids with
-     | [] -> Experiments.Registry.run_all ~quick ()
-     | ids ->
-         List.iter
-           (fun id ->
-             match Experiments.Registry.find id with
-             | Some e -> e.run ~quick ()
-             | None -> Printf.printf "unknown experiment id %S\n" id)
-           ids);
-  let micro = if no_micro then [] else microbench () in
-  fanout_bench ~quick ~micro ~gc_stats
+  if not (paranoid_ok && gate_p99_ok && gate_speedup_ok) then exit 1

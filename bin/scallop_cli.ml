@@ -23,12 +23,32 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List every reproducible table and figure.")
     Term.(const run $ const ())
 
+let csv_arg =
+  Arg.(value & opt (some string) None
+       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write every printed table as DIR/<title>.csv.")
+
+(* Every table printed from here on is also written as <dir>/<title>.csv,
+   the title's non-alphanumeric characters replaced by '_'. *)
+let csv_to_dir dir =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let sanitize =
+    String.map (fun c ->
+        match Char.lowercase_ascii c with 'a' .. 'z' | '0' .. '9' -> c | _ -> '_')
+  in
+  Scallop_util.Table.set_csv_sink
+    (Some
+       (fun ~title ~csv ->
+         let oc = open_out (Filename.concat dir (sanitize title ^ ".csv")) in
+         output_string oc csv;
+         close_out oc))
+
 let run_cmd =
   let ids =
     let doc = "Experiment ids (see $(b,list)); empty means all." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run quick ids =
+  let run quick csv ids =
+    Option.iter csv_to_dir csv;
     match ids with
     | [] ->
         Experiments.Registry.run_all ~quick ();
@@ -45,7 +65,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one or more experiments (all by default).")
-    Term.(term_result (const run $ quick_arg $ ids))
+    Term.(term_result (const run $ quick_arg $ csv_arg $ ids))
 
 let capacity_cmd =
   let participants =
@@ -745,25 +765,8 @@ let trace_cmd =
   in
   let days = Arg.(value & opt int 14 & info [ "days" ] ~doc:"Horizon in days.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Generator seed.") in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Directory for CSV dumps.")
-  in
   let run meetings days seed csv =
-    (match csv with
-    | None -> ()
-    | Some dir ->
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        Scallop_util.Table.set_csv_sink
-          (Some
-             (fun ~title ~csv ->
-               let name =
-                 String.map
-                   (fun c -> if ('a' <= Char.lowercase_ascii c && Char.lowercase_ascii c <= 'z') || ('0' <= c && c <= '9') then c else '_')
-                   title
-               in
-               let oc = open_out (Filename.concat dir (name ^ ".csv")) in
-               output_string oc csv;
-               close_out oc)));
+    Option.iter csv_to_dir csv;
     let dataset = Trace.Dataset.generate (Scallop_util.Rng.create seed) ~days ~meetings () in
     Printf.printf "synthesized %d meetings over %d days (%.0f%% two-party)
 
@@ -813,7 +816,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Synthesize the campus workload and dump its distributions.")
-    Term.(const run $ meetings $ days $ seed $ csv)
+    Term.(const run $ meetings $ days $ seed $ csv_arg)
 
 let explore_cmd =
   let module Mc = Scallop_mc in

@@ -51,7 +51,6 @@ type t = {
   mutable jitter_ticks : float;  (** RFC 3550 estimate in 90 kHz ticks *)
   (* statistics *)
   mutable frames_decoded : int;
-  mutable frames_incomplete : int;
   mutable frames_undecodable : int;
   mutable freezes : int;
   mutable nacks_sent : int;
@@ -97,7 +96,6 @@ let create ?(nack_delay_ns = 30_000_000) ?(pli_timeout_ns = 500_000_000) ~ssrc (
     last_rtp_ts = 0;
     jitter_ticks = 0.0;
     frames_decoded = 0;
-    frames_incomplete = 0;
     frames_undecodable = 0;
     freezes = 0;
     nacks_sent = 0;
@@ -420,7 +418,7 @@ let poll_pli t ~time_ns =
   else false
 
 let frames_decoded t = t.frames_decoded
-let frames_incomplete t = Hashtbl.length t.frames + t.frames_incomplete
+let frames_incomplete t = Hashtbl.length t.frames
 let frames_undecodable t = t.frames_undecodable
 let freezes t = t.freezes
 let frozen t = t.broken

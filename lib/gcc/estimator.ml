@@ -8,7 +8,6 @@ type t = {
   (* grouping: packets sharing an RTP timestamp form a group (a frame) *)
   mutable group_ts : int;  (** RTP timestamp of the current group *)
   mutable group_first_arrival : int;
-  mutable group_last_arrival : int;
   mutable prev_group_ts : int;
   mutable prev_group_arrival : int;
   mutable have_prev_group : bool;
@@ -56,7 +55,6 @@ let create ?(initial_bps = 3_000_000) ?(min_bps = 50_000) ?(max_bps = 20_000_000
     estimate_bps = initial_bps;
     group_ts = 0;
     group_first_arrival = 0;
-    group_last_arrival = 0;
     prev_group_ts = 0;
     prev_group_arrival = 0;
     have_prev_group = false;
@@ -265,20 +263,18 @@ let on_packet t ~time_ns ~rtp_ts ~size =
   if not t.started then begin
     t.started <- true;
     t.group_ts <- rtp_ts;
-    t.group_first_arrival <- time_ns;
-    t.group_last_arrival <- time_ns
+    t.group_first_arrival <- time_ns
   end
-  else if rtp_ts = t.group_ts then t.group_last_arrival <- time_ns
-  else if rtp_ts < t.group_ts then
-    (* a retransmission or reordered packet of an older frame: it still
-       counts toward the receive rate, but would corrupt the inter-group
-       delay filter (libwebrtc likewise discards old groups) *)
+  else if rtp_ts <= t.group_ts then
+    (* another packet of the current group, or a retransmission or
+       reordered packet of an older frame: it counts toward the receive
+       rate only; an older frame would corrupt the inter-group delay
+       filter (libwebrtc likewise discards old groups) *)
     ()
   else begin
     complete_group t ~time_ns;
     t.group_ts <- rtp_ts;
-    t.group_first_arrival <- time_ns;
-    t.group_last_arrival <- time_ns
+    t.group_first_arrival <- time_ns
   end
 
 let estimate_bps t = t.estimate_bps

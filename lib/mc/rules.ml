@@ -26,10 +26,7 @@ let agent_i ev = req "agent" (arg_i ev "agent")
 let exactly_once_wire () =
   let restarts : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let seen : (string * string * int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  make ~name:"exactly-once-wire"
-    ~doc:
-      "a (client, seq) request must not execute twice on the same agent \
-       epoch; retransmits are answered from the replay cache"
+  make
     ~step:(fun ~idx ev ->
       if is ev "agent_restart" then begin
         let a = agent_s ev in
@@ -72,7 +69,6 @@ let exactly_once_wire () =
    outside the replay cache. *)
 let exactly_once_effect () =
   always ~name:"exactly-once-effect"
-    ~doc:"a participant is never appended to a meeting's member list twice"
     (fun ~idx:_ ev ->
       if is ev "member_add" then
         let count = req "count" (arg_i ev "count") in
@@ -93,10 +89,7 @@ let exactly_once_effect () =
 let epoch_monotone () =
   let pong : (int, int * int) Hashtbl.t = Hashtbl.create 4 in
   let boot : (string, int * int) Hashtbl.t = Hashtbl.create 4 in
-  make ~name:"epoch-monotone"
-    ~doc:
-      "agent epochs are monotonic: heartbeat pongs never report a lower \
-       epoch, restarts strictly increase it"
+  make
     ~step:(fun ~idx ev ->
       if is ev "hb_pong" then begin
         let a = agent_i ev and e = req "epoch" (arg_i ev "epoch") in
@@ -143,8 +136,7 @@ let epoch_monotone () =
    anything. *)
 let no_exec_while_crashed () =
   let down : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  make ~name:"no-exec-while-crashed"
-    ~doc:"a crashed agent must not execute or answer RPCs until it restarts"
+  make
     ~step:(fun ~idx ev ->
       if is ev "agent_crash" then begin
         Hashtbl.replace down (agent_s ev) idx;
@@ -184,10 +176,7 @@ let no_exec_while_crashed () =
 let batch_order () =
   let open_b : (string, int * int * int) Hashtbl.t = Hashtbl.create 4 in
   (* label -> (n, next expected idx, begin event) *)
-  make ~name:"batch-order"
-    ~doc:
-      "batched ops execute in submission order and every op executes \
-       exactly once, errors isolated per op"
+  make
     ~step:(fun ~idx ev ->
       let viol detail at =
         [
@@ -255,10 +244,7 @@ let skipped_ops_healed () =
   let pending : (int, int) Hashtbl.t = Hashtbl.create 4 in
   (* switch -> last unhealed op_skip event *)
   let dead : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  make ~name:"skipped-ops-healed"
-    ~doc:
-      "a switch that missed ops is resynced before it is trusted again: \
-       ending the run healthy requires a heal_done after its last skip"
+  make
     ~step:(fun ~idx ev ->
       if is ev "op_skip" then Hashtbl.replace pending (agent_i ev) idx
       else if is ev "heal_done" then Hashtbl.remove pending (agent_i ev)
@@ -291,9 +277,7 @@ let hb_liveness () =
   let interval = ref 0 in
   let last = ref (-1, -1) in
   (* (ts, event idx) of last tick *)
-  make ~name:"hb-liveness"
-    ~doc:"heartbeat ticks keep firing (gap <= 2x interval) while health \
-          monitoring is running"
+  make
     ~step:(fun ~idx ev ->
       if is ev "hb_start" then begin
         running := true;
@@ -346,10 +330,7 @@ let replay_identical () =
   let orig : (string * string * int, int * int) Hashtbl.t =
     Hashtbl.create 64
   in
-  make ~name:"replay-identical"
-    ~doc:
-      "a replayed (cache-served) reply must be byte-identical to the \
-       reply produced by the original execution"
+  make
     ~step:(fun ~idx ev ->
       if is ev "rpc_exec" then begin
         let key =
@@ -388,9 +369,6 @@ let replay_identical () =
    absence causes the straddling-retransmit double-execution). *)
 let quiet_heal () =
   always ~name:"quiet-heal"
-    ~doc:
-      "a heal never begins while a mutation call is in flight on the \
-       channel (the quiet-channel rule)"
     (fun ~idx:_ ev ->
       if is ev "heal_begin" then
         match arg_i ev "in_flight" with
@@ -409,10 +387,7 @@ let quiet_heal () =
 let fence_monotone () =
   let last = ref None in
   (* (fence, ctrl label, event idx) of the latest activation *)
-  make ~name:"fence-monotone"
-    ~doc:
-      "controller activations mint strictly increasing fencing epochs: no \
-       two primaries ever act under the same epoch"
+  make
     ~step:(fun ~idx ev ->
       if is ev "ctrl_activate" then begin
         let f = req "fence" (arg_i ev "fence") in
@@ -449,10 +424,7 @@ let no_deposed_exec () =
   let restarts : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let hi : (string * int, int * int) Hashtbl.t = Hashtbl.create 8 in
   (* (agent, boot era) -> (max accepted fence, its event idx) *)
-  make ~name:"no-deposed-exec"
-    ~doc:
-      "an agent never executes an op fenced under a deposed epoch: after \
-       accepting fence f (within one boot), everything below f is refused"
+  make
     ~step:(fun ~idx ev ->
       if is ev "agent_restart" then begin
         let a = agent_s ev in

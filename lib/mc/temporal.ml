@@ -12,14 +12,11 @@ let pp_violation ppf v =
     (String.concat "," (List.map string_of_int v.v_events))
 
 type rule = {
-  r_name : string;
-  r_doc : string;
   r_step : idx:int -> Trace.event -> violation list;
   r_final : now:int -> violation list;
 }
 
-let make ~name ~doc ~step ~final =
-  { r_name = name; r_doc = doc; r_step = step; r_final = final }
+let make ~step ~final = { r_step = step; r_final = final }
 
 (* --- event accessors --- *)
 
@@ -38,16 +35,16 @@ let arg_s (ev : Trace.event) key =
 
 (* --- combinators --- *)
 
-let always ~name ~doc pred =
+let always ~name pred =
   let step ~idx (ev : Trace.event) =
     match pred ~idx ev with
     | None -> []
     | Some detail ->
         [ { v_rule = name; v_detail = detail; v_ts = ev.ts; v_events = [ idx ] } ]
   in
-  make ~name ~doc ~step ~final:(fun ~now:_ -> [])
+  make ~step ~final:(fun ~now:_ -> [])
 
-let eventually ~name ~doc ~trigger ~satisfy =
+let eventually ~name ~trigger ~satisfy =
   let open_obs : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
   let step ~idx (ev : Trace.event) =
     (match satisfy ev with
@@ -73,9 +70,9 @@ let eventually ~name ~doc ~trigger ~satisfy =
       open_obs []
     |> List.sort (fun a b -> compare a.v_events b.v_events)
   in
-  make ~name ~doc ~step ~final
+  make ~step ~final
 
-let precedes ~name ~doc ~first ~then_ =
+let precedes ~name ~first ~then_ =
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let step ~idx (ev : Trace.event) =
     let out =
@@ -98,7 +95,7 @@ let precedes ~name ~doc ~first ~then_ =
     | None -> ());
     out
   in
-  make ~name ~doc ~step ~final:(fun ~now:_ -> [])
+  make ~step ~final:(fun ~now:_ -> [])
 
 (* --- checker engine --- *)
 

@@ -1,10 +1,11 @@
 (** Temporal protocol checker: safety/liveness rules evaluated online
     over the {!Scallop_obs.Trace} event stream.
 
-    Rules are plain data — a name, a human explanation, a per-event step
-    function and an end-of-run finalizer — built from the [always] /
-    [eventually] / [precedes] combinators (or [make] for custom stateful
-    automata). A {!checker} taps the trace via
+    Rules are plain data — a per-event step function and an end-of-run
+    finalizer — built from the [always] / [eventually] / [precedes]
+    combinators (or [make] for custom stateful automata). The combinators'
+    [name] is the [v_rule] of the violations they report; a custom rule
+    names its own. A {!checker} taps the trace via
     {!Scallop_obs.Trace.set_listener}, so evaluation is immune to ring
     wraparound and adds no cost when tracing is off.
 
@@ -27,8 +28,6 @@ val pp_violation : Format.formatter -> violation -> unit
 type rule
 
 val make :
-  name:string ->
-  doc:string ->
   step:(idx:int -> Trace.event -> violation list) ->
   final:(now:int -> violation list) ->
   rule
@@ -39,14 +38,12 @@ val make :
 
 val always :
   name:string ->
-  doc:string ->
   (idx:int -> Trace.event -> string option) ->
   rule
 (** Safety: the predicate must never return [Some detail]. *)
 
 val eventually :
   name:string ->
-  doc:string ->
   trigger:(Trace.event -> string option) ->
   satisfy:(Trace.event -> string option) ->
   rule
@@ -56,7 +53,6 @@ val eventually :
 
 val precedes :
   name:string ->
-  doc:string ->
   first:(Trace.event -> string option) ->
   then_:(Trace.event -> string option) ->
   rule

@@ -35,7 +35,7 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   mutable cfg : config;
-  mutable name : string;  (** identity cited by drop events / attribution *)
+  name : string;  (** identity cited by drop events / attribution *)
   sink : Dgram.t -> unit;
   mutable busy_until : int;
   mutable queued_bytes : int;

@@ -39,7 +39,6 @@ let m2e_bounds = Stats.Histogram.log_bounds ~lo:1.0 ~hi:1e4 ~per_decade:10
 
 type t = {
   key : key;
-  bin_ns : int;
   mutable host : string;
       (* receiver host address ("10.0.1.3"); names the victim's access
          links ("up:<host>"/"down:<host>") for attribution *)
@@ -106,7 +105,6 @@ let create_collector ?(bin_ns = default_bin_ns) key =
   let t =
     {
       key;
-      bin_ns;
       host = "";
       first_ns = -1;
       packets = 0;

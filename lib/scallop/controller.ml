@@ -34,7 +34,6 @@ type participant = {
    switch agent through the control-plane RPC client for that switch
    index — never by calling agent functions directly. *)
 type site = {
-  s_idx : int;  (** switch index, selects the RPC client *)
   dp : Dataplane.t;
   agent_mid : Switch_agent.meeting_id;
 }
@@ -181,7 +180,6 @@ type persisted = {
 
 type t = {
   engine : Engine.t;
-  network : Network.t;
   rng : Rng.t;
   label : string;  (** names this instance on traces and metrics *)
   agents : (Switch_agent.t * Dataplane.t) array;
@@ -218,7 +216,7 @@ type t = {
 let controller_ip = Addr.ip_of_string "10.255.0.1"
 let control_port = 6633
 
-let create engine network rng ~agents ?(control = Rpc_transport.default)
+let create engine _network rng ~agents ?(control = Rpc_transport.default)
     ?(batch = true) ?(journal = Journal.create ()) ?(standby = false) ?(label = "ctl")
     ?(ip = controller_ip) () =
   if agents = [] then invalid_arg "Controller.create: need at least one switch agent";
@@ -243,7 +241,6 @@ let create engine network rng ~agents ?(control = Rpc_transport.default)
   let t =
     {
       engine;
-      network;
       rng;
       label;
       agents;
@@ -555,7 +552,7 @@ and site_of t m idx =
   | Some s -> s
   | None ->
       let _, dp = t.agents.(idx) in
-      let s = { s_idx = idx; dp; agent_mid = provisional_mid t } in
+      let s = { dp; agent_mid = provisional_mid t } in
       Hashtbl.replace m.sites idx s;
       if t.recovering || unavailable t idx then s
       else Option.value (materialize_site t m idx) ~default:s

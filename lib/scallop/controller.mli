@@ -37,7 +37,10 @@ val create :
   ?ip:int ->
   unit ->
   t
-(** Meetings are placed round-robin across the given switches; each
+(** The network argument is not used: the control channels to the
+    switches are point-to-point [Rpc_transport] links.
+
+    Meetings are placed round-robin across the given switches; each
     meeting lives wholly on one switch (splitting a meeting across
     switches — true cascading — is future work in the paper as well).
 

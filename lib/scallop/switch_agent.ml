@@ -21,7 +21,7 @@ type leg_info = {
   leg_port : int;
   receiver : int;
   adaptive : bool;  (** false for cascade legs towards another switch *)
-  mutable ewma : Ewma.t;
+  ewma : Ewma.t;
   mutable history : float list;  (** recent raw estimates, newest first *)
   mutable target : Dd.decode_target;
   mutable last_target_change_ns : int;

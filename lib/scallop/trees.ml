@@ -15,7 +15,7 @@ let rid_stride = 1024
 type group = {
   g_design : design;
   mgids : int array;  (** 1 for Nra; [qualities] for Ra_r *)
-  mutable slot_used : bool array;  (** length [meetings_per_tree] *)
+  slot_used : bool array;  (** length [meetings_per_tree] *)
 }
 
 type ra_sr_pair = {
@@ -43,7 +43,7 @@ type impl =
 
 type handle = {
   id : int;
-  mutable h_design : design;
+  h_design : design;
   mutable h_participants : (int * int) list;
   mutable h_senders : int list;
   targets : (int, Dd.decode_target) Hashtbl.t;  (** receiver -> target *)

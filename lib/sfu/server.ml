@@ -14,7 +14,6 @@ type participant_id = int
 let history_size = 1024
 
 type out_stream = {
-  receiver : participant_id;
   dst : Addr.t;  (** receiver client's local addr for this leg *)
   sfu_port : int;
   mutable next_video_seq : int;
@@ -259,7 +258,6 @@ let create_leg t ~(sender : participant) ~(receiver : participant) =
   in
   let out =
     {
-      receiver = receiver.id;
       dst = Webrtc.Client.local_addr conn;
       sfu_port;
       next_video_seq = Rng.int t.rng 0x10000;

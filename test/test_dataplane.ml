@@ -438,10 +438,10 @@ let pool_drains_to_zero () =
     (s.Scallop_util.Bufpool.recycled > 0)
 
 (* Steady-state allocation regression gate: the canonical 30-receiver Fast
-   fan-out must stay under the pinned budget. Mirrors the bench's GC gate
-   so a regression fails in `dune runtest`, not only in CI's bench smoke.
-   The receiver IP is unhosted, so the network terminates every replica
-   (and must release its pooled buffer there). *)
+   fan-out must stay under the pinned budget. This is the only check of
+   the budget; allocation grows with run length, so it measures 2,000
+   packets after warm-up. The receiver IP is unhosted, so the network
+   terminates every replica (and must release its pooled buffer there). *)
 let alloc_budget_regression () =
   let engine = Engine.create () in
   let rng = Rng.create 7 in
@@ -489,7 +489,7 @@ let alloc_budget_regression () =
   in
   (* warm-up: fill the PRE cache, the replica pool and the batch free list *)
   Array.iter one (Array.init 100 (fun i -> raw (60_000 + i) (30_000 + (i / 2))));
-  let packets = 200 in
+  let packets = 2_000 in
   let stream = Array.init packets (fun i -> raw i (i / 2)) in
   let fresh0 = (Dp.pool_stats dp).Scallop_util.Bufpool.fresh in
   let a0 = Gc.allocated_bytes () in

@@ -52,7 +52,7 @@ let ev ?(ts = 0) name args =
 
 let temporal_always () =
   let rule =
-    Temporal.always ~name:"no-bang" ~doc:"" (fun ~idx:_ e ->
+    Temporal.always ~name:"no-bang" (fun ~idx:_ e ->
         if Temporal.is e "bang" then Some "saw bang" else None)
   in
   let c = Temporal.create [ rule ] in
@@ -67,7 +67,7 @@ let temporal_always () =
 
 let temporal_eventually () =
   let mk () =
-    Temporal.eventually ~name:"ack-everything" ~doc:""
+    Temporal.eventually ~name:"ack-everything"
       ~trigger:(fun e ->
         if Temporal.is e "req" then Temporal.arg_s e "id" else None)
       ~satisfy:(fun e ->
@@ -83,7 +83,7 @@ let temporal_eventually () =
 
 let temporal_precedes () =
   let mk () =
-    Temporal.precedes ~name:"grant-before-use" ~doc:""
+    Temporal.precedes ~name:"grant-before-use"
       ~first:(fun e ->
         if Temporal.is e "grant" then Temporal.arg_s e "id" else None)
       ~then_:(fun e ->
