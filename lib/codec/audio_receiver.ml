@@ -31,7 +31,7 @@ let create ~ssrc =
     last_arrival_ns = 0;
     last_rtp_ts = 0;
     jitter_ticks = 0.0;
-    seen = Hashtbl.create 256;
+    seen = Hashtbl.create 16;
     ring = Array.make window (-1);
     ring_count = 0;
   }

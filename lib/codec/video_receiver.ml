@@ -79,13 +79,13 @@ let create ?(nack_delay_ns = 30_000_000) ?(pli_timeout_ns = 500_000_000) ~ssrc (
     pli_timeout_ns;
     started = false;
     highest_seq = 0;
-    seq_to_frame = Hashtbl.create 512;
+    seq_to_frame = Hashtbl.create 16;
     seq_ring = Array.make seq_window_size (-1);
     seq_ring_count = 0;
     gaps = [];
-    frames = Hashtbl.create 64;
+    frames = Hashtbl.create 16;
     waiting = Hashtbl.create 16;
-    decoded = Hashtbl.create 256;
+    decoded = Hashtbl.create 16;
     broken = false;
     broken_since = 0;
     last_pli = min_int / 2;
@@ -104,9 +104,9 @@ let create ?(nack_delay_ns = 30_000_000) ?(pli_timeout_ns = 500_000_000) ~ssrc (
     bytes_received = 0;
     fps_series = Timeseries.create ~bin_ns:1_000_000_000;
     bitrate_series = Timeseries.create ~bin_ns:1_000_000_000;
-    jitter_bins = Hashtbl.create 64;
+    jitter_bins = Hashtbl.create 16;
     mouth_to_ear = Stats.Samples.create ();
-    capture_ts = Hashtbl.create 64;
+    capture_ts = Hashtbl.create 16;
     qoe = None;
   }
 

@@ -12,20 +12,31 @@ type metric =
 
 type entry = { help : string; metric : metric }
 
-(* Keyed by (name, canonically rendered label set). *)
-let registry : (string * string, entry) Hashtbl.t = Hashtbl.create 64
+(* Keyed by (name, sorted label set); the labels are rendered only when
+   dumping. The hash reads up to 64 strings: [Hashtbl.hash] stops after
+   ten, which would put the per-stream QoE entries of one receiver (five
+   labels) in one bucket. *)
+module Key = struct
+  type t = string * (string * string) list
 
-let render_labels labels =
-  match List.sort compare labels with
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end
+
+module Registry = Hashtbl.Make (Key)
+
+let registry : entry Registry.t = Registry.create 64
+
+let render_labels = function
   | [] -> ""
   | labels ->
       "{"
       ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) labels)
+          (List.map (fun (k, v) -> k ^ "=\"" ^ String.escaped v ^ "\"") labels)
       ^ "}"
 
 let register ?(labels = []) ?(help = "") name metric =
-  Hashtbl.replace registry (name, render_labels labels) { help; metric }
+  Registry.replace registry (name, List.sort compare labels) { help; metric }
 
 let counter ?labels ?help name =
   let c = { c = 0 } in
@@ -54,7 +65,7 @@ let register_callback ?labels ?help name f = register ?labels ?help name (Callba
    instead of minting a fresh zeroed one like {!histogram} does. *)
 let register_histogram ?labels ?help name h = register ?labels ?help name (Histogram h)
 
-let reset () = Hashtbl.reset registry
+let reset () = Registry.reset registry
 
 (* %.17g round-trips every float but prints integers as integers via the
    shortest-representation check below; keep it simple and deterministic. *)
@@ -63,7 +74,9 @@ let float_str v =
   else Printf.sprintf "%g" v
 
 let sorted_entries () =
-  Hashtbl.fold (fun k e acc -> (k, e) :: acc) registry []
+  Registry.fold
+    (fun (name, labels) e acc -> ((name, render_labels labels), e) :: acc)
+    registry []
   |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
 
 let dump () =

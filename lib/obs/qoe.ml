@@ -56,18 +56,21 @@ type t = {
   mutable freeze_intervals : (int * int) list;  (* closed, newest first *)
   m2e : Stats.Histogram.t;
   (* Ring of timestamped m2e samples for windowed percentiles; the
-     histogram above keeps the all-time distribution for /metrics. *)
-  m2e_ts : int array;
-  m2e_v : float array;
+     histogram above keeps the all-time distribution for /metrics. It
+     starts empty and doubles up to [m2e_ring] entries; it wraps only
+     once it holds that many. *)
+  mutable m2e_ts : int array;
+  mutable m2e_v : float array;
   mutable m2e_next : int;
   mutable m2e_written : int;
   loss_series : Timeseries.t;
   recovered_series : Timeseries.t;
   packet_series : Timeseries.t;
   (* Ring of (trace id, arrival time) — the causal hooks attribution
-     walks backwards from. *)
-  tr_id : int array;
-  tr_ts : int array;
+     walks backwards from. Allocated at full size by the first traced
+     packet, so an untraced run never holds one. *)
+  mutable tr_id : int array;
+  mutable tr_ts : int array;
   mutable tr_next : int;
   mutable tr_written : int;
 }
@@ -119,15 +122,15 @@ let create_collector ?(bin_ns = default_bin_ns) key =
       freeze_since = -1;
       freeze_intervals = [];
       m2e = Stats.Histogram.create ~bounds:m2e_bounds ();
-      m2e_ts = Array.make m2e_ring 0;
-      m2e_v = Array.make m2e_ring 0.0;
+      m2e_ts = [||];
+      m2e_v = [||];
       m2e_next = 0;
       m2e_written = 0;
       loss_series = Timeseries.create ~bin_ns;
       recovered_series = Timeseries.create ~bin_ns;
       packet_series = Timeseries.create ~bin_ns;
-      tr_id = Array.make trace_ring (-1);
-      tr_ts = Array.make trace_ring 0;
+      tr_id = [||];
+      tr_ts = [||];
       tr_next = 0;
       tr_written = 0;
     }
@@ -189,9 +192,21 @@ let on_mouth_to_ear t ~time_ns ~ms =
   if not (Float.is_nan ms) then begin
     touch t time_ns;
     Stats.Histogram.observe t.m2e ms;
+    let len = Array.length t.m2e_ts in
+    if t.m2e_written = len && len < m2e_ring then begin
+      (* full below the cap, so never wrapped: the samples sit in order
+         at [0, len) *)
+      let cap = Stdlib.min m2e_ring (Stdlib.max 16 (2 * len)) in
+      let ts = Array.make cap 0 and v = Array.make cap 0.0 in
+      Array.blit t.m2e_ts 0 ts 0 len;
+      Array.blit t.m2e_v 0 v 0 len;
+      t.m2e_ts <- ts;
+      t.m2e_v <- v;
+      t.m2e_next <- len
+    end;
     t.m2e_ts.(t.m2e_next) <- time_ns;
     t.m2e_v.(t.m2e_next) <- ms;
-    t.m2e_next <- (t.m2e_next + 1) mod m2e_ring;
+    t.m2e_next <- (t.m2e_next + 1) mod Array.length t.m2e_ts;
     t.m2e_written <- t.m2e_written + 1
   end
 
@@ -225,6 +240,10 @@ let on_stall t ~from_ns ~until_ns =
 
 let note_trace t ~time_ns ~trace =
   if trace >= 0 then begin
+    if Array.length t.tr_id = 0 then begin
+      t.tr_id <- Array.make trace_ring (-1);
+      t.tr_ts <- Array.make trace_ring 0
+    end;
     t.tr_id.(t.tr_next) <- trace;
     t.tr_ts.(t.tr_next) <- time_ns;
     t.tr_next <- (t.tr_next + 1) mod trace_ring;
@@ -266,7 +285,7 @@ let ring_fold ~written ~next ~cap ~f init =
   !acc
 
 let m2e_samples_between t ~from_ns ~until_ns =
-  ring_fold ~written:t.m2e_written ~next:t.m2e_next ~cap:m2e_ring
+  ring_fold ~written:t.m2e_written ~next:t.m2e_next ~cap:(Array.length t.m2e_ts)
     ~f:(fun acc i ->
       let ts = t.m2e_ts.(i) in
       if ts >= from_ns && ts <= until_ns then t.m2e_v.(i) :: acc else acc)

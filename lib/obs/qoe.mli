@@ -10,8 +10,11 @@
     ({!Attrib}) can walk back from the victim's recent trace ids.
 
     Collectors register themselves as [scallop_qoe_*] metrics (labelled
-    by key) on creation. All hooks are O(1); windowed queries are only
-    run at evaluation/report time. *)
+    by key) on creation. All hooks are O(1) (amortized: the mouth-to-ear
+    ring doubles when full, up to its cap); windowed queries are only
+    run at evaluation/report time. A collector holds ring storage only
+    for what it has seen: the mouth-to-ear ring grows with its samples,
+    and the trace-id ring exists only after a traced packet. *)
 
 type media = Camera | Screen
 type kind = Video | Audio
@@ -56,7 +59,8 @@ val reset : unit -> unit
 (** Drop all collectors (fresh world / tests). Does not unregister their
     metrics; pair with [Metrics.reset]. *)
 
-(** {2 Collection hooks} — all O(1), called from the media path. *)
+(** {2 Collection hooks} — all (amortized) O(1), called from the media
+    path. *)
 
 val on_packet : t -> time_ns:int -> size:int -> unit
 val on_gap : t -> time_ns:int -> count:int -> unit
@@ -81,7 +85,8 @@ val on_stall : t -> from_ns:int -> until_ns:int -> unit
 
 val note_trace : t -> time_ns:int -> trace:int -> unit
 (** Record a per-packet trace id that reached this receiver — the causal
-    anchors attribution starts from. No-op for untraced packets ([-1]). *)
+    anchors attribution starts from. No-op for untraced packets ([-1]);
+    the first traced one allocates the ring. *)
 
 (** {2 Windowed queries} *)
 

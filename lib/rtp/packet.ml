@@ -30,46 +30,72 @@ let one_byte_ok exts =
       id >= 1 && id <= 14 && Bytes.length data >= 1 && Bytes.length data <= 16)
     exts
 
-(* Serialize RFC 8285 extension elements, padded to a 32-bit boundary. *)
-let serialize_extensions w exts =
-  let body = Wire.Writer.create () in
-  let one_byte = one_byte_ok exts in
-  List.iter
-    (fun { id; data } ->
-      let len = Bytes.length data in
-      if one_byte then Wire.Writer.u8 body ((id lsl 4) lor (len - 1))
-      else begin
-        Wire.Writer.u8 body id;
-        Wire.Writer.u8 body len
-      end;
-      Wire.Writer.bytes body data)
-    exts;
-  let unpadded = Wire.Writer.length body in
-  let padded = (unpadded + 3) land lnot 3 in
-  for _ = unpadded + 1 to padded do
-    Wire.Writer.u8 body 0
-  done;
-  Wire.Writer.u16 w (if one_byte then 0xBEDE else 0x1000);
-  Wire.Writer.u16 w (padded / 4);
-  Wire.Writer.bytes w (Wire.Writer.contents body)
-
-let serialize t =
-  let w = Wire.Writer.create () in
-  let has_ext = t.extensions <> [] in
-  let b0 =
-    (2 lsl 6)
-    lor (if has_ext then 1 lsl 4 else 0)
-    lor List.length t.csrcs
+let wire_size t =
+  let ext_size =
+    if t.extensions = [] then 0
+    else begin
+      let one_byte = one_byte_ok t.extensions in
+      let body =
+        List.fold_left
+          (fun acc { data; _ } ->
+            acc + (if one_byte then 1 else 2) + Bytes.length data)
+          0 t.extensions
+      in
+      4 + ((body + 3) land lnot 3)
+    end
   in
-  Wire.Writer.u8 w b0;
-  Wire.Writer.u8 w (((if t.marker then 1 else 0) lsl 7) lor t.payload_type);
-  Wire.Writer.u16 w t.sequence;
-  Wire.Writer.u32_int w t.timestamp;
-  Wire.Writer.u32_int w t.ssrc;
-  List.iter (fun c -> Wire.Writer.u32_int w c) t.csrcs;
-  if has_ext then serialize_extensions w t.extensions;
-  Wire.Writer.bytes w t.payload;
-  Wire.Writer.contents w
+  12 + (4 * List.length t.csrcs) + ext_size + Bytes.length t.payload
+
+(* Write the RFC 8285 extension block at [pos] (its elements padded with
+   zeros to a 32-bit boundary); returns the offset just past it. *)
+let serialize_extensions buf pos exts =
+  let one_byte = one_byte_ok exts in
+  Wire.Patch.u16 buf ~pos (if one_byte then 0xBEDE else 0x1000);
+  let body = pos + 4 in
+  let stop =
+    List.fold_left
+      (fun p { id; data } ->
+        let len = Bytes.length data in
+        let p =
+          if one_byte then begin
+            Bytes.set_uint8 buf p (((id lsl 4) lor (len - 1)) land 0xFF);
+            p + 1
+          end
+          else begin
+            Bytes.set_uint8 buf p (id land 0xFF);
+            Bytes.set_uint8 buf (p + 1) (len land 0xFF);
+            p + 2
+          end
+        in
+        Bytes.blit data 0 buf p len;
+        p + len)
+      body exts
+  in
+  let padded = (stop - body + 3) land lnot 3 in
+  Wire.Patch.u16 buf ~pos:(pos + 2) (padded / 4);
+  body + padded
+
+(* Written in place into a buffer of exactly [wire_size t] zeroed bytes:
+   one allocation, no growing buffer and no final copy. *)
+let serialize t =
+  let buf = Bytes.make (wire_size t) '\000' in
+  let has_ext = t.extensions <> [] in
+  Bytes.set_uint8 buf 0
+    (((2 lsl 6) lor (if has_ext then 1 lsl 4 else 0) lor List.length t.csrcs) land 0xFF);
+  Bytes.set_uint8 buf 1 ((((if t.marker then 1 else 0) lsl 7) lor t.payload_type) land 0xFF);
+  Wire.Patch.u16 buf ~pos:2 t.sequence;
+  Wire.Patch.u32 buf ~pos:4 t.timestamp;
+  Wire.Patch.u32 buf ~pos:8 t.ssrc;
+  let pos =
+    List.fold_left
+      (fun pos c ->
+        Wire.Patch.u32 buf ~pos c;
+        pos + 4)
+      12 t.csrcs
+  in
+  let pos = if has_ext then serialize_extensions buf pos t.extensions else pos in
+  Bytes.blit t.payload 0 buf pos (Bytes.length t.payload);
+  buf
 
 let parse_extension_block r =
   let profile = Wire.Reader.u16 r in
@@ -298,22 +324,6 @@ end
 
 let with_sequence t sequence = { t with sequence = sequence land 0xFFFF }
 let with_ssrc t ssrc = { t with ssrc = ssrc land 0xFFFFFFFF }
-
-let wire_size t =
-  let ext_size =
-    if t.extensions = [] then 0
-    else begin
-      let one_byte = one_byte_ok t.extensions in
-      let body =
-        List.fold_left
-          (fun acc { data; _ } ->
-            acc + (if one_byte then 1 else 2) + Bytes.length data)
-          0 t.extensions
-      in
-      4 + ((body + 3) land lnot 3)
-    end
-  in
-  12 + (4 * List.length t.csrcs) + ext_size + Bytes.length t.payload
 
 let seq_succ s = (s + 1) land 0xFFFF
 let seq_add s n = (s + n) land 0xFFFF

@@ -50,7 +50,7 @@ type connection = {
   video_src : Codec.Video_source.t option;
   simulcast_src : Codec.Simulcast_source.t option;
   audio_src : Codec.Audio_source.t option;
-  history : Packet.t option array;
+  history : Packet.t option array;  (** empty on a receive connection *)
   send_fps : Timeseries.t;
   mutable retransmissions : int;
   (* receiver side *)
@@ -176,15 +176,17 @@ let sender_report t conn =
   if srs <> [] then
     send_rtcp t conn (srs @ [ Rtp.Rtcp.Sdes [ (conn.video_ssrc, [ Rtp.Rtcp.Cname "scallop-client" ]) ] ])
 
+(* a receive connection keeps no history: a NACK sent to it is ignored *)
 let retransmit t conn seqs =
-  List.iter
-    (fun seq ->
-      match conn.history.(seq mod history_size) with
-      | Some pkt when pkt.Packet.sequence = seq ->
-          conn.retransmissions <- conn.retransmissions + 1;
-          transmit t conn (Packet.serialize pkt)
-      | Some _ | None -> ())
-    seqs
+  if Array.length conn.history > 0 then
+    List.iter
+      (fun seq ->
+        match conn.history.(seq mod history_size) with
+        | Some pkt when pkt.Packet.sequence = seq ->
+            conn.retransmissions <- conn.retransmissions + 1;
+            transmit t conn (Packet.serialize pkt)
+        | Some _ | None -> ())
+      seqs
 
 (* --- receiver side ------------------------------------------------------- *)
 
@@ -509,7 +511,7 @@ let make_connection t ~kind ?send_audio ?video_bitrate ?(simulcast = false) ~loc
         (if kind = Send && send_audio then
            Some (Codec.Audio_source.create (Rng.split t.rng) (Codec.Audio_source.default_config ~ssrc:audio_ssrc))
          else None);
-      history = Array.make history_size None;
+      history = (if kind = Send then Array.make history_size None else [||]);
       send_fps = Timeseries.create ~bin_ns:1_000_000_000;
       retransmissions = 0;
       video_rx = (if kind = Recv then Some (Codec.Video_receiver.create ~ssrc:video_ssrc ()) else None);

@@ -134,6 +134,30 @@ let metrics_adopted_histogram () =
   Alcotest.(check bool) "prior observations visible" true
     (contains (Metrics.dump ()) "adopted_count 1")
 
+(* Label values are rendered as OCaml string literals ([%S]) in both dump
+   forms, and a label set names the same entry in any order. *)
+let metrics_label_escaping () =
+  fresh ();
+  let quote = "say \"hi\" \\o/" and raw = "line\nnext \xe9t\xe9" in
+  let c = Metrics.counter ~labels:[ ("b", raw); ("a", quote) ] "esc_total" in
+  Metrics.add c 5;
+  let sample = Printf.sprintf "esc_total{a=%S,b=%S}" quote raw in
+  Alcotest.(check bool) "text dump line" true
+    (contains (Metrics.dump ()) (sample ^ " 5\n"));
+  Alcotest.(check bool) "JSON dump line" true
+    (contains (Metrics.dump_json ())
+       (Printf.sprintf "\n  \"%s\": 5" (Scallop_util.Json.escape sample)));
+  let c2 = Metrics.counter ~labels:[ ("a", quote); ("b", raw) ] "esc_total" in
+  Metrics.add c2 7;
+  let dump = Metrics.dump () in
+  Alcotest.(check bool) "reordered labels replace" true
+    (contains dump (sample ^ " 7\n") && not (contains dump (sample ^ " 5\n")));
+  Alcotest.(check int) "one entry" 1
+    (List.length
+       (List.filter
+          (fun l -> String.length l > 10 && String.sub l 0 10 = "esc_total{")
+          (String.split_on_char '\n' dump)))
+
 (* --- Trace gating and sink ------------------------------------------------- *)
 
 let trace_off_writes_nothing () =
@@ -278,6 +302,7 @@ let () =
           Alcotest.test_case "histogram JSON buckets" `Quick
             metrics_histogram_json_buckets;
           Alcotest.test_case "adopted histogram" `Quick metrics_adopted_histogram;
+          Alcotest.test_case "label escaping and order" `Quick metrics_label_escaping;
         ] );
       ( "trace",
         [

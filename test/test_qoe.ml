@@ -129,6 +129,112 @@ let qoe_m2e_windows () =
   Alcotest.(check (option (float 1e-9))) "windowed bad fraction" (Some 1.0)
     (bad ~from_s:2.5 ~until_s:10.0)
 
+(* The rings grow on demand and then wrap: windowed answers must equal a
+   naive scan of the newest [cap] samples, before the first wrap (the
+   ring grown but not full) and well past it. *)
+let m2e_cap = 16_384
+let trace_cap = 8_192
+
+let last n l = List.filteri (fun i _ -> i < n) l (* [l] is newest first *)
+
+let qoe_m2e_ring_grows_then_wraps () =
+  fresh ();
+  let q = Qoe.collector (key ()) in
+  let fed = ref [] (* (time_ns, ms), newest first *) in
+  let check_against_naive n =
+    let kept = last m2e_cap !fed in
+    let windows =
+      [
+        (0, max_int);
+        (* straddles the oldest kept sample once the ring has wrapped *)
+        (1_000 * (n - 20_000), 1_000 * (n - 10_000));
+        (1_000 * (n - 900), 1_000 * (n - 100));
+      ]
+    in
+    List.iter
+      (fun (from_ns, until_ns) ->
+        let vs =
+          List.filter_map
+            (fun (ts, v) -> if ts >= from_ns && ts <= until_ns then Some v else None)
+            kept
+          |> Array.of_list
+        in
+        Array.sort Float.compare vs;
+        let what = Printf.sprintf "after %d, window %d..%d" n from_ns until_ns in
+        List.iter
+          (fun p ->
+            let naive =
+              if vs = [||] then None
+              else Some (Scallop_util.Stats.percentile_of_array vs p)
+            in
+            Alcotest.(check (option (float 0.0)))
+              (Printf.sprintf "%s p%g" what p) naive
+              (Qoe.m2e_percentile_between q ~from_ns ~until_ns ~p))
+          [ 0.0; 50.0; 99.0; 100.0 ];
+        let naive_bad =
+          if vs = [||] then None
+          else
+            let bad = Array.fold_left (fun a v -> if v > 250.0 then a + 1 else a) 0 vs in
+            Some (float_of_int bad /. float_of_int (Array.length vs))
+        in
+        Alcotest.(check (option (float 0.0)))
+          (what ^ " bad fraction") naive_bad
+          (Qoe.m2e_bad_fraction_between q ~from_ns ~until_ns ~threshold_ms:250.0))
+      windows
+  in
+  for i = 1 to 40_000 do
+    (* one sample per virtual microsecond, values scattered over 0..499 ms *)
+    let ts = 1_000 * i and ms = float_of_int (i * 7_919 mod 5_000) /. 10.0 in
+    Qoe.on_mouth_to_ear q ~time_ns:ts ~ms;
+    fed := (ts, ms) :: !fed;
+    if List.mem i [ 1; 1_500; m2e_cap; m2e_cap + 1; 40_000 ] then check_against_naive i
+  done
+
+let qoe_trace_ring_wraps () =
+  fresh ();
+  let q = Qoe.collector (key ()) in
+  let fed = ref [] in
+  let check_against_naive n =
+    List.iter
+      (fun (from_ns, until_ns) ->
+        let naive =
+          last trace_cap !fed
+          |> List.filter_map (fun (ts, id) ->
+                 if ts >= from_ns && ts <= until_ns then Some id else None)
+          |> List.sort_uniq compare
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "after %d, window %d..%d" n from_ns until_ns)
+          naive
+          (Qoe.traces_between q ~from_ns ~until_ns))
+      [ (0, max_int); (1_000 * (n - 700), 1_000 * (n - 50)) ]
+  in
+  for i = 1 to 20_000 do
+    (* ids repeat, so the answer also tests de-duplication *)
+    let ts = 1_000 * i and id = i * 31 mod 9_000 in
+    Qoe.note_trace q ~time_ns:ts ~trace:id;
+    fed := (ts, id) :: !fed;
+    if List.mem i [ 1_500; trace_cap; trace_cap + 1; 20_000 ] then check_against_naive i
+  done
+
+(* A fresh collector holds no ring storage; untraced packets never
+   allocate the trace ring, and the first traced one does. *)
+let qoe_collector_footprint () =
+  fresh ();
+  let q = Qoe.collector (key ()) in
+  let fresh_words = Obj.reachable_words (Obj.repr q) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh collector %d words <= 1024" fresh_words)
+    true (fresh_words <= 1_024);
+  for i = 1 to 100 do
+    Qoe.note_trace q ~time_ns:(1_000 * i) ~trace:(-1)
+  done;
+  Alcotest.(check int) "untraced packets allocate nothing" fresh_words
+    (Obj.reachable_words (Obj.repr q));
+  Qoe.note_trace q ~time_ns:200_000 ~trace:1;
+  Alcotest.(check bool) "a traced packet allocates the trace ring" true
+    (Obj.reachable_words (Obj.repr q) >= fresh_words + (2 * trace_cap))
+
 let qoe_traces_and_layers () =
   fresh ();
   let q = Qoe.collector (key ()) in
@@ -523,6 +629,9 @@ let () =
           t "freeze windows" `Quick qoe_freeze_windows;
           t "mouth-to-ear windows" `Quick qoe_m2e_windows;
           t "traces and layer clamping" `Quick qoe_traces_and_layers;
+          t "mouth-to-ear ring grows then wraps" `Quick qoe_m2e_ring_grows_then_wraps;
+          t "trace ring wraps" `Quick qoe_trace_ring_wraps;
+          t "collector footprint" `Quick qoe_collector_footprint;
         ] );
       ( "slo",
         [

@@ -294,6 +294,29 @@ let malformed_rtp_dropped () =
   Alcotest.(check int) "a valid replay still counts" (v0 + 1) v;
   Alcotest.(check int) "as a retransmission duplicate" (dups0 + 1) dups
 
+(* A receive connection keeps no retransmit history: an RTCP NACK that
+   reaches it is ignored, with no exception and nothing sent. *)
+let nack_on_recv_ignored () =
+  let engine, c, conn, rng, dgram = rx_fixture () in
+  List.iter
+    (fun (at, d) -> Engine.at engine ~time:at (fun () -> Client.deliver c conn d))
+    (media_stream rng dgram ~seconds:0.5);
+  Engine.run engine ~until:(Engine.sec 0.5);
+  let media_sent = ref 0 in
+  Client.set_tx_hook c (fun ~time_ns:_ d ->
+      if Rtp.Demux.classify d.Netsim.Dgram.payload = Rtp.Demux.Rtp_media then
+        incr media_sent);
+  let nack =
+    Rtp.Rtcp.serialize_compound
+      [ Rtp.Rtcp.Nack { sender_ssrc = 0; media_ssrc = 31; lost = List.init 64 Fun.id } ]
+  in
+  (match Client.deliver c conn (dgram nack) with
+  | () -> ()
+  | exception e -> Alcotest.failf "NACK raised %s" (Printexc.to_string e));
+  Engine.run engine ~until:(Engine.sec 1.0);
+  Alcotest.(check int) "no retransmission" 0 (Client.retransmissions conn);
+  Alcotest.(check int) "no media sent" 0 !media_sent
+
 (* Steady-state allocation of the client receive path per canonical
    replica: the work every packet the data plane fans out costs at its
    receiver. What still allocates is the per-packet jitter sample the
@@ -357,5 +380,6 @@ let () =
         [
           Alcotest.test_case "malformed rtp dropped" `Quick malformed_rtp_dropped;
           Alcotest.test_case "alloc budget" `Quick rx_alloc_budget;
+          Alcotest.test_case "nack on a receive connection" `Quick nack_on_recv_ignored;
         ] );
     ]
