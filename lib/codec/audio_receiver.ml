@@ -13,7 +13,7 @@ type t = {
   mutable last_rtp_ts : int;
   mutable jitter_ticks : float;
   seen : (int, unit) Hashtbl.t;  (** recent seqs, pruned by ring *)
-  ring : int array;
+  mutable ring : int array;  (** allocated by the first packet *)
   mutable ring_count : int;
 }
 
@@ -32,13 +32,14 @@ let create ~ssrc =
     last_rtp_ts = 0;
     jitter_ticks = 0.0;
     seen = Hashtbl.create 16;
-    ring = Array.make window (-1);
+    ring = [||];
     ring_count = 0;
   }
 
 let ticks_per_ns = 48_000.0 /. 1e9
 
 let remember t seq =
+  if Array.length t.ring = 0 then t.ring <- Array.make window (-1);
   let slot = t.ring_count mod window in
   if t.ring.(slot) >= 0 then Hashtbl.remove t.seen t.ring.(slot);
   t.ring.(slot) <- seq;

@@ -30,7 +30,9 @@ type t = {
   mutable started : bool;
   mutable highest_seq : int;
   seq_to_frame : (int, int) Hashtbl.t;  (** recent seq -> frame number *)
-  seq_ring : int array;  (** insertion ring, for pruning seq_to_frame *)
+  mutable seq_ring : int array;
+      (** insertion ring, for pruning seq_to_frame; allocated by the first
+          packet, so a connection no media reaches never holds it *)
   mutable seq_ring_count : int;
   mutable gaps : gap list;
   (* frame assembly *)
@@ -80,7 +82,7 @@ let create ?(nack_delay_ns = 30_000_000) ?(pli_timeout_ns = 500_000_000) ~ssrc (
     started = false;
     highest_seq = 0;
     seq_to_frame = Hashtbl.create 16;
-    seq_ring = Array.make seq_window_size (-1);
+    seq_ring = [||];
     seq_ring_count = 0;
     gaps = [];
     frames = Hashtbl.create 16;
@@ -302,6 +304,7 @@ let clear_gap t ~time_ns seq =
     | None -> ()
 
 let remember_seq t seq =
+  if Array.length t.seq_ring = 0 then t.seq_ring <- Array.make seq_window_size (-1);
   let slot = t.seq_ring_count mod seq_window_size in
   let evicted = t.seq_ring.(slot) in
   if evicted >= 0 then Hashtbl.remove t.seq_to_frame evicted;

@@ -24,8 +24,11 @@ let client_link () =
 
 let sfu_ip = Addr.ip_of_string "10.0.0.1"
 
-let make_scallop ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM) ?(switch_link = fast_link)
-    ?(control = Scallop.Rpc_transport.default) ?batch () =
+(* The world both scallop stacks share: one switch on the network, its
+   agent, and a controller tier that [make_controller] builds over it.
+   The rng splits in a fixed order (network, then controller), so a seed
+   draws the same world whichever tier sits on top. *)
+let make_world ~seed ~rewrite ~switch_link make_controller =
   (* a fresh world: stale same-key QoE collectors from a previous stack in
      this process would otherwise be reused and keep accumulating *)
   Scallop_obs.Qoe.reset ();
@@ -35,11 +38,14 @@ let make_scallop ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM) ?(switch_link
   Network.add_host network ~ip:sfu_ip ~uplink:switch_link ~downlink:switch_link ();
   let dp = Scallop.Dataplane.create engine network ~ip:sfu_ip () in
   let agent = Scallop.Switch_agent.create engine dp ~rewrite () in
-  let controller =
-    Scallop.Controller.create engine network (Rng.split rng) ~agents:[ (agent, dp) ] ~control
-      ?batch ()
-  in
-  { engine; rng; network; dp; agent; controller }
+  let controller, tier = make_controller engine network (Rng.split rng) [ (agent, dp) ] in
+  ({ engine; rng; network; dp; agent; controller }, tier)
+
+let make_scallop ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM) ?(switch_link = fast_link)
+    ?(control = Scallop.Rpc_transport.default) ?batch () =
+  fst
+    (make_world ~seed ~rewrite ~switch_link (fun engine network rng agents ->
+         (Scallop.Controller.create engine network rng ~agents ~control ?batch (), ())))
 
 (* A scallop stack whose controller tier is the fault-tolerant pair: an
    acting primary and a journal-tailing standby under the cluster's
@@ -52,22 +58,14 @@ type cluster_stack = { base : scallop_stack; cluster : Scallop.Cluster.t }
 let make_cluster ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM)
     ?(switch_link = fast_link) ?(control = Scallop.Rpc_transport.default)
     ?cluster_config () =
-  Scallop_obs.Qoe.reset ();
-  let engine = Engine.create () in
-  let rng = Rng.create seed in
-  let network = Network.create engine (Rng.split rng) in
-  Network.add_host network ~ip:sfu_ip ~uplink:switch_link ~downlink:switch_link ();
-  let dp = Scallop.Dataplane.create engine network ~ip:sfu_ip () in
-  let agent = Scallop.Switch_agent.create engine dp ~rewrite () in
-  let cluster =
-    Scallop.Cluster.create ?config:cluster_config engine network (Rng.split rng)
-      ~agents:[ (agent, dp) ] ~control ()
+  let base, cluster =
+    make_world ~seed ~rewrite ~switch_link (fun engine network rng agents ->
+        let cluster =
+          Scallop.Cluster.create ?config:cluster_config engine network rng ~agents ~control ()
+        in
+        (Scallop.Cluster.primary cluster, cluster))
   in
-  {
-    base =
-      { engine; rng; network; dp; agent; controller = Scallop.Cluster.primary cluster };
-    cluster;
-  }
+  { base; cluster }
 
 type software_stack = {
   s_engine : Engine.t;

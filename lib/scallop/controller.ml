@@ -21,7 +21,7 @@ type participant = {
   video_ssrc : int;
   audio_ssrc : int;
   renditions : (int * int) array;  (** simulcast (ssrc, bitrate); [||] for SVC *)
-  send_conn : Client.connection option;
+  mutable send_conn : Client.connection option;
   mutable recv_conns : (participant_id * Client.connection) list;
   mutable sites : int list;  (** switches where this participant is registered *)
   mutable cam_ports : (int * int) list;  (** switch -> camera uplink port there *)
@@ -166,17 +166,32 @@ exception Deposed_primary
    connection values are shared by reference — they model live endpoints
    in the simulated world, not controller-private state. *)
 type persisted = {
-  ps_meetings : (meeting_id, meeting) Hashtbl.t;
-  ps_participants : (participant_id, participant) Hashtbl.t;
-  ps_egress_ports : (int, int) Hashtbl.t;
-  ps_relay_receivers : (meeting_id * int * int, unit) Hashtbl.t;
-  ps_next_agent : int;
-  ps_next_meeting : int;
-  ps_next_pid : int;
-  ps_next_sfu_port : int;
-  ps_next_egress_port : int;
-  ps_next_provisional : int;
+  meetings : (meeting_id, meeting) Hashtbl.t;
+  participants : (participant_id, participant) Hashtbl.t;
+  egress_ports : (int, int) Hashtbl.t;  (** client ip (or pseudo key) -> switch port *)
+  relay_receivers : (meeting_id * int * int, unit) Hashtbl.t;
+      (** (meeting, source switch, destination switch) pseudo receivers *)
+  mutable next_agent : int;
+  mutable next_meeting : int;
+  mutable next_pid : int;
+  mutable next_sfu_port : int;
+  mutable next_egress_port : int;
+  mutable next_provisional : int;  (** provisional agent meeting ids, < -1 *)
 }
+
+let fresh_state () =
+  {
+    meetings = Hashtbl.create 16;
+    participants = Hashtbl.create 64;
+    egress_ports = Hashtbl.create 64;
+    relay_receivers = Hashtbl.create 16;
+    next_agent = 0;
+    next_meeting = 0;
+    next_pid = 0;
+    next_sfu_port = 40_000;
+    next_egress_port = 1;
+    next_provisional = -2;
+  }
 
 type t = {
   engine : Engine.t;
@@ -184,19 +199,9 @@ type t = {
   label : string;  (** names this instance on traces and metrics *)
   agents : (Switch_agent.t * Dataplane.t) array;
   rpcs : Rpc_transport.Client.t array;  (** one control channel per switch *)
-  mutable next_agent : int;
-  meetings : (meeting_id, meeting) Hashtbl.t;
-  participants : (participant_id, participant) Hashtbl.t;
-  egress_ports : (int, int) Hashtbl.t;  (** client ip (or pseudo key) -> switch port *)
-  relay_receivers : (meeting_id * int * int, unit) Hashtbl.t;
-      (** (meeting, source switch, destination switch) pseudo receivers *)
-  mutable next_meeting : int;
-  mutable next_pid : int;
-  mutable next_sfu_port : int;
-  mutable next_egress_port : int;
+  mutable state : persisted;
   mutable sdp_messages : int;
   mutable health : health_state option;  (** None until {!start_health} *)
-  mutable next_provisional : int;  (** provisional agent meeting ids, < -1 *)
   batch : bool;  (** flush at operation boundaries; [false] flushes every op *)
   buffers : buffered_op Queue.t array;  (** per-agent batch buffer (FIFO) *)
   flushing : bool array;  (** per-agent reentrancy guard around a flush *)
@@ -245,18 +250,9 @@ let create engine _network rng ~agents ?(control = Rpc_transport.default)
       label;
       agents;
       rpcs;
-      next_agent = 0;
-      meetings = Hashtbl.create 16;
-      participants = Hashtbl.create 64;
-      egress_ports = Hashtbl.create 64;
-      relay_receivers = Hashtbl.create 16;
-      next_meeting = 0;
-      next_pid = 0;
-      next_sfu_port = 40_000;
-      next_egress_port = 1;
+      state = fresh_state ();
       sdp_messages = 0;
       health = None;
-      next_provisional = -2;
       batch;
       buffers = Array.map (fun _ -> Queue.create ()) agents;
       flushing = Array.map (fun _ -> false) agents;
@@ -274,17 +270,18 @@ let create engine _network rng ~agents ?(control = Rpc_transport.default)
   t
 
 let fresh_sfu_port t =
-  let p = t.next_sfu_port in
-  t.next_sfu_port <- p + 1;
+  let p = t.state.next_sfu_port in
+  t.state.next_sfu_port <- p + 1;
   p
 
 let egress_port_of t key =
-  match Hashtbl.find_opt t.egress_ports key with
+  let st = t.state in
+  match Hashtbl.find_opt st.egress_ports key with
   | Some p -> p
   | None ->
-      let p = t.next_egress_port in
-      t.next_egress_port <- p + 1;
-      Hashtbl.replace t.egress_ports key p;
+      let p = st.next_egress_port in
+      st.next_egress_port <- p + 1;
+      Hashtbl.replace st.egress_ports key p;
       p
 
 (* A pseudo participant id standing for "everything behind switch [idx]"
@@ -296,32 +293,21 @@ let relay_pid idx = 900_000 + idx
 let sender_site_key pid idx = 0x7E000000 + (pid * 64) + idx
 let relay_site_key mid idx = 0x7F000000 + (mid * 64) + idx
 
-(* Placement across cascaded switches: meetings get a round-robin primary
-   switch; participants may be homed elsewhere (Appendix A), in which case
-   cascade relays carry the media between switches.
-
-   The [_exec] body below (like every [_exec] in this file) is the
-   execution half of a state mutation: the public entry point validates,
-   journals the op under the current fence, then runs the exec — and a
-   journal replay runs the same exec directly. *)
-let create_meeting_exec t =
-  let primary = t.next_agent in
-  t.next_agent <- (t.next_agent + 1) mod Array.length t.agents;
-  let mid = t.next_meeting in
-  t.next_meeting <- mid + 1;
-  Hashtbl.replace t.meetings mid
-    { mid; primary; sites = Hashtbl.create 2; members = []; leg_intents = []; pair_targets = [] };
-  mid
-
 let find_meeting t mid =
-  match Hashtbl.find_opt t.meetings mid with
+  match Hashtbl.find_opt t.state.meetings mid with
   | Some m -> m
   | None -> invalid_arg "Controller: unknown meeting"
 
 let find_participant t pid =
-  match Hashtbl.find_opt t.participants pid with
+  match Hashtbl.find_opt t.state.participants pid with
   | Some p -> p
   | None -> invalid_arg "Controller: unknown participant"
+
+(* [idx] checked as a switch index for entry point [fn]. *)
+let switch_idx t fn idx =
+  if idx < 0 || idx >= Array.length t.agents then
+    invalid_arg (Printf.sprintf "Controller.%s: no switch %d" fn idx);
+  idx
 
 (* --- fencing ---------------------------------------------------------------
 
@@ -344,12 +330,17 @@ let depose t ~fence =
         ~args:[ ctrl_arg t; ("fence", Trace.I fence) ]
   end
 
+(* Every public mutation starts here. A journal replay runs the same
+   public functions with [recovering] set, so the checks (like the
+   journal append) are skipped for it. *)
 let ensure_usable t =
-  if t.killed then raise Unavailable;
-  match t.role with
-  | Acting -> ()
-  | Standby -> raise Unavailable
-  | Deposed -> raise Deposed_primary
+  if not t.recovering then begin
+    if t.killed then raise Unavailable;
+    match t.role with
+    | Acting -> ()
+    | Standby -> raise Unavailable
+    | Deposed -> raise Deposed_primary
+  end
 
 (* Durably record one intent mutation before executing it. Raising here
    (stale fence) means the op was neither journaled nor executed — the
@@ -377,10 +368,24 @@ let refresh_role t =
     && Journal.fence t.journal > t.fence
   then depose t ~fence:(Journal.fence t.journal)
 
+(* Placement across cascaded switches: meetings get a round-robin primary
+   switch; participants may be homed elsewhere (Appendix A), in which case
+   cascade relays carry the media between switches.
+
+   Every public mutation below has the same shape: check, journal the op
+   under the current fence, execute. A journal replay calls the same
+   functions ({!apply_journal_op}); no op journals another. *)
 let create_meeting t =
   ensure_usable t;
   journaled t Journal.Create_meeting;
-  create_meeting_exec t
+  let st = t.state in
+  let primary = st.next_agent in
+  st.next_agent <- (st.next_agent + 1) mod Array.length t.agents;
+  let mid = st.next_meeting in
+  st.next_meeting <- mid + 1;
+  Hashtbl.replace st.meetings mid
+    { mid; primary; sites = Hashtbl.create 2; members = []; leg_intents = []; pair_targets = [] };
+  mid
 
 (* --- control-plane RPC ------------------------------------------------------
 
@@ -460,8 +465,8 @@ let desync t idx msg =
   | None -> invalid_arg msg
 
 let provisional_mid t =
-  let mid = t.next_provisional in
-  t.next_provisional <- mid - 1;
+  let mid = t.state.next_provisional in
+  t.state.next_provisional <- mid - 1;
   mid
 
 let take_buffer t idx =
@@ -689,6 +694,79 @@ let add_stream_port (p : participant) kind site port =
   | Camera -> p.cam_ports <- (site, port) :: p.cam_ports
   | Screen -> p.screen_ports <- (site, port) :: p.screen_ports
 
+(* --- wire ops: one builder per intent ----------------------------------------
+
+   Each agent op is a function of the intent it encodes, and the forward
+   path and the resync's replay ({!push_replay}) both call it, so the two
+   cannot drift apart. A builder does its allocations (egress ports) when
+   called; the closure it returns only fills in the agent-side meeting id
+   at flush time. *)
+
+(* Participant [p] registered on switch [idx]: at home with its own
+   egress port, elsewhere as a sender feeding a relay uplink there. *)
+let participant_op t (p : participant) idx =
+  let egress_port, sends =
+    if idx = p.home then (p.egress_port, p.sends)
+    else (egress_port_of t (sender_site_key p.pid idx), true)
+  in
+  let participant = p.pid in
+  fun ~agent_mid ->
+    Rpc.Register_participant { meeting = agent_mid; participant; egress_port; sends }
+
+(* The pseudo receiver standing for switch [dst] on a source switch. *)
+let relay_receiver_op t mid dst =
+  let egress_port = egress_port_of t (relay_site_key mid dst) in
+  fun ~agent_mid ->
+    Rpc.Register_participant
+      { meeting = agent_mid; participant = relay_pid dst; egress_port; sends = false }
+
+(* [p]'s [kind] stream entering switch [idx] on [port]: its own uplink at
+   home, a cascade relay elsewhere. Only the home camera uplink carries
+   simulcast renditions. *)
+let uplink_op (p : participant) kind idx port =
+  let video_ssrc, audio_ssrc = stream_ssrcs p kind in
+  let renditions = if kind = Camera && idx = p.home then p.renditions else [||] in
+  let sender = p.pid and full_bitrate = stream_bitrate kind in
+  fun ~agent_mid ->
+    Rpc.Register_uplink
+      { meeting = agent_mid; sender; port; video_ssrc; audio_ssrc; full_bitrate; renditions }
+
+let leg_op li ~agent_mid =
+  Rpc.Register_leg
+    {
+      meeting = agent_mid;
+      sender = li.li_sender;
+      uplink_port = Some li.li_uplink_port;
+      receiver = li.li_receiver;
+      leg_port = li.li_leg_port;
+      dst = li.li_dst;
+      adaptive = li.li_adaptive;
+    }
+
+let pair_target_op ((sender, receiver), target) ~agent_mid =
+  Rpc.Set_pair_target { meeting = agent_mid; sender; receiver; target }
+
+let remove_participant_op participant ~agent_mid =
+  Rpc.Remove_participant { meeting = agent_mid; participant }
+
+(* Record [sender]'s [kind] leg on switch [idx], fed by the stream's
+   uplink there, in intent, and register it on that switch. *)
+let add_leg t m idx ~kind ~(sender : participant) ~receiver ~leg_port ~dst ~adaptive =
+  let li =
+    {
+      li_idx = idx;
+      li_kind = kind;
+      li_sender = sender.pid;
+      li_uplink_port = List.assoc idx (stream_ports sender kind);
+      li_receiver = receiver;
+      li_leg_port = leg_port;
+      li_dst = dst;
+      li_adaptive = adaptive;
+    }
+  in
+  m.leg_intents <- m.leg_intents @ [ li ];
+  agent_op t m idx (leg_op li)
+
 (* --- cascading (Appendix A) --------------------------------------------------
 
    A sender homed on switch A reaches receivers homed on switch B through a
@@ -703,68 +781,25 @@ let add_stream_port (p : participant) kind site port =
 let ensure_relay t m ~(sender : participant) ~kind ~to_switch =
   if not (List.mem_assoc to_switch (stream_ports sender kind)) then begin
     let dst_site = site_of t m to_switch in
-    let video_ssrc, audio_ssrc = stream_ssrcs sender kind in
     (* the downstream switch sees the sender as a sending participant whose
        uplink is the relay port (its own copies are self-suppressed, so the
        pseudo egress port never carries traffic) *)
     let relay_port = fresh_sfu_port t in
     if not (List.mem to_switch sender.sites) then begin
-      let sender_pid = sender.pid in
-      let egress_port = egress_port_of t (sender_site_key sender.pid to_switch) in
-      agent_op t m to_switch (fun ~agent_mid ->
-          Rpc.Register_participant
-            { meeting = agent_mid; participant = sender_pid; egress_port; sends = true });
+      agent_op t m to_switch (participant_op t sender to_switch);
       sender.sites <- to_switch :: sender.sites
     end;
-    (let sender_pid = sender.pid in
-     let full_bitrate = stream_bitrate kind in
-     agent_op t m to_switch (fun ~agent_mid ->
-         Rpc.Register_uplink
-           {
-             meeting = agent_mid;
-             sender = sender_pid;
-             port = relay_port;
-             video_ssrc;
-             audio_ssrc;
-             full_bitrate;
-             renditions = [||];
-           }));
+    agent_op t m to_switch (uplink_op sender kind to_switch relay_port);
     add_stream_port sender kind to_switch relay_port;
     (* the upstream switch sees the downstream switch as one receiver *)
-    let rpid = relay_pid to_switch in
     let rkey = (m.mid, sender.home, to_switch) in
-    if not (Hashtbl.mem t.relay_receivers rkey) then begin
-      Hashtbl.replace t.relay_receivers rkey ();
-      let egress_port = egress_port_of t (relay_site_key m.mid to_switch) in
-      agent_op t m sender.home (fun ~agent_mid ->
-          Rpc.Register_participant
-            { meeting = agent_mid; participant = rpid; egress_port; sends = false })
+    if not (Hashtbl.mem t.state.relay_receivers rkey) then begin
+      Hashtbl.replace t.state.relay_receivers rkey ();
+      agent_op t m sender.home (relay_receiver_op t m.mid to_switch)
     end;
     let leg_port = fresh_sfu_port t in
-    let li =
-      {
-        li_idx = sender.home;
-        li_kind = kind;
-        li_sender = sender.pid;
-        li_uplink_port = List.assoc sender.home (stream_ports sender kind);
-        li_receiver = rpid;
-        li_leg_port = leg_port;
-        li_dst = Addr.v (Dataplane.ip dst_site.dp) relay_port;
-        li_adaptive = false;
-      }
-    in
-    m.leg_intents <- m.leg_intents @ [ li ];
-    agent_op t m sender.home (fun ~agent_mid ->
-        Rpc.Register_leg
-          {
-            meeting = agent_mid;
-            sender = li.li_sender;
-            uplink_port = Some li.li_uplink_port;
-            receiver = li.li_receiver;
-            leg_port = li.li_leg_port;
-            dst = li.li_dst;
-            adaptive = false;
-          })
+    add_leg t m sender.home ~kind ~sender ~receiver:(relay_pid to_switch) ~leg_port
+      ~dst:(Addr.v (Dataplane.ip dst_site.dp) relay_port) ~adaptive:false
   end
 
 (* Wire one (sender -> receiver) leg on the receiver's home switch:
@@ -800,32 +835,8 @@ let create_stream_leg t m ~kind ~(sender : participant) ~(receiver : participant
   (match kind with
   | Camera -> receiver.recv_conns <- (sender.pid, conn) :: receiver.recv_conns
   | Screen -> receiver.screen_recv_conns <- (sender.pid, conn) :: receiver.screen_recv_conns);
-  let li =
-    {
-      li_idx = receiver.home;
-      li_kind = kind;
-      li_sender = sender.pid;
-      li_uplink_port = List.assoc receiver.home (stream_ports sender kind);
-      li_receiver = receiver.pid;
-      li_leg_port = leg_port;
-      li_dst = Client.local_addr conn;
-      li_adaptive = true;
-    }
-  in
-  m.leg_intents <- m.leg_intents @ [ li ];
-  agent_op t m receiver.home (fun ~agent_mid ->
-      Rpc.Register_leg
-        {
-          meeting = agent_mid;
-          sender = li.li_sender;
-          uplink_port = Some li.li_uplink_port;
-          receiver = li.li_receiver;
-          leg_port = li.li_leg_port;
-          dst = li.li_dst;
-          adaptive = true;
-        })
-
-let create_leg t m ~sender ~receiver = create_stream_leg t m ~kind:Camera ~sender ~receiver
+  add_leg t m receiver.home ~kind ~sender ~receiver:receiver.pid ~leg_port
+    ~dst:(Client.local_addr conn) ~adaptive:true
 
 (* Relay receivers are reference-counted implicitly by need: the pseudo
    participant standing for switch [dst] on switch [src] must exist while
@@ -834,10 +845,11 @@ let create_leg t m ~sender ~receiver = create_stream_leg t m ~kind:Camera ~sende
    unregister the stale pseudo participants (otherwise their egress legs
    and tree slots leak on the source switch). *)
 let gc_relays t m =
+  let st = t.state in
   let needed src dst =
     List.exists
       (fun pid ->
-        match Hashtbl.find_opt t.participants pid with
+        match Hashtbl.find_opt st.participants pid with
         | None -> false
         | Some p ->
             p.home = src
@@ -848,31 +860,32 @@ let gc_relays t m =
     Hashtbl.fold
       (fun (mid, src, dst) () acc ->
         if mid = m.mid && not (needed src dst) then (src, dst) :: acc else acc)
-      t.relay_receivers []
+      st.relay_receivers []
   in
   List.iter
     (fun (src, dst) ->
-      Hashtbl.remove t.relay_receivers (m.mid, src, dst);
+      Hashtbl.remove st.relay_receivers (m.mid, src, dst);
       let rpid = relay_pid dst in
       m.leg_intents <-
         List.filter
           (fun l -> not (l.li_idx = src && l.li_receiver = rpid))
           m.leg_intents;
-      agent_op t m src (fun ~agent_mid ->
-          Rpc.Remove_participant { meeting = agent_mid; participant = rpid }))
+      agent_op t m src (remove_participant_op rpid))
     stale
 
-let join_exec ?home ?(simulcast = false) t mid client ~send_media =
+let join ?home ?(simulcast = false) t mid client ~send_media =
+  ensure_usable t;
   let m = find_meeting t mid in
-  let home =
+  (* the switch the participant attaches to *)
+  let sw =
     match home with
-    | Some h when h >= 0 && h < Array.length t.agents -> h
-    | Some h -> invalid_arg (Printf.sprintf "Controller.join: no switch %d" h)
     | None -> m.primary
+    | Some h -> switch_idx t "join" h
   in
-  let site = site_of t m home in
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
+  journaled t (Journal.Join { mid; home; simulcast; client; send_media });
+  let site = site_of t m sw in
+  let pid = t.state.next_pid in
+  t.state.next_pid <- pid + 1;
   let ip = Client.ip client in
   let egress_port = egress_port_of t ip in
   (* stride 8 leaves room for a simulcast sender's rendition SSRCs
@@ -887,27 +900,34 @@ let join_exec ?home ?(simulcast = false) t mid client ~send_media =
         cfg.Codec.Simulcast_source.bitrates
     else [||]
   in
-  agent_op t m home (fun ~agent_mid ->
-      Rpc.Register_participant
-        { meeting = agent_mid; participant = pid; egress_port; sends = send_media });
-  let cam_ports = ref [] in
-  let send_conn =
-    if send_media then begin
-      let uplink_port = fresh_sfu_port t in
-      cam_ports := [ (home, uplink_port) ];
-      agent_op t m home (fun ~agent_mid ->
-          Rpc.Register_uplink
-            {
-              meeting = agent_mid;
-              sender = pid;
-              port = uplink_port;
-              video_ssrc;
-              audio_ssrc;
-              full_bitrate = 2_500_000;
-              renditions;
-            });
-      let sfu_addr = Addr.v (Dataplane.ip site.dp) uplink_port in
-      match adopt_connection t client ~sfu_addr with
+  let p =
+    {
+      pid;
+      meeting = mid;
+      client;
+      home = sw;
+      egress_port;
+      sends = send_media;
+      video_ssrc;
+      audio_ssrc;
+      renditions;
+      send_conn = None;
+      recv_conns = [];
+      sites = [ sw ];
+      cam_ports = [];
+      screen_ports = [];
+      screen = None;
+      screen_recv_conns = [];
+    }
+  in
+  agent_op t m sw (participant_op t p sw);
+  if send_media then begin
+    let uplink_port = fresh_sfu_port t in
+    add_stream_port p Camera sw uplink_port;
+    agent_op t m sw (uplink_op p Camera sw uplink_port);
+    let sfu_addr = Addr.v (Dataplane.ip site.dp) uplink_port in
+    p.send_conn <-
+      (match adopt_connection t client ~sfu_addr with
       | Some conn -> Some conn
       | None ->
           (* the participant's own offer, spliced to the uplink *)
@@ -919,77 +939,37 @@ let join_exec ?home ?(simulcast = false) t mid client ~send_media =
                  ~base_ssrc:video_ssrc ~audio_ssrc
              else
                Client.add_send_connection client ~local_port ~remote:sfu_addr ~video_ssrc
-                 ~audio_ssrc)
-    end
-    else None
-  in
-  let p =
-    {
-      pid;
-      meeting = mid;
-      client;
-      home;
-      egress_port;
-      sends = send_media;
-      video_ssrc;
-      audio_ssrc;
-      renditions;
-      send_conn;
-      recv_conns = [];
-      sites = [ home ];
-      cam_ports = !cam_ports;
-      screen_ports = [];
-      screen = None;
-      screen_recv_conns = [];
-    }
-  in
-  Hashtbl.replace t.participants pid p;
+                 ~audio_ssrc))
+  end;
+  Hashtbl.replace t.state.participants pid p;
   (* legs with all existing members, possibly across switches — including
      any screen share already in progress, which a late joiner must
      receive just like camera media *)
   List.iter
     (fun other_pid ->
       let other = find_participant t other_pid in
-      if other.sends then create_leg t m ~sender:other ~receiver:p;
+      if other.sends then create_stream_leg t m ~kind:Camera ~sender:other ~receiver:p;
       if other.screen <> None then
         create_stream_leg t m ~kind:Screen ~sender:other ~receiver:p;
-      if send_media then create_leg t m ~sender:p ~receiver:other)
+      if send_media then create_stream_leg t m ~kind:Camera ~sender:p ~receiver:other)
     m.members;
   m.members <- m.members @ [ pid ];
   flush_buffers t;
   pid
 
-let join ?home ?(simulcast = false) t mid client ~send_media =
-  ensure_usable t;
-  ignore (find_meeting t mid);
-  (match home with
-  | Some h when h < 0 || h >= Array.length t.agents ->
-      invalid_arg (Printf.sprintf "Controller.join: no switch %d" h)
-  | _ -> ());
-  journaled t (Journal.Join { mid; home; simulcast; client; send_media });
-  join_exec ?home ~simulcast t mid client ~send_media
-
 (* --- screen sharing: the controller's third trigger ("a participant
    starts or stops sharing a particular media type", §4) ----------------- *)
 
-let start_screen_share_exec t pid =
+let start_screen_share t pid =
+  ensure_usable t;
   let p = find_participant t pid in
   if p.screen <> None then invalid_arg "Controller.start_screen_share: already sharing";
+  journaled t (Journal.Start_screen { pid });
   let m = find_meeting t p.meeting in
   let site = site_of t m p.home in
   let video_ssrc, audio_ssrc = stream_ssrcs p Screen in
   let uplink_port = fresh_sfu_port t in
-  agent_op t m p.home (fun ~agent_mid ->
-      Rpc.Register_uplink
-        {
-          meeting = agent_mid;
-          sender = pid;
-          port = uplink_port;
-          video_ssrc;
-          audio_ssrc;
-          full_bitrate = stream_bitrate Screen;
-          renditions = [||];
-        });
+  agent_op t m p.home (uplink_op p Screen p.home uplink_port);
   add_stream_port p Screen p.home uplink_port;
   let sfu_addr = Addr.v (Dataplane.ip site.dp) uplink_port in
   let conn =
@@ -1013,61 +993,59 @@ let start_screen_share_exec t pid =
     m.members;
   flush_buffers t
 
-let start_screen_share t pid =
-  ensure_usable t;
-  let p = find_participant t pid in
-  if p.screen <> None then invalid_arg "Controller.start_screen_share: already sharing";
-  journaled t (Journal.Start_screen { pid });
-  start_screen_share_exec t pid
+(* Close the connections on which the members of [m] receive [from]'s
+   [kind] stream. *)
+let close_recv_conns t m ~from kind =
+  List.iter
+    (fun pid ->
+      let other = find_participant t pid in
+      let mine, rest =
+        List.partition
+          (fun (sender, _) -> sender = from)
+          (match kind with Camera -> other.recv_conns | Screen -> other.screen_recv_conns)
+      in
+      (match kind with
+      | Camera -> other.recv_conns <- rest
+      | Screen -> other.screen_recv_conns <- rest);
+      List.iter (fun (_, c) -> Client.close_connection other.client c) mine)
+    m.members
 
-let stop_screen_share_exec t pid =
-  let p = find_participant t pid in
-  match p.screen with
-  | None -> ()
-  | Some (_, conn) ->
-      let m = find_meeting t p.meeting in
-      (* tear the stream down on every switch it was relayed to *)
-      List.iter
-        (fun (idx, port) ->
-          agent_op t m idx (fun ~agent_mid ->
-              Rpc.Unregister_uplink { meeting = agent_mid; port }))
-        p.screen_ports;
-      p.screen_ports <- [];
-      m.leg_intents <-
-        List.filter
-          (fun l -> not (l.li_sender = pid && l.li_kind = Screen))
-          m.leg_intents;
-      Client.close_connection p.client conn;
-      p.screen <- None;
-      List.iter
-        (fun other_pid ->
-          let other = find_participant t other_pid in
-          let mine, rest =
-            List.partition (fun (from, _) -> from = pid) other.screen_recv_conns
-          in
-          other.screen_recv_conns <- rest;
-          List.iter (fun (_, c) -> Client.close_connection other.client c) mine)
-        m.members;
-      gc_relays t m;
-      flush_buffers t
+(* Tear [p]'s screen share (sent on [conn]) down on every switch it was
+   relayed to — for a stop, and as part of a leave, which journals no
+   stop of its own. *)
+let end_screen_share t (p : participant) conn =
+  let m = find_meeting t p.meeting in
+  List.iter
+    (fun (idx, port) ->
+      agent_op t m idx (fun ~agent_mid -> Rpc.Unregister_uplink { meeting = agent_mid; port }))
+    p.screen_ports;
+  p.screen_ports <- [];
+  m.leg_intents <-
+    List.filter (fun l -> not (l.li_sender = p.pid && l.li_kind = Screen)) m.leg_intents;
+  Client.close_connection p.client conn;
+  p.screen <- None;
+  close_recv_conns t m ~from:p.pid Screen;
+  gc_relays t m;
+  flush_buffers t
 
 let stop_screen_share t pid =
   ensure_usable t;
   let p = find_participant t pid in
-  if p.screen <> None then begin
-    journaled t (Journal.Stop_screen { pid });
-    stop_screen_share_exec t pid
-  end
+  match p.screen with
+  | None -> ()
+  | Some (_, conn) ->
+      journaled t (Journal.Stop_screen { pid });
+      end_screen_share t p conn
 
-let screen_connection t pid ~from =
-  let p = find_participant t pid in
-  List.assoc_opt from p.screen_recv_conns
+let screen_connection t pid ~from = List.assoc_opt from (find_participant t pid).screen_recv_conns
 
-let leave_exec t pid =
-  match Hashtbl.find_opt t.participants pid with
+let leave t pid =
+  ensure_usable t;
+  match Hashtbl.find_opt t.state.participants pid with
   | None -> ()
   | Some p ->
-      stop_screen_share_exec t pid;
+      journaled t (Journal.Leave { pid });
+      Option.iter (fun (_, conn) -> end_screen_share t p conn) p.screen;
       let m = find_meeting t p.meeting in
       m.members <- List.filter (fun x -> x <> pid) m.members;
       m.leg_intents <-
@@ -1077,30 +1055,14 @@ let leave_exec t pid =
       (* retire the participant everywhere it is registered — its home plus
          any switch it was relayed onto as a sender *)
       List.iter
-        (fun idx ->
-          agent_op t m idx (fun ~agent_mid ->
-              Rpc.Remove_participant { meeting = agent_mid; participant = pid }))
+        (fun idx -> agent_op t m idx (remove_participant_op pid))
         (List.sort_uniq compare p.sites);
       gc_relays t m;
       Option.iter (fun c -> Client.close_connection p.client c) p.send_conn;
       List.iter (fun (_, c) -> Client.close_connection p.client c) p.recv_conns;
-      (* drop the recv connections other participants had for p's media *)
-      List.iter
-        (fun other_pid ->
-          let other = find_participant t other_pid in
-          let mine, rest = List.partition (fun (from, _) -> from = pid) other.recv_conns in
-          other.recv_conns <- rest;
-          List.iter (fun (_, c) -> Client.close_connection other.client c) mine)
-        m.members;
-      Hashtbl.remove t.participants pid;
+      close_recv_conns t m ~from:pid Camera;
+      Hashtbl.remove t.state.participants pid;
       flush_buffers t
-
-let leave t pid =
-  ensure_usable t;
-  if Hashtbl.mem t.participants pid then begin
-    journaled t (Journal.Leave { pid });
-    leave_exec t pid
-  end
 
 type sender_info = { egress_port : int; video_ssrc : int; audio_ssrc : int }
 
@@ -1110,18 +1072,6 @@ let participant_sender_info t pid =
     Some { egress_port = p.egress_port; video_ssrc = p.video_ssrc; audio_ssrc = p.audio_ssrc }
   else None
 
-let set_pair_target_exec t ~sender ~receiver target =
-  let s = find_participant t sender in
-  let r = find_participant t receiver in
-  if s.meeting <> r.meeting then
-    invalid_arg "Controller.set_pair_target: participants in different meetings";
-  let m = find_meeting t s.meeting in
-  m.pair_targets <-
-    ((sender, receiver), target) :: List.remove_assoc (sender, receiver) m.pair_targets;
-  agent_op t m r.home (fun ~agent_mid ->
-      Rpc.Set_pair_target { meeting = agent_mid; sender; receiver; target });
-  flush_buffers t
-
 let set_pair_target t ~sender ~receiver target =
   ensure_usable t;
   let s = find_participant t sender in
@@ -1129,19 +1079,21 @@ let set_pair_target t ~sender ~receiver target =
   if s.meeting <> r.meeting then
     invalid_arg "Controller.set_pair_target: participants in different meetings";
   journaled t (Journal.Set_pair_target { sender; receiver; target });
-  set_pair_target_exec t ~sender ~receiver target
+  let m = find_meeting t s.meeting in
+  m.pair_targets <-
+    ((sender, receiver), target) :: List.remove_assoc (sender, receiver) m.pair_targets;
+  agent_op t m r.home (pair_target_op ((sender, receiver), target));
+  flush_buffers t
 
-let recv_connection t pid ~from =
-  let p = find_participant t pid in
-  List.assoc_opt from p.recv_conns
+let recv_connection t pid ~from = List.assoc_opt from (find_participant t pid).recv_conns
 
 let send_connection t pid = (find_participant t pid).send_conn
 
-let agent_meeting_id t mid =
+let primary_site t mid =
   let m = find_meeting t mid in
-  (site_of t m m.primary).agent_mid
+  site_of t m m.primary
 
-let agent_participant_id _t pid = pid
+let agent_meeting_id t mid = (primary_site t mid).agent_mid
 
 type stats = {
   sdp_messages : int;
@@ -1161,24 +1113,16 @@ let stats (t : t) =
     control_failures = sum (fun (s : Rpc_transport.Client.stats) -> s.failures);
   }
 
-let control_channel t idx =
-  if idx < 0 || idx >= Array.length t.rpcs then
-    invalid_arg (Printf.sprintf "Controller.control_channel: no switch %d" idx);
-  t.rpcs.(idx)
+let control_channel t idx = t.rpcs.(switch_idx t "control_channel" idx)
 
 let meeting_participants t mid = (find_meeting t mid).members
 
-let meeting_switch t mid =
-  let m = find_meeting t mid in
-  (site_of t m m.primary).dp
+let meeting_switch t mid = (primary_site t mid).dp
 
 let switch_count t = Array.length t.agents
 let participant_home t pid = (find_participant t pid).home
 
-let switch_agent t idx =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.switch_agent: no switch %d" idx);
-  t.agents.(idx)
+let switch_agent t idx = t.agents.(switch_idx t "switch_agent" idx)
 
 (* --- failure recovery --------------------------------------------------------
 
@@ -1198,80 +1142,38 @@ let switch_agent t idx =
    and ops aimed at it are skipped until it commits or fails. *)
 
 (* Push the replay of meeting [m] onto switch [idx] into its batch
-   buffer. *)
+   buffer, through the same op builders the forward path uses. *)
 let push_replay t idx m =
   let push build = Queue.push { b_mid = m.mid; b_build = build } t.buffers.(idx) in
+  let members = List.map (find_participant t) m.members in
   (* participants registered on this switch, in join order; a sender on
      a non-home switch is there to feed a relay uplink *)
   List.iter
-    (fun pid ->
-      let p = find_participant t pid in
-      if List.mem idx p.sites then
-        let egress_port =
-          if idx = p.home then p.egress_port else egress_port_of t (sender_site_key pid idx)
-        in
-        let sends = if idx = p.home then p.sends else true in
-        push (fun ~agent_mid ->
-            Rpc.Register_participant { meeting = agent_mid; participant = pid; egress_port; sends }))
-    m.members;
+    (fun (p : participant) -> if List.mem idx p.sites then push (participant_op t p idx))
+    members;
   (* relay pseudo receivers this switch fans out to, by destination *)
   Hashtbl.fold
     (fun (mid, src, dst) () acc -> if mid = m.mid && src = idx then dst :: acc else acc)
-    t.relay_receivers []
+    t.state.relay_receivers []
   |> List.sort compare
-  |> List.iter (fun dst ->
-         let egress_port = egress_port_of t (relay_site_key m.mid dst) in
-         push (fun ~agent_mid ->
-             Rpc.Register_participant
-               { meeting = agent_mid; participant = relay_pid dst; egress_port; sends = false }));
+  |> List.iter (fun dst -> push (relay_receiver_op t m.mid dst));
   (* uplinks: camera then screen per member, in join order *)
   List.iter
-    (fun pid ->
-      let p = find_participant t pid in
+    (fun p ->
       List.iter
         (fun kind ->
-          match List.assoc_opt idx (stream_ports p kind) with
-          | None -> ()
-          | Some port ->
-              let video_ssrc, audio_ssrc = stream_ssrcs p kind in
-              let renditions = if kind = Camera && idx = p.home then p.renditions else [||] in
-              let full_bitrate = stream_bitrate kind in
-              push (fun ~agent_mid ->
-                  Rpc.Register_uplink
-                    {
-                      meeting = agent_mid;
-                      sender = pid;
-                      port;
-                      video_ssrc;
-                      audio_ssrc;
-                      full_bitrate;
-                      renditions;
-                    }))
+          Option.iter
+            (fun port -> push (uplink_op p kind idx port))
+            (List.assoc_opt idx (stream_ports p kind)))
         [ Camera; Screen ])
-    m.members;
+    members;
   (* legs in creation order *)
-  List.iter
-    (fun li ->
-      if li.li_idx = idx then
-        push (fun ~agent_mid ->
-            Rpc.Register_leg
-              {
-                meeting = agent_mid;
-                sender = li.li_sender;
-                uplink_port = Some li.li_uplink_port;
-                receiver = li.li_receiver;
-                leg_port = li.li_leg_port;
-                dst = li.li_dst;
-                adaptive = li.li_adaptive;
-              }))
-    m.leg_intents;
+  List.iter (fun li -> if li.li_idx = idx then push (leg_op li)) m.leg_intents;
   (* forced pair targets whose receiver leg lives here *)
   List.sort compare m.pair_targets
-  |> List.iter (fun ((sender, receiver), target) ->
-         match Hashtbl.find_opt t.participants receiver with
-         | Some r when r.home = idx ->
-             push (fun ~agent_mid ->
-                 Rpc.Set_pair_target { meeting = agent_mid; sender; receiver; target })
+  |> List.iter (fun (((_, receiver), _) as pt) ->
+         match Hashtbl.find_opt t.state.participants receiver with
+         | Some r when r.home = idx -> push (pair_target_op pt)
          | Some _ | None -> ())
 
 (* Resync switch [idx] from intent; [Some rpcs] once the whole replay was
@@ -1287,15 +1189,15 @@ let resync t idx =
     | Some Rpc.Ack ->
         let sites =
           Hashtbl.fold (fun _ m acc -> if Hashtbl.mem m.sites idx then m :: acc else acc)
-            t.meetings []
+            t.state.meetings []
           |> List.sort (fun a b -> compare a.mid b.mid)
         in
         List.iter
           (fun m ->
             let s = Hashtbl.find m.sites idx in
-            Hashtbl.replace m.sites idx { s with agent_mid = provisional_mid t })
+            Hashtbl.replace m.sites idx { s with agent_mid = provisional_mid t };
+            push_replay t idx m)
           sites;
-        List.iter (push_replay t idx) sites;
         let ops = take_buffer t idx in
         if
           (ops = [] || guarded t idx (fun () -> send_batch t idx ops))
@@ -1473,11 +1375,7 @@ let start_health ?(config = default_health_config) t =
                 [| Healthy; Suspect; Dead |]
                 |> Array.map (fun st ->
                        Metrics.counter
-                         ~labels:
-                           [
-                             ("agent", Printf.sprintf "sw%d" idx);
-                             ("to", health_name st);
-                           ]
+                         ~labels:[ ("agent", Printf.sprintf "sw%d" idx); ("to", health_name st) ]
                          ~help:"Failure-detector state transitions"
                          "scallop_ctrl_health_transitions");
             })
@@ -1517,8 +1415,7 @@ let stop_health t =
   | None -> ()
 
 let agent_health t idx =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.agent_health: no switch %d" idx);
+  let idx = switch_idx t "agent_health" idx in
   match t.health with Some h -> h.hs_agents.(idx).ah | None -> Healthy
 
 let recovery_log t = match t.health with Some h -> h.hs_recovery | None -> []
@@ -1527,8 +1424,7 @@ let recovery_log_dropped t =
   match t.health with Some h -> Metrics.value h.hs_recovery_dropped | None -> 0
 
 let health_transitions t idx st =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.health_transitions: no switch %d" idx);
+  let idx = switch_idx t "health_transitions" idx in
   match t.health with
   | Some h -> Metrics.value h.hs_agents.(idx).ah_transitions.(health_rank st)
   | None -> 0
@@ -1536,10 +1432,7 @@ let health_transitions t idx st =
 (* Anti-entropy entry point: replay intent onto one switch regardless of
    its health state (the verifier calls this for a live-but-drifted
    switch). [None] if the switch went Dead during the replay. *)
-let resync_switch t idx =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.resync_switch: no switch %d" idx);
-  resync t idx
+let resync_switch t idx = resync t (switch_idx t "resync_switch" idx)
 
 (* --- introspection: the controller's intent, for Scallop_analysis -------- *)
 
@@ -1590,7 +1483,7 @@ let introspect t =
     if idx = p.home then p.egress_port
     else
       Option.value ~default:(-1)
-        (Hashtbl.find_opt t.egress_ports (sender_site_key p.pid idx))
+        (Hashtbl.find_opt t.state.egress_ports (sender_site_key p.pid idx))
   in
   let participants =
     Hashtbl.fold
@@ -1609,7 +1502,7 @@ let introspect t =
           pv_screen_ports = List.sort compare p.screen_ports;
         }
         :: acc)
-      t.participants []
+      t.state.participants []
     |> List.sort (fun a b -> compare a.pv_pid b.pv_pid)
   in
   let meetings =
@@ -1624,7 +1517,7 @@ let introspect t =
             |> List.sort compare;
         }
         :: acc)
-      t.meetings []
+      t.state.meetings []
     |> List.sort (fun a b -> compare a.cmv_mid b.cmv_mid)
   in
   let relays =
@@ -1637,10 +1530,10 @@ let introspect t =
           rv_pid = relay_pid dst;
           rv_egress_port =
             Option.value ~default:(-1)
-              (Hashtbl.find_opt t.egress_ports (relay_site_key mid dst));
+              (Hashtbl.find_opt t.state.egress_ports (relay_site_key mid dst));
         }
         :: acc)
-      t.relay_receivers []
+      t.state.relay_receivers []
     |> List.sort compare
   in
   let health =
@@ -1649,13 +1542,8 @@ let introspect t =
     | Some h ->
         Array.to_list
           (Array.mapi
-             (fun idx a ->
-               {
-                 hv_agent = idx;
-                 hv_state = a.ah;
-                 hv_epoch = a.ah_epoch;
-                 hv_skipped = a.ah_skipped;
-               })
+             (fun hv_agent a ->
+               { hv_agent; hv_state = a.ah; hv_epoch = a.ah_epoch; hv_skipped = a.ah_skipped })
              h.hs_agents)
   in
   {
@@ -1670,53 +1558,48 @@ let introspect t =
    The journal (write-ahead intent log) makes controller state
    reconstructible: every public mutation is appended under the current
    fence before it executes, and periodic snapshots bound replay length.
-   [capture]/[restore] move the persisted slice of [t] in and out of
-   those snapshots; [apply_tail] replays the journal suffix through the
-   same [_exec] bodies the original execution ran, with [t.recovering]
-   set so no wire ops, SDP exchanges or rng draws happen — intent
-   reconstruction is purely deterministic. *)
+   [capture]/[restore] copy [t.state] into and out of those snapshots;
+   [apply_tail] replays the journal suffix through the same public
+   operations the original execution ran, with [t.recovering] set so no
+   checks, journal appends, wire ops, SDP exchanges or rng draws happen —
+   intent reconstruction is purely deterministic. *)
 
 (* Hashtbls and records with mutable fields are deep-copied; clients,
    connections and immutable records (sites, leg intents) are shared. *)
 let copy_participant (p : participant) = { p with pid = p.pid }
 let copy_meeting (m : meeting) = { m with sites = Hashtbl.copy m.sites }
 
-let copy_table copy src =
-  let dst = Hashtbl.create (max 16 (Hashtbl.length src)) in
+(* Fill [dst] with copies of [src]'s bindings, in [src]'s order. *)
+let copy_into copy src dst =
   Hashtbl.iter (fun k v -> Hashtbl.replace dst k (copy v)) src;
   dst
 
+let copy_table copy src = copy_into copy src (Hashtbl.create (max 16 (Hashtbl.length src)))
+
 let capture t =
+  let st = t.state in
   {
-    ps_meetings = copy_table copy_meeting t.meetings;
-    ps_participants = copy_table copy_participant t.participants;
-    ps_egress_ports = Hashtbl.copy t.egress_ports;
-    ps_relay_receivers = Hashtbl.copy t.relay_receivers;
-    ps_next_agent = t.next_agent;
-    ps_next_meeting = t.next_meeting;
-    ps_next_pid = t.next_pid;
-    ps_next_sfu_port = t.next_sfu_port;
-    ps_next_egress_port = t.next_egress_port;
-    ps_next_provisional = t.next_provisional;
+    st with
+    meetings = copy_table copy_meeting st.meetings;
+    participants = copy_table copy_participant st.participants;
+    egress_ports = Hashtbl.copy st.egress_ports;
+    relay_receivers = Hashtbl.copy st.relay_receivers;
   }
 
 (* Copy-on-restore as well: two controllers restoring the same snapshot
-   (or one restoring it twice) must never alias its tables. *)
+   (or one restoring it twice) must never alias its tables. Fresh tables
+   are filled in the snapshot's order: that fixes a restored instance's
+   iteration order, which orders [gc_relays]' wire ops. *)
 let restore t (ps : persisted) =
-  let load tbl copy src =
-    Hashtbl.reset tbl;
-    Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (copy v)) src
-  in
-  load t.meetings copy_meeting ps.ps_meetings;
-  load t.participants copy_participant ps.ps_participants;
-  load t.egress_ports Fun.id ps.ps_egress_ports;
-  load t.relay_receivers Fun.id ps.ps_relay_receivers;
-  t.next_agent <- ps.ps_next_agent;
-  t.next_meeting <- ps.ps_next_meeting;
-  t.next_pid <- ps.ps_next_pid;
-  t.next_sfu_port <- ps.ps_next_sfu_port;
-  t.next_egress_port <- ps.ps_next_egress_port;
-  t.next_provisional <- ps.ps_next_provisional
+  let st = fresh_state () in
+  t.state <-
+    {
+      ps with
+      meetings = copy_into copy_meeting ps.meetings st.meetings;
+      participants = copy_into copy_participant ps.participants st.participants;
+      egress_ports = copy_into Fun.id ps.egress_ports st.egress_ports;
+      relay_receivers = copy_into Fun.id ps.relay_receivers st.relay_receivers;
+    }
 
 (* The canonical rendering of controller intent, for equality checks
    across instances. Excludes anything legitimately instance-local:
@@ -1748,7 +1631,7 @@ let intent_fingerprint t =
     (fun rv ->
       add "r m=%d %d->%d port=%d\n" rv.rv_meeting rv.rv_src rv.rv_dst rv.rv_egress_port)
     i.in_relays;
-  Hashtbl.fold (fun _ m acc -> m :: acc) t.meetings []
+  Hashtbl.fold (fun _ m acc -> m :: acc) t.state.meetings []
   |> List.sort (fun a b -> compare a.mid b.mid)
   |> List.iter (fun m ->
          List.iter
@@ -1764,16 +1647,18 @@ let intent_fingerprint t =
                 add "pt m=%d %d->%d t=%d\n" m.mid s r (Av1.Dd.index_of_target target)));
   Buffer.contents buf
 
+(* A replayed entry runs the public operation it records; [recovering]
+   makes it skip the checks and the journal append. *)
 let apply_journal_op t (op : Journal.op) =
   match op with
-  | Journal.Create_meeting -> ignore (create_meeting_exec t)
+  | Journal.Create_meeting -> ignore (create_meeting t)
   | Journal.Join { mid; home; simulcast; client; send_media } ->
-      ignore (join_exec ?home ~simulcast t mid client ~send_media)
-  | Journal.Leave { pid } -> leave_exec t pid
-  | Journal.Start_screen { pid } -> start_screen_share_exec t pid
-  | Journal.Stop_screen { pid } -> stop_screen_share_exec t pid
+      ignore (join ?home ~simulcast t mid client ~send_media)
+  | Journal.Leave { pid } -> leave t pid
+  | Journal.Start_screen { pid } -> start_screen_share t pid
+  | Journal.Stop_screen { pid } -> stop_screen_share t pid
   | Journal.Set_pair_target { sender; receiver; target } ->
-      set_pair_target_exec t ~sender ~receiver target
+      set_pair_target t ~sender ~receiver target
 
 (* Catch up with the journal: jump to its snapshot if that is ahead of
    us, then replay the entries past our high-water mark. Returns the
@@ -1830,16 +1715,7 @@ let restart t =
     Array.iter (fun c -> Rpc_transport.Client.set_muted c false) t.rpcs;
     t.role <- Standby;
     t.fence <- 0;
-    Hashtbl.reset t.meetings;
-    Hashtbl.reset t.participants;
-    Hashtbl.reset t.egress_ports;
-    Hashtbl.reset t.relay_receivers;
-    t.next_agent <- 0;
-    t.next_meeting <- 0;
-    t.next_pid <- 0;
-    t.next_sfu_port <- 40_000;
-    t.next_egress_port <- 1;
-    t.next_provisional <- -2;
+    t.state <- fresh_state ();
     t.applied <- -1;
     Array.iter Queue.clear t.buffers;
     (match t.health with

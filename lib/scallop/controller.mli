@@ -122,7 +122,6 @@ val recv_connection :
 val send_connection : t -> participant_id -> Webrtc.Client.connection option
 
 val agent_meeting_id : t -> meeting_id -> Switch_agent.meeting_id
-val agent_participant_id : t -> participant_id -> int
 
 type stats = {
   sdp_messages : int;

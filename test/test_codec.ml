@@ -268,6 +268,20 @@ let rx_frame_straddling_wrap_decodes () =
   Alcotest.(check int) "decoded" 1 (Rx.frames_decoded rx);
   Alcotest.(check int) "nothing pending" 0 (Rx.frames_incomplete rx)
 
+(* A receiver costs what its media uses: the 2,048-entry sequence ring
+   is allocated by the first packet, so a connection no media reaches
+   (most of a large meeting's legs, while rate adaptation or churn keeps
+   them idle) holds only its empty tables. *)
+let rx_fresh_footprint () =
+  let rx = Rx.create ~ssrc:7 () in
+  let fresh_words = Obj.reachable_words (Obj.repr rx) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh receiver %d words <= 1024" fresh_words)
+    true (fresh_words <= 1_024);
+  feed rx (frames_of (make_source ()) 1);
+  Alcotest.(check bool) "the first packet allocates the sequence ring" true
+    (Obj.reachable_words (Obj.repr rx) >= fresh_words + 2_048)
+
 (* --- audio receiver -------------------------------------------------------------------- *)
 
 let audio_pkt ~seq ~ts = Rtp.Packet.make ~payload_type:111 ~sequence:seq ~timestamp:ts ~ssrc:9 (Bytes.create 128)
@@ -308,6 +322,16 @@ let audio_rx_jitter () =
   arx_receive rx ~time_ns:((100 * 20_000_000) + 15_000_000)
     (audio_pkt ~seq:100 ~ts:(100 * 960));
   Alcotest.(check bool) "spike visible" true (Codec.Audio_receiver.jitter_ms rx > 0.5)
+
+let audio_rx_fresh_footprint () =
+  let rx = Codec.Audio_receiver.create ~ssrc:9 in
+  let fresh_words = Obj.reachable_words (Obj.repr rx) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh receiver %d words <= 256" fresh_words)
+    true (fresh_words <= 256);
+  arx_receive rx ~time_ns:0 (audio_pkt ~seq:1 ~ts:0);
+  Alcotest.(check bool) "the first packet allocates the sequence ring" true
+    (Obj.reachable_words (Obj.repr rx) >= fresh_words + 512)
 
 (* --- rate policy ---------------------------------------------------------------------- *)
 
@@ -368,6 +392,7 @@ let () =
           Alcotest.test_case "pli on starvation" `Quick rx_pli_on_starvation;
           Alcotest.test_case "fps series" `Quick rx_fps_series;
           Alcotest.test_case "frame straddling seq wrap" `Quick rx_frame_straddling_wrap_decodes;
+          Alcotest.test_case "fresh footprint" `Quick rx_fresh_footprint;
         ] );
       ( "audio receiver",
         [
@@ -375,6 +400,7 @@ let () =
           Alcotest.test_case "late packet fills gap" `Quick audio_rx_late_fills_gap;
           Alcotest.test_case "duplicates and ssrc filter" `Quick audio_rx_duplicates_and_other_ssrc;
           Alcotest.test_case "jitter" `Quick audio_rx_jitter;
+          Alcotest.test_case "fresh footprint" `Quick audio_rx_fresh_footprint;
         ] );
       ( "rate policy",
         [

@@ -141,7 +141,7 @@ let partition_keeps_media_flowing () =
   let members = A.meeting_members stack.agent (C.agent_meeting_id stack.controller mid) in
   Alcotest.(check bool)
     "skipped leave applied" true
-    (not (List.mem (C.agent_participant_id stack.controller (List.nth pids 2)) members));
+    (not (List.mem (List.nth pids 2) members));
   Alcotest.(check bool) "no member duplicated" true (no_duplicates members);
   An.assert_clean ~what:"post partition resync" stack.controller
 
@@ -257,7 +257,7 @@ let reconcile_repairs_drift () =
   let receiver_pid = fst (List.nth parts 2) in
   let info = Option.get (C.participant_sender_info stack.controller sender_pid) in
   D.unregister_leg stack.dp
-    ~receiver:(C.agent_participant_id stack.controller receiver_pid)
+    ~receiver:receiver_pid
     ~video_ssrc:info.C.video_ssrc;
   let report = An.reconcile stack.controller in
   Alcotest.(check bool) "drift detected" true (An.errors report.An.rr_before <> []);
@@ -268,6 +268,56 @@ let reconcile_repairs_drift () =
         (List.length other));
   Alcotest.(check int) "clean after repair" 0 (List.length (An.errors report.An.rr_after));
   An.assert_clean ~what:"post reconcile" stack.controller
+
+(* --- resync of a cascaded meeting reproduces every encoding -------------- *)
+
+(* The QCheck property below runs one switch and camera streams only.
+   This meeting spans two switches and holds every other kind of intent a
+   resync replays: senders registered on a non-home switch, relay pseudo
+   receivers and their non-adaptive legs, a screen share relayed across
+   the cascade, a simulcast sender's renditions and a pinned pair target
+   whose receiver sits behind the relay. Resyncing both switches must
+   reinstall exactly the state the forward path built. *)
+let resync_replays_cascaded_meeting () =
+  let engine = Engine.create () in
+  let rng = Rng.create 39 in
+  let network = Netsim.Network.create engine (Rng.split rng) in
+  let switch ip =
+    let ip = Scallop_util.Addr.ip_of_string ip in
+    Netsim.Network.add_host network ~ip ~uplink:Common.fast_link ~downlink:Common.fast_link ();
+    let dp = D.create engine network ~ip () in
+    (A.create engine dp (), dp)
+  in
+  let ((a0, _) as s0) = switch "10.0.0.1" and ((a1, _) as s1) = switch "10.0.0.2" in
+  let controller = C.create engine network (Rng.split rng) ~agents:[ s0; s1 ] () in
+  let mid = C.create_meeting controller in
+  let join ?simulcast index ~home ~send_media =
+    let client = Common.add_client engine network rng ~index () in
+    C.join ?simulcast ~home controller mid client ~send_media
+  in
+  let p0 = join 0 ~home:0 ~send_media:true in
+  let _p1 = join 1 ~home:0 ~simulcast:true ~send_media:true in
+  let p2 = join 2 ~home:1 ~send_media:true in
+  let p3 = join 3 ~home:1 ~send_media:false in
+  C.start_screen_share controller p2;
+  C.set_pair_target controller ~sender:p0 ~receiver:p3 Av1.Dd.DT_15fps;
+  Engine.run engine ~until:(Engine.sec 1.0);
+  An.assert_clean ~what:"cascaded meeting before the resyncs" controller;
+  let before = (canon_agent a0, canon_agent a1) in
+  List.iter
+    (fun idx ->
+      match C.resync_switch controller idx with
+      | Some ops -> Alcotest.(check bool) "the resync issued RPCs" true (ops > 0)
+      | None -> Alcotest.failf "resync of sw%d did not complete" idx)
+    [ 0; 1 ];
+  Alcotest.(check bool) "sw0 shadow unchanged" true (canon_agent a0 = fst before);
+  Alcotest.(check bool) "sw1 shadow unchanged" true (canon_agent a1 = snd before);
+  (* [canon_agent] leaves pair pins out; the pinned receiver's switch
+     must run pair-specific trees again *)
+  Alcotest.(check bool)
+    "the pair pin was replayed on sw1" true
+    (List.exists (fun (m : A.meeting_view) -> m.A.amv_pair_specific) (A.introspect a1));
+  An.assert_clean ~what:"cascaded meeting after the resyncs" controller
 
 (* --- flapping switch: the detector counts every transition -------------- *)
 
@@ -703,6 +753,8 @@ let () =
             op_during_resync_is_not_lost;
           Alcotest.test_case "reconcile repairs live drift" `Quick
             reconcile_repairs_drift;
+          Alcotest.test_case "resync replays a cascaded meeting" `Quick
+            resync_replays_cascaded_meeting;
           Alcotest.test_case "straddling flush never double-executes" `Quick
             straddling_flush_does_not_double_execute;
           Alcotest.test_case "flapping detector counts transitions" `Quick
