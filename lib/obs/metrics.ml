@@ -14,8 +14,8 @@ type entry = { help : string; metric : metric }
 
 (* Keyed by (name, sorted label set); the labels are rendered only when
    dumping. The hash reads up to 64 strings: [Hashtbl.hash] stops after
-   ten, which would put the per-stream QoE entries of one receiver (five
-   labels) in one bucket. *)
+   ten, which would put entries that differ only in a late label in one
+   bucket. *)
 module Key = struct
   type t = string * (string * string) list
 
@@ -65,6 +65,17 @@ let register_callback ?labels ?help name f = register ?labels ?help name (Callba
    instead of minting a fresh zeroed one like {!histogram} does. *)
 let register_histogram ?labels ?help name h = register ?labels ?help name (Histogram h)
 
+(* Families whose series another module's own table holds: rendered
+   from it at dump time, so a series costs nothing until dumped. *)
+type sample = Value of float | Distribution of Stats.Histogram.t
+
+type family = { f_help : string; f_samples : unit -> ((string * string) list * sample) list }
+
+let families : (string, family) Hashtbl.t = Hashtbl.create 8
+
+let register_family ~help name samples =
+  Hashtbl.replace families name { f_help = help; f_samples = samples }
+
 let reset () = Registry.reset registry
 
 (* %.17g round-trips every float but prints integers as integers via the
@@ -74,9 +85,21 @@ let float_str v =
   else Printf.sprintf "%g" v
 
 let sorted_entries () =
-  Registry.fold
-    (fun (name, labels) e acc -> ((name, render_labels labels), e) :: acc)
-    registry []
+  let entries =
+    Registry.fold
+      (fun (name, labels) e acc -> ((name, render_labels labels), e) :: acc)
+      registry []
+  in
+  Hashtbl.fold
+    (fun name f acc ->
+      List.fold_left
+        (fun acc (labels, sample) ->
+          let metric =
+            match sample with Value v -> Gauge { g = v } | Distribution h -> Histogram h
+          in
+          ((name, render_labels (List.sort compare labels)), { help = f.f_help; metric }) :: acc)
+        acc (f.f_samples ()))
+    families entries
   |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
 
 let dump () =

@@ -51,6 +51,18 @@ val register_histogram :
 (** Register a histogram handle the caller already owns and keeps
     observing into — unlike {!histogram}, which mints a fresh zeroed one. *)
 
+type sample = Value of float | Distribution of Scallop_util.Stats.Histogram.t
+
+val register_family :
+  help:string -> string -> (unit -> ((string * string) list * sample) list) -> unit
+(** [register_family name samples]: the series of [name] are whatever
+    [samples ()] returns when a dump runs, one per label set — for a
+    family whose members another module already keeps in its own table,
+    so a member costs the registry nothing until it is dumped. A [Value]
+    dumps as a gauge. The family owns [name]: register no entry under
+    it. Re-registering replaces the family; {!reset} leaves families in
+    place (their owner's table decides what they dump). *)
+
 val dump : unit -> string
 (** Prometheus text exposition format, entries sorted by name then
     labels — deterministic for a deterministic run. *)

@@ -86,23 +86,24 @@ let labels_of_key k =
     ("kind", kind_str k.k_kind);
   ]
 
-let register_metrics t =
-  let labels = labels_of_key t.key in
-  let cb name help f = Metrics.register_callback ~labels ~help name f in
-  cb "scallop_qoe_packets_total" "Media packets received" (fun () ->
-      float_of_int t.packets);
-  cb "scallop_qoe_gap_packets_total" "Sequence-gap packets noticed" (fun () ->
-      float_of_int t.gap_packets);
-  cb "scallop_qoe_recovered_total" "Gaps later filled (retransmit/reorder)"
-    (fun () -> float_of_int t.recovered);
-  cb "scallop_qoe_frames_total" "Frames decoded" (fun () -> float_of_int t.frames);
-  cb "scallop_qoe_freezes_total" "Playback freeze intervals begun" (fun () ->
-      float_of_int t.freeze_count);
-  cb "scallop_qoe_frozen_ms" "Total frozen playback time (closed intervals)"
-    (fun () -> float_of_int t.frozen_closed_ns /. 1e6);
-  Metrics.register_histogram ~labels
-    ~help:"Capture-to-decode latency (virtual-time ms)"
-    "scallop_qoe_mouth_to_ear_ms" t.m2e
+(* The scallop_qoe_* series, one family per metric over the live
+   collectors: a collector adds no registry entries of its own. *)
+let () =
+  let family name help sample =
+    Metrics.register_family ~help name (fun () ->
+        Hashtbl.fold (fun key t acc -> (labels_of_key key, sample t) :: acc) registry [])
+  in
+  let count name help field = family name help (fun t -> Metrics.Value (float_of_int (field t))) in
+  count "scallop_qoe_packets_total" "Media packets received" (fun t -> t.packets);
+  count "scallop_qoe_gap_packets_total" "Sequence-gap packets noticed" (fun t -> t.gap_packets);
+  count "scallop_qoe_recovered_total" "Gaps later filled (retransmit/reorder)" (fun t ->
+      t.recovered);
+  count "scallop_qoe_frames_total" "Frames decoded" (fun t -> t.frames);
+  count "scallop_qoe_freezes_total" "Playback freeze intervals begun" (fun t -> t.freeze_count);
+  family "scallop_qoe_frozen_ms" "Total frozen playback time (closed intervals)" (fun t ->
+      Metrics.Value (float_of_int t.frozen_closed_ns /. 1e6));
+  family "scallop_qoe_mouth_to_ear_ms" "Capture-to-decode latency (virtual-time ms)" (fun t ->
+      Metrics.Distribution t.m2e)
 
 let create_collector ?(bin_ns = default_bin_ns) key =
   let t =
@@ -136,7 +137,6 @@ let create_collector ?(bin_ns = default_bin_ns) key =
     }
   in
   Hashtbl.replace registry key t;
-  register_metrics t;
   t
 
 let collector ?bin_ns key =

@@ -9,10 +9,11 @@
     engine ({!Slo}) can evaluate sliding windows and attribution
     ({!Attrib}) can walk back from the victim's recent trace ids.
 
-    Collectors register themselves as [scallop_qoe_*] metrics (labelled
-    by key) on creation. All hooks are O(1) (amortized: the mouth-to-ear
-    ring doubles when full, up to its cap); windowed queries are only
-    run at evaluation/report time. A collector holds ring storage only
+    The live collectors are the [scallop_qoe_*] metric families
+    (labelled by key), read from this module's table when {!Metrics}
+    dumps; a collector adds no registry entries. All hooks are O(1)
+    (amortized: the mouth-to-ear ring doubles when full, up to its
+    cap); windowed queries are only run at evaluation/report time. A collector holds ring storage only
     for what it has seen: the mouth-to-ear ring grows with its samples,
     and the trace-id ring exists only after a traced packet. *)
 
@@ -38,8 +39,7 @@ val key_str : key -> string
 type t
 
 val collector : ?bin_ns:int -> key -> t
-(** Get or create the collector for [key] (default 1 s bins). Creation
-    registers its metrics. *)
+(** Get or create the collector for [key] (default 1 s bins). *)
 
 val find : key -> t option
 val key_of : t -> key
@@ -56,8 +56,8 @@ val all : unit -> t list
 (** Every live collector, sorted by key — deterministic iteration order. *)
 
 val reset : unit -> unit
-(** Drop all collectors (fresh world / tests). Does not unregister their
-    metrics; pair with [Metrics.reset]. *)
+(** Drop all collectors (fresh world / tests), and with them their
+    [scallop_qoe_*] series. *)
 
 (** {2 Collection hooks} — all (amortized) O(1), called from the media
     path. *)

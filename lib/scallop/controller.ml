@@ -58,7 +58,7 @@ type meeting = {
   primary : int;  (** default home switch for joiners *)
   sites : (int, site) Hashtbl.t;
   mutable members : participant_id list;
-  mutable leg_intents : leg_intent list;  (** creation order *)
+  mutable leg_intents_rev : leg_intent list;  (** newest first *)
   mutable pair_targets : ((participant_id * participant_id) * Av1.Dd.decode_target) list;
 }
 
@@ -384,7 +384,14 @@ let create_meeting t =
   let mid = st.next_meeting in
   st.next_meeting <- mid + 1;
   Hashtbl.replace st.meetings mid
-    { mid; primary; sites = Hashtbl.create 2; members = []; leg_intents = []; pair_targets = [] };
+    {
+      mid;
+      primary;
+      sites = Hashtbl.create 2;
+      members = [];
+      leg_intents_rev = [];
+      pair_targets = [];
+    };
   mid
 
 (* --- control-plane RPC ------------------------------------------------------
@@ -613,14 +620,25 @@ let ship t (sdp : Sdp.t) =
   t.sdp_messages <- t.sdp_messages + 1;
   Sdp.of_string (Sdp.to_string sdp)
 
+(* [prefix] then the low [width] hex digits of [n], zero-padded: what
+   [Printf.sprintf "%s%0*x"] prints for [0 <= n < 16^width] *)
+let hex_token prefix ~width n =
+  let plen = String.length prefix in
+  let b = Bytes.create (plen + width) in
+  Bytes.blit_string prefix 0 b 0 plen;
+  for i = 0 to width - 1 do
+    Bytes.set b (plen + width - 1 - i) "0123456789abcdef".[(n lsr (4 * i)) land 15]
+  done;
+  Bytes.unsafe_to_string b
+
 let build_offer t ~ip ~port ~video_ssrc ~audio_ssrc ~sends =
   let addr = Addr.v ip port in
   let direction = if sends then Sdp.Sendonly else Sdp.Recvonly in
   {
     Sdp.session_id = Rng.int t.rng 1_000_000_000;
     origin_addr = Addr.v ip 0;
-    ice_ufrag = Printf.sprintf "uf%06x" (Rng.int t.rng 0xFFFFFF);
-    ice_pwd = Printf.sprintf "pw%08x" (Rng.int t.rng 0xFFFFFFF);
+    ice_ufrag = hex_token "uf" ~width:6 (Rng.int t.rng 0xFFFFFF);
+    ice_pwd = hex_token "pw" ~width:8 (Rng.int t.rng 0xFFFFFFF);
     medias =
       [
         Sdp.make_media ~direction ~extmaps:[ (Av1.Dd.extension_id, "urn:av1:dependency-descriptor") ]
@@ -764,7 +782,7 @@ let add_leg t m idx ~kind ~(sender : participant) ~receiver ~leg_port ~dst ~adap
       li_adaptive = adaptive;
     }
   in
-  m.leg_intents <- m.leg_intents @ [ li ];
+  m.leg_intents_rev <- li :: m.leg_intents_rev;
   agent_op t m idx (leg_op li)
 
 (* --- cascading (Appendix A) --------------------------------------------------
@@ -866,10 +884,10 @@ let gc_relays t m =
     (fun (src, dst) ->
       Hashtbl.remove st.relay_receivers (m.mid, src, dst);
       let rpid = relay_pid dst in
-      m.leg_intents <-
+      m.leg_intents_rev <-
         List.filter
           (fun l -> not (l.li_idx = src && l.li_receiver = rpid))
-          m.leg_intents;
+          m.leg_intents_rev;
       agent_op t m src (remove_participant_op rpid))
     stale
 
@@ -1020,8 +1038,8 @@ let end_screen_share t (p : participant) conn =
       agent_op t m idx (fun ~agent_mid -> Rpc.Unregister_uplink { meeting = agent_mid; port }))
     p.screen_ports;
   p.screen_ports <- [];
-  m.leg_intents <-
-    List.filter (fun l -> not (l.li_sender = p.pid && l.li_kind = Screen)) m.leg_intents;
+  m.leg_intents_rev <-
+    List.filter (fun l -> not (l.li_sender = p.pid && l.li_kind = Screen)) m.leg_intents_rev;
   Client.close_connection p.client conn;
   p.screen <- None;
   close_recv_conns t m ~from:p.pid Screen;
@@ -1048,8 +1066,8 @@ let leave t pid =
       Option.iter (fun (_, conn) -> end_screen_share t p conn) p.screen;
       let m = find_meeting t p.meeting in
       m.members <- List.filter (fun x -> x <> pid) m.members;
-      m.leg_intents <-
-        List.filter (fun l -> l.li_sender <> pid && l.li_receiver <> pid) m.leg_intents;
+      m.leg_intents_rev <-
+        List.filter (fun l -> l.li_sender <> pid && l.li_receiver <> pid) m.leg_intents_rev;
       m.pair_targets <-
         List.filter (fun ((s, r), _) -> s <> pid && r <> pid) m.pair_targets;
       (* retire the participant everywhere it is registered — its home plus
@@ -1168,7 +1186,7 @@ let push_replay t idx m =
         [ Camera; Screen ])
     members;
   (* legs in creation order *)
-  List.iter (fun li -> if li.li_idx = idx then push (leg_op li)) m.leg_intents;
+  List.iter (fun li -> if li.li_idx = idx then push (leg_op li)) (List.rev m.leg_intents_rev);
   (* forced pair targets whose receiver leg lives here *)
   List.sort compare m.pair_targets
   |> List.iter (fun (((_, receiver), _) as pt) ->
@@ -1569,15 +1587,15 @@ let introspect t =
 let copy_participant (p : participant) = { p with pid = p.pid }
 let copy_meeting (m : meeting) = { m with sites = Hashtbl.copy m.sites }
 
-(* Fill [dst] with copies of [src]'s bindings, in [src]'s order. *)
-let copy_into copy src dst =
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst k (copy v)) src;
+(* A copy of [src] with its bucket layout, hence its iteration order
+   (which orders [gc_relays]' wire ops), each binding passed through
+   [copy]. *)
+let copy_table copy src =
+  let dst = Hashtbl.copy src in
+  Hashtbl.filter_map_inplace (fun _ v -> Some (copy v)) dst;
   dst
 
-let copy_table copy src = copy_into copy src (Hashtbl.create (max 16 (Hashtbl.length src)))
-
-let capture t =
-  let st = t.state in
+let copy_state (st : persisted) =
   {
     st with
     meetings = copy_table copy_meeting st.meetings;
@@ -1586,20 +1604,11 @@ let capture t =
     relay_receivers = Hashtbl.copy st.relay_receivers;
   }
 
+let capture t = copy_state t.state
+
 (* Copy-on-restore as well: two controllers restoring the same snapshot
-   (or one restoring it twice) must never alias its tables. Fresh tables
-   are filled in the snapshot's order: that fixes a restored instance's
-   iteration order, which orders [gc_relays]' wire ops. *)
-let restore t (ps : persisted) =
-  let st = fresh_state () in
-  t.state <-
-    {
-      ps with
-      meetings = copy_into copy_meeting ps.meetings st.meetings;
-      participants = copy_into copy_participant ps.participants st.participants;
-      egress_ports = copy_into Fun.id ps.egress_ports st.egress_ports;
-      relay_receivers = copy_into Fun.id ps.relay_receivers st.relay_receivers;
-    }
+   (or one restoring it twice) must never alias its tables. *)
+let restore t (ps : persisted) = t.state <- copy_state ps
 
 (* The canonical rendering of controller intent, for equality checks
    across instances. Excludes anything legitimately instance-local:
@@ -1641,7 +1650,7 @@ let intent_fingerprint t =
                (match li.li_kind with Camera -> "cam" | Screen -> "scr")
                li.li_sender li.li_uplink_port li.li_receiver li.li_leg_port
                (Addr.to_string li.li_dst) li.li_adaptive)
-           m.leg_intents;
+           (List.rev m.leg_intents_rev);
          List.sort compare m.pair_targets
          |> List.iter (fun ((s, r), target) ->
                 add "pt m=%d %d->%d t=%d\n" m.mid s r (Av1.Dd.index_of_target target)));

@@ -78,10 +78,15 @@ let bool_field b = if b then "1" else "0"
 
 (* Frame one sub-message inside a batch: retokenize its encoding (an
    [Error] reply may itself contain spaces) and prefix the token count,
-   so the flat outer field list parses unambiguously. Splitting the
-   joined fields is an isomorphism, so round-trips are exact. *)
+   so the flat outer field list parses unambiguously. Only a field with a
+   space splits; the tokens are those of the joined fields, so
+   round-trips are exact. *)
 let framed fields =
-  let tokens = String.split_on_char ' ' (String.concat " " fields) in
+  let tokens =
+    List.concat_map
+      (fun f -> if String.contains f ' ' then String.split_on_char ' ' f else [ f ])
+      fields
+  in
   string_of_int (List.length tokens) :: tokens
 
 let rec encode_request r =

@@ -59,8 +59,17 @@ val make_media :
   media
 
 val to_string : t -> string
+(** The wire text, one line per field, each ending in a newline. Its
+    bytes are fixed: [test_sdp] pins a controller-built offer and
+    answer. *)
+
 val of_string : string -> t
-(** @raise Failure with a diagnostic on malformed SDP. *)
+(** [of_string (to_string x) = x] for every [x] whose text the format
+    can carry (an origin port of 0; no whitespace inside a token or
+    around a value).
+    @raise Failure on malformed SDP, naming the bad line (a malformed
+    number raises [int_of_string]'s [Failure]); no other exception
+    escapes, an unparseable address included. *)
 
 val rewrite_candidates : t -> Scallop_util.Addr.t -> t
 (** [rewrite_candidates sdp sfu_addr] replaces every media section's

@@ -319,6 +319,61 @@ let resync_replays_cascaded_meeting () =
     (List.exists (fun (m : A.meeting_view) -> m.A.amv_pair_specific) (A.introspect a1));
   An.assert_clean ~what:"cascaded meeting after the resyncs" controller
 
+(* --- relay retirement order survives a snapshot restore ------------------ *)
+
+(* Meeting 1 on four switches: a sender homed on sw0, receivers homed on
+   sw2 and sw3, so sw0 holds a relay receiver for each; their keys in
+   the controller's relay table, (1, 0, 2) and (1, 0, 3), share a
+   bucket. The sender's leave retires both. Returns the relay pids sw0
+   removes, in execution order. *)
+let relay_removals ~restored =
+  let engine = Engine.create () in
+  let rng = Rng.create 41 in
+  let network = Netsim.Network.create engine (Rng.split rng) in
+  let switch i =
+    let ip = Scallop_util.Addr.ip_of_string (Printf.sprintf "10.0.0.%d" (i + 1)) in
+    Netsim.Network.add_host network ~ip ~uplink:Common.fast_link ~downlink:Common.fast_link ();
+    let dp = D.create engine network ~ip ~obs_label:(Printf.sprintf "sw%d" i) () in
+    (A.create engine dp (), dp)
+  in
+  let controller = C.create engine network (Rng.split rng) ~agents:(List.init 4 switch) () in
+  ignore (C.create_meeting controller);
+  let mid = C.create_meeting controller in
+  let join index ~home ~send_media =
+    let client = Common.add_client engine network rng ~index () in
+    C.join ~home controller mid client ~send_media
+  in
+  let sender = join 0 ~home:0 ~send_media:true in
+  ignore (join 1 ~home:2 ~send_media:false);
+  ignore (join 2 ~home:3 ~send_media:false);
+  Engine.run engine ~until:(Engine.sec 1.0);
+  if restored then begin
+    (* snapshot at quiescence, then rebuild from it alone *)
+    C.compact_journal controller;
+    C.kill controller;
+    C.restart controller;
+    C.promote controller;
+    Engine.run engine ~until:(Engine.sec 2.0)
+  end;
+  with_rpc_trace (fun () ->
+      C.leave controller sender;
+      Engine.run engine ~until:(Engine.sec 3.0);
+      List.filter_map
+        (fun (e : Scallop_obs.Trace.event) ->
+          let arg k = List.assoc_opt k e.Scallop_obs.Trace.args in
+          match (e.Scallop_obs.Trace.name, arg "agent", arg "participant") with
+          | "member_del", Some (Scallop_obs.Trace.S "sw0"), Some (Scallop_obs.Trace.I pid)
+            when pid >= 900_000 ->
+              Some pid
+          | _ -> None)
+        (Scallop_obs.Trace.events ()))
+
+let restored_controller_retires_relays_in_order () =
+  let original = relay_removals ~restored:false in
+  Alcotest.(check int) "two relays retired" 2 (List.length original);
+  Alcotest.(check (list int)) "restored instance, same order" original
+    (relay_removals ~restored:true)
+
 (* --- flapping switch: the detector counts every transition -------------- *)
 
 let flapping_detector_counts_transitions () =
@@ -755,6 +810,8 @@ let () =
             reconcile_repairs_drift;
           Alcotest.test_case "resync replays a cascaded meeting" `Quick
             resync_replays_cascaded_meeting;
+          Alcotest.test_case "restored instance retires relays in order" `Quick
+            restored_controller_retires_relays_in_order;
           Alcotest.test_case "straddling flush never double-executes" `Quick
             straddling_flush_does_not_double_execute;
           Alcotest.test_case "flapping detector counts transitions" `Quick

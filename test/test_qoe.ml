@@ -235,6 +235,32 @@ let qoe_collector_footprint () =
   Alcotest.(check bool) "a traced packet allocates the trace ring" true
     (Obj.reachable_words (Obj.repr q) >= fresh_words + (2 * trace_cap))
 
+(* The scallop_qoe_* series are the live collectors, read when the
+   registry dumps: they survive [Metrics.reset] and go with [Qoe.reset],
+   so a world's collectors stop being dumped (and reachable) once the
+   next world resets them. *)
+let qoe_metrics_follow_collectors () =
+  fresh ();
+  let q = Qoe.collector (key ()) in
+  feed_packets q 0 2;
+  Qoe.on_mouth_to_ear q ~time_ns:(sec 1.0) ~ms:40.0;
+  let has dump line =
+    List.mem line (String.split_on_char '\n' dump)
+  in
+  let labels = {|{kind="video",media="cam",meeting="0",receiver="3",sender="1"}|} in
+  let packets = "scallop_qoe_packets_total" ^ labels ^ " 20" in
+  let m2e_count = "scallop_qoe_mouth_to_ear_ms_count" ^ labels ^ " 1" in
+  Alcotest.(check bool) "packets dumped" true (has (Metrics.dump ()) packets);
+  Alcotest.(check bool) "histogram dumped" true (has (Metrics.dump ()) m2e_count);
+  Metrics.reset ();
+  Alcotest.(check bool) "still dumped after Metrics.reset" true (has (Metrics.dump ()) packets);
+  Qoe.reset ();
+  let dump = Metrics.dump () in
+  Alcotest.(check bool) "gone with the collector" false
+    (List.exists
+       (fun l -> String.length l >= 11 && String.sub l 0 11 = "scallop_qoe")
+       (String.split_on_char '\n' dump))
+
 let qoe_traces_and_layers () =
   fresh ();
   let q = Qoe.collector (key ()) in
@@ -632,6 +658,7 @@ let () =
           t "mouth-to-ear ring grows then wraps" `Quick qoe_m2e_ring_grows_then_wraps;
           t "trace ring wraps" `Quick qoe_trace_ring_wraps;
           t "collector footprint" `Quick qoe_collector_footprint;
+          t "metrics follow the live collectors" `Quick qoe_metrics_follow_collectors;
         ] );
       ( "slo",
         [

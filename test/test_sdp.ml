@@ -89,7 +89,171 @@ let malformed_rejected () =
            ignore (Sdp.of_string text);
            false
          with Failure _ -> true))
-    [ "nonsense"; "m=video UDP/RTP\n"; "o=- bad origin\n"; "a=mid:0\n" ]
+    [
+      "nonsense";
+      "m=video UDP/RTP\n";
+      "o=- bad origin\n";
+      "a=mid:0\n";
+      "o=- 1 2 IN IP4 10.0.0.x\n";
+      "m=audio 9 UDP/RTP 111\na=candidate:1 1 udp 5 10.0.300.1 9 typ host\n";
+    ]
+
+(* --- exact wire text -------------------------------------------------------
+
+   The offer a sending participant's client makes (the shape the
+   controller builds: AV1 L1T3 video with the dependency-descriptor
+   extension, opus audio, one host candidate) and the answer the
+   controller's splice returns. The printer must reproduce them byte for
+   byte. *)
+
+let client = Addr.of_string "10.0.1.3:5002"
+
+let controller_offer () =
+  {
+    Sdp.session_id = 482_913_506;
+    origin_addr = Addr.v client.Addr.ip 0;
+    ice_ufrag = "uf0a1b2c";
+    ice_pwd = "pw00ffee01";
+    medias =
+      [
+        Sdp.make_media ~direction:Sdp.Sendonly ~extmaps:[ (1, "urn:av1:dependency-descriptor") ]
+          ~svc_mode:(Some "L1T3") ~kind:Sdp.Video ~mid:"0" ~payload_type:96 ~codec:"AV1"
+          ~clock_rate:90000 ~ssrc:0x100007 ~cname:"scallop"
+          ~candidates:[ Sdp.host_candidate client ] ();
+        Sdp.make_media ~direction:Sdp.Sendonly ~kind:Sdp.Audio ~mid:"1" ~payload_type:111
+          ~codec:"opus" ~clock_rate:48000 ~ssrc:0x200007 ~cname:"scallop"
+          ~candidates:[ Sdp.host_candidate client ] ();
+      ];
+  }
+
+let offer_text =
+  "v=0\n\
+   o=- 482913506 2 IN IP4 10.0.1.3\n\
+   s=-\n\
+   t=0 0\n\
+   a=ice-ufrag:uf0a1b2c\n\
+   a=ice-pwd:pw00ffee01\n\
+   m=video 5002 UDP/RTP 96\n\
+   c=IN IP4 10.0.1.3\n\
+   a=mid:0\n\
+   a=rtpmap:96 AV1/90000\n\
+   a=ssrc:1048583 cname:scallop\n\
+   a=sendonly\n\
+   a=extmap:1 urn:av1:dependency-descriptor\n\
+   a=svc:L1T3\n\
+   a=candidate:1 1 udp 2130706431 10.0.1.3 5002 typ host\n\
+   m=audio 5002 UDP/RTP 111\n\
+   c=IN IP4 10.0.1.3\n\
+   a=mid:1\n\
+   a=rtpmap:111 opus/48000\n\
+   a=ssrc:2097159 cname:scallop\n\
+   a=sendonly\n\
+   a=candidate:1 1 udp 2130706431 10.0.1.3 5002 typ host\n"
+
+let answer_text =
+  "v=0\n\
+   o=- 7 2 IN IP4 10.0.0.1\n\
+   s=-\n\
+   t=0 0\n\
+   a=ice-ufrag:sfuuf\n\
+   a=ice-pwd:sfupw\n\
+   m=video 40000 UDP/RTP 96\n\
+   c=IN IP4 10.0.0.1\n\
+   a=mid:0\n\
+   a=rtpmap:96 AV1/90000\n\
+   a=ssrc:1048583 cname:scallop\n\
+   a=recvonly\n\
+   a=extmap:1 urn:av1:dependency-descriptor\n\
+   a=svc:L1T3\n\
+   a=candidate:1 1 udp 2130706431 10.0.0.1 40000 typ host\n\
+   m=audio 40000 UDP/RTP 111\n\
+   c=IN IP4 10.0.0.1\n\
+   a=mid:1\n\
+   a=rtpmap:111 opus/48000\n\
+   a=ssrc:2097159 cname:scallop\n\
+   a=recvonly\n\
+   a=candidate:1 1 udp 2130706431 10.0.0.1 40000 typ host\n"
+
+let offer_wire_text () =
+  Alcotest.(check string) "offer" offer_text (Sdp.to_string (controller_offer ()));
+  Alcotest.(check bool) "parses back" true
+    (Sdp.equal (controller_offer ()) (Sdp.of_string offer_text))
+
+let answer_wire_text () =
+  let spliced = Sdp.rewrite_candidates (Sdp.of_string offer_text) sfu in
+  let answer =
+    Sdp.answer ~offer:spliced ~session_id:7 ~origin:sfu ~ice_ufrag:"sfuuf" ~ice_pwd:"sfupw"
+      ~media_for:(fun m -> Some m)
+  in
+  Alcotest.(check string) "answer" answer_text (Sdp.to_string answer);
+  Alcotest.(check bool) "parses back" true
+    (Sdp.equal { answer with Sdp.origin_addr = Addr.v sfu.Addr.ip 0 } (Sdp.of_string answer_text))
+
+(* --- properties -------------------------------------------------------------- *)
+
+(* Descriptions the text form can carry: the origin's port is not on the
+   wire (it parses back as 0), values run to the end of their line so
+   they hold no surrounding whitespace, and a token holds no space (nor
+   the codec a '/', nor the cname a ':'). *)
+let gen_sdp =
+  let open QCheck.Gen in
+  let word ~min =
+    string_size ~gen:(oneofl (List.of_seq (String.to_seq "abcXYZ019-_.+"))) (int_range min 6)
+  in
+  let ip = map (fun i -> i land 0xFFFFFFFF) int in
+  let addr = map2 Addr.v ip (int_range 0 0xFFFF) in
+  let candidate =
+    map
+      (fun (foundation, component, priority, addr, typ) ->
+        { Sdp.foundation; component; priority; addr; typ })
+      (tup5 (word ~min:1) int int addr (word ~min:1))
+  in
+  let media =
+    map
+      (fun ( (kind, mid, payload_type, codec, clock_rate),
+             (ssrc, cname, direction, candidates, extmaps),
+             svc_mode ) ->
+        Sdp.make_media ~direction ~extmaps ~svc_mode ~kind ~mid ~payload_type ~codec ~clock_rate
+          ~ssrc ~cname ~candidates ())
+      (triple
+         (tup5 (oneofl [ Sdp.Audio; Sdp.Video; Sdp.Screen ]) (word ~min:0) int (word ~min:0) int)
+         (tup5 int (word ~min:0)
+            (oneofl [ Sdp.Sendrecv; Sdp.Sendonly; Sdp.Recvonly; Sdp.Inactive ])
+            (list_size (int_range 0 3) candidate)
+            (list_size (int_range 0 3) (pair int (word ~min:1))))
+         (opt (word ~min:0)))
+  in
+  map
+    (fun (session_id, ip, ice_ufrag, ice_pwd, medias) ->
+      { Sdp.session_id; origin_addr = Addr.v ip 0; ice_ufrag; ice_pwd; medias })
+    (tup5 int ip (word ~min:0) (word ~min:0) (list_size (int_range 0 4) media))
+
+let arb_sdp = QCheck.make ~print:Sdp.to_string gen_sdp
+
+let prop_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"of_string (to_string x) = x" arb_sdp (fun x ->
+      Sdp.equal (Sdp.of_string (Sdp.to_string x)) x)
+
+(* Truncated and byte-mutated descriptions: parsing may accept them or
+   raise [Failure], never anything else. *)
+let prop_malformed_fails_cleanly =
+  let mangle =
+    let open QCheck.Gen in
+    let alphabet = List.of_seq (String.to_seq " \t\r\n=:/.-0123456789amovcstIPNUDRTudpyphx") in
+    let edit = pair nat (oneofl alphabet) in
+    pair gen_sdp (pair (float_bound_inclusive 1.0) (list_size (int_range 0 6) edit))
+    |> map (fun (x, (cut, edits)) ->
+           let text = Bytes.of_string (Sdp.to_string x) in
+           let n = Bytes.length text in
+           List.iter (fun (i, c) -> if n > 0 then Bytes.set text (i mod n) c) edits;
+           Bytes.sub_string text 0 (int_of_float (cut *. float_of_int n)))
+  in
+  QCheck.Test.make ~count:2000 ~name:"malformed SDP raises only Failure"
+    (QCheck.make ~print:(Printf.sprintf "%S") mangle)
+    (fun text ->
+      match Sdp.of_string text with
+      | _ -> true
+      | exception Failure _ -> true)
 
 let () =
   Alcotest.run "sdp"
@@ -100,7 +264,11 @@ let () =
           Alcotest.test_case "fields preserved" `Quick fields_preserved;
           Alcotest.test_case "unknown attributes ignored" `Quick unknown_attributes_ignored;
           Alcotest.test_case "malformed rejected" `Quick malformed_rejected;
+          Alcotest.test_case "offer wire text" `Quick offer_wire_text;
+          Alcotest.test_case "answer wire text" `Quick answer_wire_text;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_malformed_fails_cleanly ] );
       ( "offer-answer",
         [
           Alcotest.test_case "candidate rewrite" `Quick candidate_rewrite;

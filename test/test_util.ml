@@ -367,7 +367,15 @@ let addr_roundtrip () =
 
 let addr_ip_conversion () =
   Alcotest.(check int) "ip value" 0x0A000001 (Addr.ip_of_string "10.0.0.1");
-  Alcotest.(check string) "ip string" "255.255.255.255" (Addr.ip_to_string 0xFFFFFFFF)
+  Alcotest.(check string) "ip string" "255.255.255.255" (Addr.ip_to_string 0xFFFFFFFF);
+  Alcotest.(check string) "all zero" "0.0.0.0" (Addr.ip_to_string 0);
+  (* one-, two- and three-digit octets, and bits above 32 ignored *)
+  Alcotest.(check string) "mixed" "7.10.100.255" (Addr.ip_to_string 0x1_070A64FF);
+  Alcotest.(check string) "with port" "0.0.0.0:0" (Addr.to_string (Addr.v 0 0));
+  Alcotest.(check string) "max with port" "255.255.255.255:65535"
+    (Addr.to_string (Addr.v 0xFFFFFFFF 0xFFFF));
+  Alcotest.(check string) "mixed with port" "192.168.9.20:5004"
+    (Addr.to_string (Addr.v 0xC0A80914 5004))
 
 let addr_invalid () =
   Alcotest.check_raises "bad ip" (Invalid_argument "Addr.ip_of_string: 300.0.0.1")
