@@ -107,6 +107,32 @@ let capacity_cmd =
     (Cmd.info "capacity" ~doc:"Print the capacity model for a meeting shape.")
     Term.(const run $ participants $ senders)
 
+(* The controller-to-agent control channel of a simulated world; each
+   command picks its own default RTT. *)
+let control_term ~rtt_ms =
+  let ctrl_rtt_ms =
+    Arg.(value & opt int rtt_ms
+         & info [ "ctrl-rtt-ms" ] ~doc:"Controller-to-agent control channel RTT (ms).")
+  in
+  let ctrl_loss =
+    Arg.(value & opt float 0.0
+         & info [ "ctrl-loss" ] ~doc:"Control channel iid loss probability per direction.")
+  in
+  Term.(
+    const (fun rtt_ms loss ->
+        Scallop.Rpc_transport.degraded ~loss ~rtt_ns:(Netsim.Engine.ms rtt_ms) ())
+    $ ctrl_rtt_ms $ ctrl_loss)
+
+(* An RPC that exhausts its retries ends the command with one error. *)
+let unless_control_dead f =
+  try f ()
+  with Scallop.Rpc_transport.Timed_out { op; attempts; _ } ->
+    Error
+      (`Msg
+        (Printf.sprintf
+           "control plane dead: %s gave up after %d attempts (lower --ctrl-loss?)" op
+           attempts))
+
 let simulate_cmd =
   let participants =
     Arg.(value & opt int 3 & info [ "n"; "participants" ] ~doc:"Participants.")
@@ -120,14 +146,6 @@ let simulate_cmd =
   let downlink_mbps =
     Arg.(value & opt (some float) None
          & info [ "downlink" ] ~doc:"Cap the last participant's downlink (Mb/s).")
-  in
-  let ctrl_rtt_ms =
-    Arg.(value & opt int 0
-         & info [ "ctrl-rtt-ms" ] ~doc:"Controller-to-agent control channel RTT (ms).")
-  in
-  let ctrl_loss =
-    Arg.(value & opt float 0.0
-         & info [ "ctrl-loss" ] ~doc:"Control channel iid loss probability per direction.")
   in
   let check =
     Arg.(value & flag
@@ -187,8 +205,9 @@ let simulate_cmd =
                    monotonicity, batch order, quiet-heal, ...) and any \
                    violation fails the command.")
   in
-  let run participants senders seconds downlink_mbps ctrl_rtt_ms ctrl_loss check paranoid chaos chaos_seed trace_out trace_level mc =
-   try
+  let run participants senders seconds downlink_mbps control check paranoid chaos chaos_seed
+      trace_out trace_level mc =
+    unless_control_dead @@ fun () ->
     let senders = Option.value senders ~default:participants in
     if trace_out <> None then Scallop_obs.Trace.set_level trace_level;
     let checker =
@@ -202,12 +221,7 @@ let simulate_cmd =
       end
       else None
     in
-    let control =
-      Scallop.Rpc_transport.degraded ~loss:ctrl_loss ~rtt_ns:(Netsim.Engine.ms ctrl_rtt_ms) ()
-    in
-    let stack =
-      Experiments.Common.make_scallop ~seed:99 ~control ()
-    in
+    let stack = Experiments.Common.make_scallop ~seed:99 ~control () in
     if paranoid then
       Scallop.Dataplane.set_mode stack.Experiments.Common.dp Scallop.Dataplane.Paranoid;
     let _mid, members =
@@ -222,7 +236,7 @@ let simulate_cmd =
       downlink_mbps;
     let run_until = ref (Netsim.Engine.sec seconds) in
     if chaos then begin
-      Scallop.Controller.start_health stack.Experiments.Common.controller;
+      Experiments.Common.start_health stack;
       let schedule =
         Netsim.Chaos.generate
           (Scallop_util.Rng.create chaos_seed)
@@ -249,7 +263,7 @@ let simulate_cmd =
     end;
     Netsim.Engine.run stack.Experiments.Common.engine ~until:!run_until;
     if chaos then begin
-      Scallop.Controller.stop_health stack.Experiments.Common.controller;
+      Experiments.Common.stop_health stack;
       List.iter
         (fun (e : Scallop.Controller.recovery_event) ->
           Printf.printf
@@ -326,7 +340,7 @@ let simulate_cmd =
         fp.Scallop.Dataplane.fp_paranoid_checks
         fp.Scallop.Dataplane.fp_paranoid_mismatches;
     (* the trace note goes to stderr so stdout stays byte-identical to an
-       untraced run — CI diffs the two to prove tracing is inert *)
+       untraced run — a golden diffs the two to prove tracing is inert *)
     Option.iter
       (fun path ->
         Scallop_obs.Trace.write_chrome_json path;
@@ -359,7 +373,7 @@ let simulate_cmd =
     in
     let check_result =
       if check then begin
-        let findings = Scallop_analysis.verify stack.Experiments.Common.controller in
+        let findings = Experiments.Common.verify stack in
         let errors = Scallop_analysis.errors findings in
         if findings = [] then begin
           Printf.printf "state check: clean\n";
@@ -381,29 +395,15 @@ let simulate_cmd =
       else Ok ()
     in
     (match mc_result with Error _ as e -> e | Ok () -> check_result)
-   with Scallop.Rpc_transport.Timed_out { op; attempts; _ } ->
-    Error
-      (`Msg
-        (Printf.sprintf
-           "control plane dead: %s gave up after %d attempts (lower --ctrl-loss?)" op
-           attempts))
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one meeting through Scallop and print a QoE report.")
     Term.(term_result
-            (const run $ participants $ senders $ seconds $ downlink_mbps $ ctrl_rtt_ms
-             $ ctrl_loss $ check $ paranoid $ chaos
+            (const run $ participants $ senders $ seconds $ downlink_mbps
+             $ control_term ~rtt_ms:0 $ check $ paranoid $ chaos
              $ chaos_seed $ trace_out $ trace_level $ mc))
 
 let check_cmd =
-  let ctrl_rtt_ms =
-    Arg.(value & opt int 2
-         & info [ "ctrl-rtt-ms" ] ~doc:"Controller-to-agent control channel RTT (ms).")
-  in
-  let ctrl_loss =
-    Arg.(value & opt float 0.0
-         & info [ "ctrl-loss" ] ~doc:"Control channel iid loss probability per direction.")
-  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scenario seed.") in
   let json =
     Arg.(value & flag
@@ -428,55 +428,21 @@ let check_cmd =
          & info [ "journal-out" ] ~docv:"FILE"
              ~doc:
                "With $(b,--failover): write the intent journal's dump (live \
-                entries plus snapshot marker) to $(docv) at end of run — the \
-                CI chaos gate's journal artifact.")
+                entries plus snapshot marker) to $(docv) at end of run.")
   in
-  let run ctrl_rtt_ms ctrl_loss seed json failover journal_out =
-    try
-      let module Addr = Scallop_util.Addr in
-      let module Rng = Scallop_util.Rng in
-      let engine = Netsim.Engine.create () in
-      let rng = Rng.create seed in
-      let network = Netsim.Network.create engine (Rng.split rng) in
-      let fast =
-        { Netsim.Link.default with rate_bps = infinity; propagation_ns = 100_000 }
+  let run control seed json failover journal_out =
+    unless_control_dead @@ fun () ->
+      let module Common = Experiments.Common in
+      let stack =
+        Common.make_scallop ~seed ~switches:2 ~control
+          ?pair:(if failover then Some Scallop.Cluster.default else None)
+          ()
       in
-      let switch ip_str obs_label =
-        let ip = Addr.ip_of_string ip_str in
-        Netsim.Network.add_host network ~ip ~uplink:fast ~downlink:fast ();
-        let dp = Scallop.Dataplane.create engine network ~ip ~obs_label () in
-        let agent = Scallop.Switch_agent.create engine dp () in
-        (agent, dp)
-      in
-      let s0 = switch "10.0.0.1" "sw0" and s1 = switch "10.0.0.2" "sw1" in
-      let control =
-        Scallop.Rpc_transport.degraded ~loss:ctrl_loss
-          ~rtt_ns:(Netsim.Engine.ms ctrl_rtt_ms) ()
-      in
-      let cluster =
-        if failover then
-          Some
-            (Scallop.Cluster.create engine network (Rng.split rng)
-               ~agents:[ s0; s1 ] ~control ())
-        else None
-      in
-      let controller =
-        match cluster with
-        | Some cl -> Scallop.Cluster.primary cl
-        | None ->
-            Scallop.Controller.create engine network (Rng.split rng)
-              ~agents:[ s0; s1 ] ~control ()
-      in
-      let ctrl () =
-        match cluster with
-        | Some cl -> Scallop.Cluster.endpoint cl
-        | None -> controller
-      in
-      let client idx =
-        let ip = Addr.ip_of_string (Printf.sprintf "10.0.3.%d" (idx + 1)) in
-        Netsim.Network.add_host network ~ip ();
-        Webrtc.Client.create engine network (Rng.split rng)
-          (Webrtc.Client.default_config ~ip)
+      let engine = stack.Common.engine in
+      let ctrl () = Common.endpoint stack in
+      let client i =
+        Common.add_client engine stack.Common.network stack.Common.rng ~index:(500 + i)
+          ~uplink:Netsim.Link.default ~downlink:Netsim.Link.default ()
       in
       let total_errors = ref 0 in
       let points = ref [] in
@@ -485,13 +451,7 @@ let check_cmd =
         (* QoE SLOs ride along with the state checks: any burn over the
            live collectors surfaces here too *)
         ignore (Scallop_obs.Slo.evaluate slo ~now_ns:(Netsim.Engine.now engine));
-        let findings =
-          Scallop_analysis.verify (ctrl ())
-          @
-          match cluster with
-          | Some cl -> Scallop_analysis.check_cluster cl
-          | None -> []
-        in
+        let findings = Common.verify stack in
         let errors = Scallop_analysis.errors findings in
         if json then points := (label, findings) :: !points
         else begin
@@ -501,10 +461,7 @@ let check_cmd =
         end;
         total_errors := !total_errors + List.length errors
       in
-      let run_for seconds =
-        Netsim.Engine.run engine
-          ~until:(Netsim.Engine.now engine + Netsim.Engine.sec seconds)
-      in
+      let run_for seconds = Common.run_for engine ~seconds in
       (* a cascaded meeting: senders on both switches, plus mid-call churn
          and a screen share — every controller trigger the paper names *)
       let mid = Scallop.Controller.create_meeting (ctrl ()) in
@@ -522,12 +479,12 @@ let check_cmd =
          the workload runs against the promoted standby, whose state was
          rebuilt by replay (allocators included — the pids above stay
          valid) and whose fenced resync re-owns both agents *)
-      (match cluster with
-      | Some cl ->
+      Option.iter
+        (fun cl ->
           Scallop.Cluster.kill_primary cl;
           run_for 1.0;
-          verify_point "primary killed, standby promoted"
-      | None -> ());
+          verify_point "primary killed, standby promoted")
+        stack.Common.cluster;
       Scallop.Controller.stop_screen_share (ctrl ()) p0;
       Scallop.Controller.leave (ctrl ()) p2;
       Scallop.Controller.leave (ctrl ()) p3;
@@ -542,16 +499,16 @@ let check_cmd =
       Scallop.Controller.leave (ctrl ()) p0;
       run_for 1.0;
       verify_point "after churn";
-      (match cluster with
-      | Some cl ->
+      Option.iter
+        (fun cl ->
           Option.iter
             (fun path ->
               let oc = open_out path in
               output_string oc (Scallop.Journal.dump (Scallop.Cluster.journal cl));
               close_out oc)
-            journal_out;
-          Scallop.Cluster.stop cl
-      | None -> ());
+            journal_out)
+        stack.Common.cluster;
+      Common.stop_health stack;
       let slo_alerts = Scallop_obs.Slo.alerts slo in
       if json then begin
         let module J = Scallop_mc.Mc_json in
@@ -595,12 +552,6 @@ let check_cmd =
       else
         Error
           (`Msg (Printf.sprintf "state check: %d invariant violation(s)" !total_errors))
-    with Scallop.Rpc_transport.Timed_out { op; attempts; _ } ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "control plane dead: %s gave up after %d attempts (lower --ctrl-loss?)" op
-             attempts))
   in
   Cmd.v
     (Cmd.info "check"
@@ -608,8 +559,7 @@ let check_cmd =
          "Drive a cascaded meeting through churn and statically verify the \
           controller/agent/data-plane state invariants at every quiescent point.")
     Term.(term_result
-            (const run $ ctrl_rtt_ms $ ctrl_loss $ seed $ json $ failover
-             $ journal_out))
+            (const run $ control_term ~rtt_ms:2 $ seed $ json $ failover $ journal_out))
 
 let metrics_cmd =
   let json =
@@ -629,10 +579,10 @@ let metrics_cmd =
     in
     (* the failure detector registers the scallop_ctrl_health_* /
        recovery-log metrics; run it so the dump covers them *)
-    Scallop.Controller.start_health stack.Experiments.Common.controller;
+    Experiments.Common.start_health stack;
     Netsim.Engine.run stack.Experiments.Common.engine
       ~until:(Netsim.Engine.sec seconds);
-    Scallop.Controller.stop_health stack.Experiments.Common.controller;
+    Experiments.Common.stop_health stack;
     print_string
       (if json then Scallop_obs.Metrics.dump_json () else Scallop_obs.Metrics.dump ())
   in
@@ -664,13 +614,13 @@ let qoe_cmd =
   let json_out =
     Arg.(value & opt (some string) None
          & info [ "json-out" ] ~docv:"FILE"
-             ~doc:"Also write the JSON report to $(docv) (the CI artifact).")
+             ~doc:"Also write the JSON report to $(docv).")
   in
   let expect_burn =
     Arg.(value & flag
          & info [ "expect-burn" ]
              ~doc:"Fail unless at least one SLO alert fired and the attribution \
-                   named the injected link — the CI qoe gate's assertion.")
+                   named the injected link.")
   in
   let report_json (r : Qc.result) =
     let fs = Printf.sprintf "%.6g" in

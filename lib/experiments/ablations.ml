@@ -1,29 +1,14 @@
-module Addr = Scallop_util.Addr
-module Rng = Scallop_util.Rng
 module Table = Scallop_util.Table
 module Timeseries = Scallop_util.Timeseries
 module Engine = Netsim.Engine
-module Network = Netsim.Network
-module Link = Netsim.Link
 
-(* A Scallop stack whose switch agent can be crippled per ablation. *)
+(* A Scallop world whose switch agent can be crippled per ablation, and
+   a client constructor on its network. *)
 let make_stack ~seed ~rewriting_enabled ~feedback_filter =
-  let engine = Engine.create () in
-  let rng = Rng.create seed in
-  let network = Network.create engine (Rng.split rng) in
-  let sfu_ip = Addr.ip_of_string "10.0.0.1" in
-  Network.add_host network ~ip:sfu_ip ~uplink:Common.fast_link ~downlink:Common.fast_link ();
-  let dp = Scallop.Dataplane.create engine network ~ip:sfu_ip () in
-  let agent = Scallop.Switch_agent.create engine dp ~rewriting_enabled ~feedback_filter () in
-  let controller =
-    Scallop.Controller.create engine network (Rng.split rng) ~agents:[ (agent, dp) ] ()
-  in
-  (engine, rng, network, controller)
-
-let add_client engine network rng ~index ?(downlink = Common.client_link ()) () =
-  let ip = Common.client_ip index in
-  Network.add_host network ~ip ~uplink:(Common.client_link ()) ~downlink ();
-  Webrtc.Client.create engine network (Rng.split rng) (Webrtc.Client.default_config ~ip)
+  let s = Common.make_scallop ~seed ~agent:{ Common.rewriting_enabled; feedback_filter } () in
+  ( s.Common.engine,
+    s.Common.controller,
+    Common.add_client s.Common.engine s.Common.network s.Common.rng )
 
 let tail_rate_kbps rx ~seconds ~window =
   let bins = Timeseries.bins (Codec.Video_receiver.bitrate_series rx) in
@@ -47,14 +32,14 @@ type filter_result = {
 }
 
 let filter_scenario ~seed ~feedback_filter ~seconds =
-  let engine, rng, network, controller =
+  let engine, controller, add_client =
     make_stack ~seed ~rewriting_enabled:true ~feedback_filter
   in
   let mid = Scallop.Controller.create_meeting controller in
-  let sender = add_client engine network rng ~index:0 () in
-  let fast = add_client engine network rng ~index:1 () in
+  let sender = add_client ~index:0 () in
+  let fast = add_client ~index:1 () in
   let slow =
-    add_client engine network rng ~index:2
+    add_client ~index:2
       ~downlink:{ (Common.client_link ()) with rate_bps = 1.2e6 }
       ()
   in
@@ -90,15 +75,15 @@ type rewrite_result = {
 }
 
 let rewrite_scenario ~seed ~rewriting_enabled ~seconds =
-  let engine, rng, network, controller =
+  let engine, controller, add_client =
     make_stack ~seed ~rewriting_enabled ~feedback_filter:true
   in
   let mid = Scallop.Controller.create_meeting controller in
-  let sender = add_client engine network rng ~index:0 () in
-  let watcher = add_client engine network rng ~index:1 () in
+  let sender = add_client ~index:0 () in
+  let watcher = add_client ~index:1 () in
   (* a downlink that fits the 15 fps layers but not the full stream *)
   let reduced =
-    add_client engine network rng ~index:2
+    add_client ~index:2
       ~downlink:{ (Common.client_link ()) with rate_bps = 2.0e6 }
       ()
   in

@@ -4,6 +4,8 @@ module Engine = Netsim.Engine
 module Network = Netsim.Network
 module Link = Netsim.Link
 
+type agent_switches = { rewriting_enabled : bool; feedback_filter : bool }
+
 type scallop_stack = {
   engine : Engine.t;
   rng : Rng.t;
@@ -11,6 +13,7 @@ type scallop_stack = {
   dp : Scallop.Dataplane.t;
   agent : Scallop.Switch_agent.t;
   controller : Scallop.Controller.t;
+  cluster : Scallop.Cluster.t option;
 }
 
 let fast_link =
@@ -24,48 +27,59 @@ let client_link () =
 
 let sfu_ip = Addr.ip_of_string "10.0.0.1"
 
-(* The world both scallop stacks share: one switch on the network, its
-   agent, and a controller tier that [make_controller] builds over it.
-   The rng splits in a fixed order (network, then controller), so a seed
-   draws the same world whichever tier sits on top. *)
-let make_world ~seed ~rewrite ~switch_link make_controller =
+(* The one Scallop world: switch i at 10.0.0.(i+1) on [switch_link],
+   each agent built in index order, under a controller tier that reaches
+   every agent. The rng splits in a fixed order (network, then controller
+   tier, then clients), so a seed draws the same world whichever tier
+   sits on top. *)
+let make_scallop ?(seed = 1) ?(switches = 1)
+    ?(agent = { rewriting_enabled = true; feedback_filter = true })
+    ?(switch_link = fast_link) ?(control = Scallop.Rpc_transport.default) ?batch ?pair
+    () =
   (* a fresh world: stale same-key QoE collectors from a previous stack in
      this process would otherwise be reused and keep accumulating *)
   Scallop_obs.Qoe.reset ();
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let network = Network.create engine (Rng.split rng) in
-  Network.add_host network ~ip:sfu_ip ~uplink:switch_link ~downlink:switch_link ();
-  let dp = Scallop.Dataplane.create engine network ~ip:sfu_ip () in
-  let agent = Scallop.Switch_agent.create engine dp ~rewrite () in
-  let controller, tier = make_controller engine network (Rng.split rng) [ (agent, dp) ] in
-  ({ engine; rng; network; dp; agent; controller }, tier)
-
-let make_scallop ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM) ?(switch_link = fast_link)
-    ?(control = Scallop.Rpc_transport.default) ?batch () =
-  fst
-    (make_world ~seed ~rewrite ~switch_link (fun engine network rng agents ->
-         (Scallop.Controller.create engine network rng ~agents ~control ?batch (), ())))
-
-(* A scallop stack whose controller tier is the fault-tolerant pair: an
-   acting primary and a journal-tailing standby under the cluster's
-   heartbeat manager. The [scallop_stack] view inside it points its
-   [controller] field at the initial primary — helpers like
-   [scallop_meeting] work unchanged as long as they run before the first
-   failover; afterwards route ops through [Scallop.Cluster.endpoint]. *)
-type cluster_stack = { base : scallop_stack; cluster : Scallop.Cluster.t }
-
-let make_cluster ?(seed = 1) ?(rewrite = Scallop.Seq_rewrite.S_LM)
-    ?(switch_link = fast_link) ?(control = Scallop.Rpc_transport.default)
-    ?cluster_config () =
-  let base, cluster =
-    make_world ~seed ~rewrite ~switch_link (fun engine network rng agents ->
-        let cluster =
-          Scallop.Cluster.create ?config:cluster_config engine network rng ~agents ~control ()
+  let agents =
+    List.init switches (fun i ->
+        let ip = Addr.ip_of_string (Printf.sprintf "10.0.0.%d" (i + 1)) in
+        Network.add_host network ~ip ~uplink:switch_link ~downlink:switch_link ();
+        let dp =
+          Scallop.Dataplane.create engine network ~ip ~obs_label:(Printf.sprintf "sw%d" i) ()
         in
-        (Scallop.Cluster.primary cluster, cluster))
+        ( Scallop.Switch_agent.create engine dp ~rewriting_enabled:agent.rewriting_enabled
+            ~feedback_filter:agent.feedback_filter (),
+          dp ))
   in
-  { base; cluster }
+  let agent, dp = List.hd agents in
+  let controller, cluster =
+    match pair with
+    | None ->
+        (Scallop.Controller.create engine network (Rng.split rng) ~agents ~control ?batch (), None)
+    | Some config ->
+        let cl = Scallop.Cluster.create ~config engine network (Rng.split rng) ~agents ~control () in
+        (Scallop.Cluster.primary cl, Some cl)
+  in
+  { engine; rng; network; dp; agent; controller; cluster }
+
+let endpoint s =
+  match s.cluster with Some cl -> Scallop.Cluster.endpoint cl | None -> s.controller
+
+let start_health s =
+  match s.cluster with
+  | Some cl -> Scallop.Cluster.start_health cl
+  | None -> Scallop.Controller.start_health s.controller
+
+let stop_health s =
+  match s.cluster with
+  | Some cl -> Scallop.Cluster.stop cl
+  | None -> Scallop.Controller.stop_health s.controller
+
+let verify s =
+  Scallop_analysis.verify (endpoint s)
+  @ match s.cluster with Some cl -> Scallop_analysis.check_cluster cl | None -> []
 
 type software_stack = {
   s_engine : Engine.t;

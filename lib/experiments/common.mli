@@ -1,46 +1,65 @@
-(** Shared scenario plumbing for the paper-reproduction experiments: a
-    Scallop stack (data plane + switch agent + controller) and a software
-    split-proxy stack, each with helpers to spin up N-party meetings of
-    WebRTC clients over the simulated network. *)
+(** Shared scenario plumbing: every Scallop world (switches, each a data
+    plane with its agent, under a controller tier) and the software
+    split-proxy stack are built here, each with helpers to spin up N-party
+    meetings of WebRTC clients over the simulated network. *)
+
+type agent_switches = { rewriting_enabled : bool; feedback_filter : bool }
+(** The switch agent's two ablation switches
+    ({!Scallop.Switch_agent.create}); both [true] is the paper's design. *)
 
 type scallop_stack = {
   engine : Netsim.Engine.t;
   rng : Scallop_util.Rng.t;
   network : Netsim.Network.t;
-  dp : Scallop.Dataplane.t;
-  agent : Scallop.Switch_agent.t;
+  dp : Scallop.Dataplane.t;  (** switch 0's data plane *)
+  agent : Scallop.Switch_agent.t;  (** switch 0's agent *)
   controller : Scallop.Controller.t;
+      (** the single controller, or the pair's initial primary: reach the
+          tier through {!endpoint} once a failover may have happened *)
+  cluster : Scallop.Cluster.t option;
+      (** [Some] when the controller tier is the primary/standby pair *)
 }
 
 val make_scallop :
   ?seed:int ->
-  ?rewrite:Scallop.Seq_rewrite.variant ->
+  ?switches:int ->
+  ?agent:agent_switches ->
   ?switch_link:Netsim.Link.config ->
   ?control:Scallop.Rpc_transport.config ->
   ?batch:bool ->
+  ?pair:Scallop.Cluster.config ->
   unit ->
   scallop_stack
-(** [control] configures the controller↔agent RPC channel (latency,
-    loss, retry policy); the default ideal channel leaves every other
-    experiment byte-identical to direct calls. [batch] is the
-    controller's flush policy ({!Scallop.Controller.create}; default
-    [true], [false] flushes every op). *)
+(** The only builder of a Scallop world: [switches] (default 1) switches,
+    switch [i] at 10.0.0.(i+1) with metrics label ["sw<i>"] on
+    [switch_link] (default {!fast_link}), each with its data plane and
+    agent, under one controller tier that reaches every agent. The tier
+    is a single controller, or with [pair] the fault-tolerant
+    primary/standby {!Scallop.Cluster} built with that config. [control]
+    configures the controller↔agent RPC channel (latency, loss, retry
+    policy); the default is ideal. [batch] is the single controller's
+    flush policy ({!Scallop.Controller.create}; default [true], [false]
+    flushes every op). *)
 
-type cluster_stack = { base : scallop_stack; cluster : Scallop.Cluster.t }
-(** A scallop stack whose controller tier is the fault-tolerant
-    primary/standby pair. [base.controller] is the initial primary —
-    existing helpers ({!scallop_meeting}) work unchanged before the
-    first failover; afterwards, route operations through
-    {!Scallop.Cluster.endpoint}. *)
+(** {2 The controller tier}
 
-val make_cluster :
-  ?seed:int ->
-  ?rewrite:Scallop.Seq_rewrite.variant ->
-  ?switch_link:Netsim.Link.config ->
-  ?control:Scallop.Rpc_transport.config ->
-  ?cluster_config:Scallop.Cluster.config ->
-  unit ->
-  cluster_stack
+    Callers reach the tier through these four functions, whichever tier
+    the stack was built with. *)
+
+val endpoint : scallop_stack -> Scallop.Controller.t
+(** The controller to call: the single controller, or the pair's live
+    acting primary ({!Scallop.Cluster.endpoint}). *)
+
+val start_health : scallop_stack -> unit
+(** Start the agent failure detector on the tier. *)
+
+val stop_health : scallop_stack -> unit
+(** Stop the failure detectors; for the pair, its beat timer too
+    ({!Scallop.Cluster.stop}). *)
+
+val verify : scallop_stack -> Scallop_analysis.finding list
+(** {!Scallop_analysis.verify} against {!endpoint}, plus
+    {!Scallop_analysis.check_cluster} for the pair. *)
 
 type software_stack = {
   s_engine : Netsim.Engine.t;

@@ -3,16 +3,14 @@
    the control plane itself is the bottleneck (the trace's session churn
    compressed 100-1000x onto the controller). The same deterministic event
    schedule runs twice — flushing the controller's batch buffer after
-   every op ([Controller.create ~batch:false], one RPC per wire op) vs at
+   every op ([Common.make_scallop ~batch:false], one RPC per wire op) vs at
    each operation boundary (the default) — over a degraded control
    channel, and the ratio of
    virtual-time operation throughput is the batching speedup the CI gate
    checks. *)
 
-module Addr = Scallop_util.Addr
 module Rng = Scallop_util.Rng
 module Engine = Netsim.Engine
-module Network = Netsim.Network
 module Stats = Scallop_util.Stats
 module Table = Scallop_util.Table
 
@@ -68,28 +66,6 @@ let schedule ~seed ~meetings ~min_size ~max_size =
   List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !events)
   |> List.map snd
 
-(* A two-switch world: cross-switch homes force cascade relays, which is
-   where per-op control traffic is heaviest. *)
-let make_world ~seed ~control ~batch =
-  let engine = Engine.create () in
-  let rng = Rng.create seed in
-  let network = Network.create engine (Rng.split rng) in
-  let mk i =
-    let ip = Addr.ip_of_string (Printf.sprintf "10.0.0.%d" (i + 1)) in
-    Network.add_host network ~ip ~uplink:Common.fast_link ~downlink:Common.fast_link ();
-    let dp =
-      Scallop.Dataplane.create engine network ~ip
-        ~obs_label:(Printf.sprintf "churn%d" i) ()
-    in
-    let agent = Scallop.Switch_agent.create engine dp () in
-    (agent, dp)
-  in
-  let agents = [ mk 0; mk 1 ] in
-  let controller =
-    Scallop.Controller.create engine network (Rng.split rng) ~agents ~control ~batch ()
-  in
-  (engine, network, rng, controller)
-
 type side = {
   ops : int;
   elapsed_s : float;  (** virtual seconds the replay occupied *)
@@ -134,7 +110,10 @@ let quiet_config ~ip =
   }
 
 let replay ~seed ~control ~batch events =
-  let engine, network, rng, controller = make_world ~seed ~control ~batch in
+  (* two switches: cross-switch homes force cascade relays, which is
+     where per-op control traffic is heaviest *)
+  let stack = Common.make_scallop ~seed ~switches:2 ~control ~batch () in
+  let engine = stack.Common.engine and controller = stack.Common.controller in
   let clients = Hashtbl.create 64 in
   let pids = Hashtbl.create 64 in
   let mids = Hashtbl.create 16 in
@@ -152,7 +131,7 @@ let replay ~seed ~control ~batch events =
     | Some c -> c
     | None ->
         let c =
-          Common.add_client engine network rng ~index:!next_client
+          Common.add_client engine stack.Common.network stack.Common.rng ~index:!next_client
             ~config:quiet_config ()
         in
         incr next_client;

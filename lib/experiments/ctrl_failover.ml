@@ -35,13 +35,8 @@ type point = {
 }
 
 let measure ~churn ~compact_every ~seed =
-  let cs =
-    Common.make_cluster ~seed
-      ~cluster_config:{ Cl.default with Cl.compact_every }
-      ()
-  in
-  let stack = cs.Common.base in
-  let cluster = cs.Common.cluster in
+  let stack = Common.make_scallop ~seed ~pair:{ Cl.default with Cl.compact_every } () in
+  let cluster = Option.get stack.Common.cluster in
   let engine = stack.Common.engine in
   let _mid, parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
   Cl.start_health cluster;

@@ -60,12 +60,7 @@ let failed o =
    journaling anything; it is re-queued at the {e front} — submission
    order, and therefore every replayed identifier, stays deterministic —
    and retried after the failure detector has had a beat to promote. *)
-let install_workload ?cluster stack mid parts =
-  let ctrl () =
-    match cluster with
-    | None -> stack.Common.controller
-    | Some cl -> Scallop.Cluster.endpoint cl
-  in
+let install_workload stack mid parts =
   let live = ref (List.map fst parts) in
   let pending = ref [] in
   let busy = ref false in
@@ -74,7 +69,7 @@ let install_workload ?cluster stack mid parts =
     | [] -> ()
     | f :: rest -> (
         pending := rest;
-        match f (ctrl ()) with
+        match f (Common.endpoint stack) with
         | () -> drain ()
         | exception (C.Unavailable | C.Deposed_primary) ->
             pending := f :: !pending;
@@ -195,17 +190,10 @@ let run ?(config = default) ?on_event ~forced () =
       Mutation.disable_all ();
       Trace.set_level prev_level)
     (fun () ->
-      let stack, cluster =
-        if cfg.sc_cluster then begin
-          let cs = Common.make_cluster ~seed:cfg.sc_seed () in
-          (cs.Common.base, Some cs.Common.cluster)
-        end
-        else (Common.make_scallop ~seed:cfg.sc_seed (), None)
-      in
-      let endpoint () =
-        match cluster with
-        | None -> stack.Common.controller
-        | Some cl -> Scallop.Cluster.endpoint cl
+      let stack =
+        Common.make_scallop ~seed:cfg.sc_seed
+          ?pair:(if cfg.sc_cluster then Some Scallop.Cluster.default else None)
+          ()
       in
       let engine = stack.Common.engine in
       let w0, w1 = cfg.sc_window_ms in
@@ -244,11 +232,9 @@ let run ?(config = default) ?on_event ~forced () =
         let mid, parts =
           Common.scallop_meeting stack ~participants:3 ~senders:2 ()
         in
-        install_workload ?cluster stack mid parts;
+        install_workload stack mid parts;
         if cfg.sc_faults then begin
-          (match cluster with
-          | Some cl -> install_ctrl_faults stack cl cfg choice
-          | None -> ());
+          Option.iter (fun cl -> install_ctrl_faults stack cl cfg choice) stack.Common.cluster;
           install_faults stack cfg choice
         end;
         if cfg.sc_ties then
@@ -271,22 +257,16 @@ let run ?(config = default) ?on_event ~forced () =
                    | _ -> Control_channel.Deliver
                  else Control_channel.Deliver))
         end;
-        (match cluster with
-        | Some cl -> Scallop.Cluster.start_health cl
-        | None -> C.start_health stack.Common.controller);
+        Common.start_health stack;
         Engine.run engine ~until:(Engine.sec cfg.sc_horizon_s);
-        (match cluster with
-        | Some cl -> Scallop.Cluster.stop cl
-        | None -> C.stop_health stack.Common.controller);
+        Common.stop_health stack;
         (* settle any tail work the health shutdown scheduled *)
         Engine.run engine ~until:(Engine.now engine);
         Engine.set_chooser engine None;
-        let ep = endpoint () in
-        let findings =
-          An.verify ep
-          @ match cluster with Some cl -> An.check_cluster cl | None -> []
-        in
-        finish ~findings ~state_hash:(An.state_hash (An.snapshot ep)) ~crash:None
+        let findings = Common.verify stack in
+        finish ~findings
+          ~state_hash:(An.state_hash (An.snapshot (Common.endpoint stack)))
+          ~crash:None
       with exn ->
         (* an uncaught exception is itself a finding — the schedule drove
            the system into a state the code never expected. The end state

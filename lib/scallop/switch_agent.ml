@@ -5,16 +5,6 @@ module Dgram = Netsim.Dgram
 module Dd = Av1.Dd
 module Trace = Scallop_obs.Trace
 
-type select_decode_target =
-  current:Dd.decode_target ->
-  history:float list ->
-  estimate_bps:int ->
-  full_bitrate_bps:int ->
-  Dd.decode_target
-
-let default_select ~current ~history:_ ~estimate_bps ~full_bitrate_bps =
-  Codec.Rate_policy.select_decode_target ~current ~estimate_bps ~full_bitrate_bps
-
 type meeting_id = int
 
 type leg_info = {
@@ -22,7 +12,6 @@ type leg_info = {
   receiver : int;
   adaptive : bool;  (** false for cascade legs towards another switch *)
   ewma : Ewma.t;
-  mutable history : float list;  (** recent raw estimates, newest first *)
   mutable target : Dd.decode_target;
   mutable last_target_change_ns : int;
 }
@@ -53,7 +42,6 @@ type t = {
   engine : Engine.t;
   dp : Dataplane.t;
   rewrite : Seq_rewrite.variant;
-  select : select_decode_target;
   rewriting_enabled : bool;
   feedback_filter : bool;
   meetings : (meeting_id, meeting_state) Hashtbl.t;
@@ -292,7 +280,6 @@ let register_leg t ~meeting:mid ~sender ?uplink_port ~receiver ~leg_port ~dst
           receiver;
           adaptive;
           ewma = Ewma.create ~alpha:0.3;
-          history = [];
           target = Dd.DT_30fps;
           last_target_change_ns = min_int / 2;
         }
@@ -423,9 +410,6 @@ let select_rendition t stream leg ~smoothed =
 let on_remb t stream leg estimate =
   t.rembs_analyzed <- t.rembs_analyzed + 1;
   Ewma.observe leg.ewma (float_of_int estimate);
-  leg.history <- float_of_int estimate :: leg.history;
-  if List.length leg.history > 16 then
-    leg.history <- List.filteri (fun i _ -> i < 16) leg.history;
   run_filter t stream;
   let m = meeting t stream.s_meeting in
   (* select on the smoothed estimate: a single keyframe-burst dip must not
@@ -434,7 +418,7 @@ let on_remb t stream leg estimate =
   if Array.length stream.renditions > 0 then select_rendition t stream leg ~smoothed
   else if leg.adaptive then begin
     let target =
-      t.select ~current:leg.target ~history:leg.history ~estimate_bps:smoothed
+      Codec.Rate_policy.select_decode_target ~current:leg.target ~estimate_bps:smoothed
         ~full_bitrate_bps:stream.full_bitrate
     in
     apply_target t m stream leg target
@@ -577,14 +561,13 @@ let rec dispatch t (req : Rpc.request) : Rpc.reply =
       end
       else Rpc.Stale_fence { fence = t.fence }
 
-let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(select = default_select)
-    ?(rewriting_enabled = true) ?(feedback_filter = true) () =
+let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(rewriting_enabled = true)
+    ?(feedback_filter = true) () =
   let t =
     {
       engine;
       dp;
       rewrite;
-      select;
       rewriting_enabled;
       feedback_filter;
       meetings = Hashtbl.create 32;

@@ -10,10 +10,10 @@
       REMB estimates per sender stream, select the best-performing
       downlink, and configure the data plane to forward only that leg's
       REMB to the sender;
-    - {b layer selection} (§5.4): run the pluggable
-      [select_decode_target(currDT, estHist, newEst)] function per
-      receiver leg and reconfigure the data plane / replication trees when
-      the target changes;
+    - {b layer selection} (§5.4): run
+      {!Codec.Rate_policy.select_decode_target} on each receiver leg's
+      smoothed estimate and reconfigure the data plane / replication
+      trees when the target changes;
     - {b key-frame analysis}: consume RTP packets carrying an extended
       AV1 dependency descriptor and refresh the template→layer mapping;
     - {b tree migration} (§6.1): move meetings between Two_party / NRA /
@@ -27,20 +27,10 @@
 
 type t
 
-type select_decode_target =
-  current:Av1.Dd.decode_target ->
-  history:float list ->
-  estimate_bps:int ->
-  full_bitrate_bps:int ->
-  Av1.Dd.decode_target
-(** The paper's [selectDecodeTarget(currDT, estHist, newEst) -> newDT]
-    extension point. *)
-
 val create :
   Netsim.Engine.t ->
   Dataplane.t ->
   ?rewrite:Seq_rewrite.variant ->
-  ?select:select_decode_target ->
   ?rewriting_enabled:bool ->
   ?feedback_filter:bool ->
   unit ->

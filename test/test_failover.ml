@@ -452,9 +452,8 @@ let recovery_log_is_bounded () =
 (* --- cluster: kill the primary, the standby takes over ------------------- *)
 
 let cluster_failover_resumes_service () =
-  let cs = Common.make_cluster ~seed:41 () in
-  let stack = cs.Common.base in
-  let cluster = cs.Common.cluster in
+  let stack = Common.make_scallop ~seed:41 ~pair:Cl.default () in
+  let cluster = Option.get stack.Common.cluster in
   let mid, _parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
   Cl.start_health cluster;
   run_to stack 1.5;
@@ -674,9 +673,8 @@ let straddling_flush_does_not_double_execute () =
    identifier, stays deterministic. Returns the acting instance's
    intent fingerprint plus the canonical agent shadow. *)
 let execute_cluster plan ~kill =
-  let cs = Common.make_cluster ~seed:11 () in
-  let stack = cs.Common.base in
-  let cluster = cs.Common.cluster in
+  let stack = Common.make_scallop ~seed:11 ~pair:Cl.default () in
+  let cluster = Option.get stack.Common.cluster in
   let ctrl () = Cl.endpoint cluster in
   let mid, parts = Common.scallop_meeting stack ~participants:3 ~senders:2 () in
   Cl.start_health cluster;
