@@ -33,7 +33,7 @@ let sfu_ip = Addr.ip_of_string "10.0.0.1"
    tier, then clients), so a seed draws the same world whichever tier
    sits on top. *)
 let make_scallop ?(seed = 1) ?(switches = 1)
-    ?(agent = { rewriting_enabled = true; feedback_filter = true })
+    ?agent:(agent_switches = { rewriting_enabled = true; feedback_filter = true })
     ?(switch_link = fast_link) ?(control = Scallop.Rpc_transport.default) ?batch ?pair
     () =
   (* a fresh world: stale same-key QoE collectors from a previous stack in
@@ -49,8 +49,9 @@ let make_scallop ?(seed = 1) ?(switches = 1)
         let dp =
           Scallop.Dataplane.create engine network ~ip ~obs_label:(Printf.sprintf "sw%d" i) ()
         in
-        ( Scallop.Switch_agent.create engine dp ~rewriting_enabled:agent.rewriting_enabled
-            ~feedback_filter:agent.feedback_filter (),
+        ( Scallop.Switch_agent.create engine dp
+            ~rewriting_enabled:agent_switches.rewriting_enabled
+            ~feedback_filter:agent_switches.feedback_filter (),
           dp ))
   in
   let agent, dp = List.hd agents in
