@@ -12,11 +12,15 @@ let list_cmd =
   let run () =
     let table =
       Scallop_util.Table.create ~title:"Experiments (paper artefacts)"
-        ~columns:[ "id"; "title"; "paper claim" ]
+        ~columns:[ "id"; "title"; "paper claims" ]
     in
     List.iter
       (fun (e : Experiments.Registry.entry) ->
-        Scallop_util.Table.add_row table [ e.id; e.title; e.paper_claim ])
+        List.iteri
+          (fun i claim ->
+            Scallop_util.Table.add_row table
+              (if i = 0 then [ e.id; e.title; claim ] else [ ""; ""; claim ]))
+          e.claims)
       Experiments.Registry.all;
     Scallop_util.Table.print table
   in
@@ -665,29 +669,7 @@ let qoe_cmd =
         output_char oc '\n';
         close_out oc)
       json_out;
-    if json then print_endline (report_json r)
-    else begin
-      Printf.printf
-        "chaos: %.0f%% loss on %s (victim p%d) during [%.1fs, %.1fs]\n\n"
-        (100.0 *. r.Qc.loss) r.Qc.victim_link r.Qc.victim r.Qc.burst_from_s
-        r.Qc.burst_until_s;
-      Scallop_util.Table.print (Qc.summary_table r.Qc.summaries);
-      List.iter
-        (fun a -> Printf.printf "slo alert: %s\n" (Slo.alert_str a))
-        r.Qc.alerts;
-      print_newline ();
-      List.iter
-        (fun f -> Printf.printf "finding: %s\n" (Attrib.render f))
-        r.Qc.findings;
-      Printf.printf
-        "\nqoe report: %d alert(s), %d finding(s); faulty link %s: %s; json \
-         round-trip: %s\n"
-        (List.length r.Qc.alerts)
-        (List.length r.Qc.findings)
-        r.Qc.victim_link
-        (if r.Qc.link_named then "named" else "NOT NAMED")
-        (if r.Qc.roundtrip_ok then "ok" else "FAILED")
-    end;
+    if json then print_endline (report_json r) else Qc.print r;
     if not r.Qc.roundtrip_ok then
       Error (`Msg "qoe: finding JSON failed to round-trip")
     else if expect_burn && r.Qc.alerts = [] then

@@ -111,8 +111,31 @@ let rewrite_ablation ?(quick = false) () =
     fps_without_rewrite = fps_n;
   }
 
-let run ?quick () =
-  let f = filter_ablation ?quick () in
+type result = { filter : filter_result; rewrite : rewrite_result }
+
+let compute ?quick () =
+  { filter = filter_ablation ?quick (); rewrite = rewrite_ablation ?quick () }
+
+let claims =
+  [
+    Claim.int "§5.3" "sender b/s with the filter" ~paper:"held by the best downlink"
+      ~gt:2_000_000 (fun r -> r.filter.sender_bitrate_filtered);
+    Claim.float "§5.3" "sender rate naive/filtered" ~paper:"converges to the slowest receiver"
+      ~lt:0.7 (fun r ->
+        float_of_int r.filter.sender_bitrate_naive
+        /. float_of_int r.filter.sender_bitrate_filtered);
+    Claim.int "§6.2" "NACKed seqs with rewriting" ~paper:"gaps masked" ~lt:100
+      (fun r -> r.rewrite.nacks_with_rewrite);
+    Claim.float "§6.2" "NACKed seqs raw/(rewriting+1)" ~paper:"endless retransmissions"
+      ~decimals:0 ~gt:20.0 (fun r ->
+        float_of_int r.rewrite.nacks_without_rewrite
+        /. float_of_int (r.rewrite.nacks_with_rewrite + 1));
+    Claim.float "§6.2" "decoded fps, rewriting minus raw" ~paper:"same adapted rate"
+      ~decimals:1 ~gt:(-3.0) ~lt:3.0 (fun r ->
+        r.rewrite.fps_with_rewrite -. r.rewrite.fps_without_rewrite);
+  ]
+
+let print { filter = f; rewrite = r } =
   let t1 =
     Table.create ~title:"Ablation: best-downlink REMB filter (5.3)"
       ~columns:[ "mode"; "sender encode rate (kb/s)"; "fast receiver rate (kb/s)" ]
@@ -124,9 +147,6 @@ let run ?quick () =
     [ "naive (all REMBs)"; Table.cell_i (f.sender_bitrate_naive / 1000);
       Table.cell_f ~decimals:0 f.fast_receiver_kbps_naive ];
   Table.print t1;
-  print_string
-    "paper 5.3: without the filter, all send rates converge to the slowest receiver\n\n";
-  let r = rewrite_ablation ?quick () in
   let t2 =
     Table.create ~title:"Ablation: sequence rewriting (6.2)"
       ~columns:[ "mode"; "NACKed seqs at reduced receiver"; "decoded fps" ]
@@ -137,6 +157,4 @@ let run ?quick () =
   Table.add_row t2
     [ "raw gaps"; Table.cell_i r.nacks_without_rewrite;
       Table.cell_f ~decimals:1 r.fps_without_rewrite ];
-  Table.print t2;
-  print_string
-    "paper 6.2: unmasked intentional gaps make receivers request retransmissions forever\n\n"
+  Table.print t2

@@ -22,7 +22,6 @@ type filter_result = {
   fast_receiver_kbps_naive : float;
 }
 
-val filter_ablation : ?quick:bool -> unit -> filter_result
 
 type rewrite_result = {
   nacks_with_rewrite : int;  (** NACKed sequence numbers at the reduced receiver *)
@@ -31,7 +30,10 @@ type rewrite_result = {
   fps_without_rewrite : float;
 }
 
-val rewrite_ablation : ?quick:bool -> unit -> rewrite_result
+type result = { filter : filter_result; rewrite : rewrite_result }
 
-val run : ?quick:bool -> unit -> unit
+val compute : ?quick:bool -> unit -> result
+val claims : result Claim.t list
+
+val print : result -> unit
 (** Print both ablations as tables. *)

@@ -56,8 +56,19 @@ let compute ?(quick = false) () =
     (fun rtt_ms -> List.map (fun loss -> measure ~rtt_ms ~loss ()) losses)
     rtts
 
-let run ?quick () =
-  let points = compute ?quick () in
+let claims =
+  [
+    Claim.int "§5.1" "failed control calls" ~paper:"every join completes" ~eq:0
+      (fun points -> List.fold_left (fun acc p -> acc + p.failures) 0 points);
+    Claim.float "§5.1" "mean join ms on an ideal channel" ~paper:"controller off the media path"
+      ~decimals:1 ~eq:0.0 (fun points -> (List.hd points).mean_join_ms);
+    Claim.float "§5.1" "mean join in RTTs at the largest RTT"
+      ~paper:"signaling latency scales with RTT" ~decimals:2 ~ge:1.0 (fun points ->
+        let p = List.find (fun p -> p.loss = 0.0) (List.rev points) in
+        p.mean_join_ms /. float_of_int p.rtt_ms);
+  ]
+
+let print points =
   let table =
     Table.create ~title:"Control-plane RTT/loss vs participant join latency"
       ~columns:
@@ -74,6 +85,6 @@ let run ?quick () =
           Table.cell_i p.agent_rpc_calls ])
     points;
   Table.print table;
-  Printf.printf
+  print_endline
     "Join latency scales with control RTT (several serial RPCs per join) and loss adds retry\n\
-     timeouts; with an ideal channel joins are instantaneous, matching the direct-call design.\n\n"
+     timeouts; with an ideal channel joins are instantaneous, matching the direct-call design."

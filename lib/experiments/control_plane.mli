@@ -20,4 +20,8 @@ type point = {
   agent_rpc_calls : int;  (** request messages the agent saw on the wire *)
 }
 
-val run : ?quick:bool -> unit -> unit
+val compute : ?quick:bool -> unit -> point list
+(** The sweep, lowest RTT and loss first. *)
+
+val claims : point list Claim.t list
+val print : point list -> unit

@@ -2,8 +2,8 @@
     join/leave/migrate/screen-share sequence replayed back-to-back (its
     session churn compressed 100-1000x onto the controller) over a lossy
     control channel, once with per-op RPCs and once with control-plane
-    batching. The tier-1 gate requires batched throughput to be at least
-    5x per-op throughput at 30% control loss. *)
+    batching. Its claim requires batched throughput to be at least 5x
+    per-op throughput at 30% control loss. *)
 
 type side = {
   ops : int;
@@ -28,8 +28,9 @@ type result = {
   speedup : float;  (** batched ops/sec over per-op ops/sec *)
 }
 
-val compute : ?quick:bool -> ?loss:float -> ?rtt_ms:int -> unit -> result
+val compute : ?loss:float -> ?rtt_ms:int -> unit -> result
 (** Deterministic (fixed seed): both sides replay the identical event
     schedule. Defaults: 30% loss each way, 20 ms control RTT. *)
 
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

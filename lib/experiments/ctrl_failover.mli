@@ -20,4 +20,6 @@ type point = {
 
 type result = { points : point list; beat_ms : float }
 
-val run : ?quick:bool -> unit -> unit
+val compute : ?quick:bool -> ?seed:int -> unit -> result
+val claims : result Claim.t list
+val print : result -> unit

@@ -110,8 +110,18 @@ let compute ?(quick = false) ?(seed = 97) () =
     findings_after = An.verify stack.controller;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.int "§5.1" "resyncs" ~paper:"re-converges by resync from intent" ~ge:1
+      (fun r -> List.length r.recoveries);
+    Claim.int "§5.1" "fewest egress replicas in a partition"
+      ~paper:"data plane forwards through control outages" ~gt:0 (fun r ->
+        List.fold_left (fun acc (_, pkts) -> min acc pkts) max_int r.partition_egress);
+    Claim.int "§5.1" "post-recovery verifier errors" ~paper:"clean state" ~eq:0
+      (fun r -> List.length (An.errors r.findings_after));
+  ]
+
+let print r =
   Printf.printf "Fault schedule (seed-derived, virtual time):\n%s\n\n"
     (Chaos.describe r.schedule);
   let table =
@@ -142,10 +152,10 @@ let run ?quick () =
   Printf.printf "Post-recovery verification: %d finding(s), %d error(s).\n"
     (List.length r.findings_after) (List.length errs);
   if errs <> [] then print_endline (An.report errs);
-  Printf.printf
+  print_endline
     "The controller detects the outage by missed heartbeats and keeps updating intent\n\
      while skipping the wire side of ops the switch cannot take. It heals by one\n\
      mechanism: a switch that rebooted or missed ops is resynced from intent as one\n\
      batch; one back at the same epoch having missed nothing just turns healthy. Media\n\
      through a partitioned switch never stops; only a power-cycled switch drops media\n\
-     until resync.\n\n"
+     until resync."

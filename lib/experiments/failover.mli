@@ -26,4 +26,6 @@ type result = {
   findings_after : Scallop_analysis.finding list;  (** post-recovery verify *)
 }
 
-val run : ?quick:bool -> unit -> unit
+val compute : ?quick:bool -> ?seed:int -> unit -> result
+val claims : result Claim.t list
+val print : result -> unit

@@ -29,8 +29,15 @@ let compute ?(quick = false) () =
     load_ratio = twcc_cpu_pps /. Float.max 0.01 remb_cpu_pps;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.float "§5.2" "TWCC/REMB agent packet ratio" ~paper:"one TWCC per 10-20 media packets"
+      ~decimals:1 ~gt:5.0 (fun r -> r.load_ratio);
+    Claim.float "§5.2" "REMB agent packets/s" ~paper:"tracks capacity changes" ~decimals:1
+      ~lt:60.0 (fun r -> r.remb_cpu_pps);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Feedback mode vs switch-agent load (5.2), 3-party meeting"
       ~columns:[ "mode"; "CPU-port packets/s"; "CPU-port kb/s" ]
@@ -41,7 +48,4 @@ let run ?quick () =
   Table.add_row table
     [ "TWCC (sender-driven)"; Table.cell_f ~decimals:1 r.twcc_cpu_pps;
       Table.cell_f ~decimals:1 r.twcc_cpu_kbps ];
-  Table.print table;
-  Printf.printf
-    "TWCC loads the agent %.1fx more (paper 5.2: one TWCC per 10-20 media packets is why Scallop adopts REMB)\n\n"
-    r.load_ratio
+  Table.print table

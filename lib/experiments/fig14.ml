@@ -98,8 +98,20 @@ let compute ?(quick = false) () =
     p3_qoe;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.int "Fig 14" "freezes" ~paper:"none" ~eq:0 (fun r -> r.freezes);
+    Claim.float "Fig 14" "fps before the first cap" ~paper:"30" ~decimals:1 ~gt:25.0
+      (fun r -> r.initial_fps);
+    Claim.float "Fig 14" "fps after the first cap" ~paper:"15" ~decimals:1 ~gt:10.0 ~lt:22.0
+      (fun r -> r.mid_fps);
+    Claim.float "Fig 14" "fps after the second cap" ~paper:"steps down again" ~decimals:1
+      ~lt:11.0 (fun r -> r.late_fps);
+    Claim.holds "Fig 14" "ends at the base layer" ~paper:"7.5 fps decode target"
+      (fun r -> r.final_target = Av1.Dd.DT_7_5fps);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Fig 14: Scallop rate adaptation (P3 downlink constrained twice)"
       ~columns:[ "t (s)"; "P1 send fps"; "P3 recv fps"; "P3 recv kb/s" ]
@@ -116,9 +128,6 @@ let run ?quick () =
           ])
     r.series;
   Table.print table;
-  Printf.printf
-    "phases: %.1f -> %.1f -> %.1f fps (paper: 30 -> 15 with no freezes); freezes=%d\n"
-    r.initial_fps r.mid_fps r.late_fps r.freezes;
   List.iter
     (fun (s : Scallop_obs.Qoe.summary) ->
       Printf.printf
@@ -136,5 +145,4 @@ let run ?quick () =
         | Some v -> Printf.sprintf "%.1f" v)
         (100.0 *. s.Scallop_obs.Qoe.s_freeze_ratio)
         (100.0 *. s.Scallop_obs.Qoe.s_loss_ratio))
-    r.p3_qoe;
-  print_newline ()
+    r.p3_qoe

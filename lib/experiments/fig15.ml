@@ -10,8 +10,8 @@ type result = {
   max_gain : float;
 }
 
-let compute ?(quick = false) () =
-  let max_n = if quick then 16 else 30 in
+let compute () =
+  let max_n = 30 in
   let two_party_gain =
     Cap.gain_over_software Cap.Two_party ~participants:2 ~senders:2 ()
   in
@@ -41,8 +41,15 @@ let compute ?(quick = false) () =
     max_gain = List.fold_left max 0.0 gains;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.float "Fig 15" "min gain" ~paper:"7x" ~gt:5.0 ~lt:10.0 (fun r -> r.min_gain);
+    Claim.float "Fig 15" "max gain" ~paper:"210x" ~gt:180.0 ~lt:240.0 (fun r -> r.max_gain);
+    Claim.float "Fig 15" "two-party gain" ~paper:"spike on the unicast fast path" ~gt:80.0
+      (fun r -> r.two_party_gain);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Fig 15: scalability gain over a 32-core server (all senders)"
       ~columns:[ "participants"; "gain (low: RA-SR/S-LR)"; "gain (high: NRA/S-LM)" ]
@@ -53,5 +60,4 @@ let run ?quick () =
       Table.add_row table
         [ Table.cell_i p.participants; Table.cell_f p.gain_low; Table.cell_f p.gain_high ])
     r.points;
-  Table.print table;
-  Printf.printf "gain range: %.1fx - %.1fx (paper: 7x - 210x)\n\n" r.min_gain r.max_gain
+  Table.print table

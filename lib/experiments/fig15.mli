@@ -6,7 +6,7 @@
     band of the paper is bounded below by the most constrained
     configuration (RA-SR trees with S-LR's memory footprint) and above by
     the least constrained (NRA with S-LM); two-party meetings get their
-    dedicated unicast fast path. The paper's headline: 7–210x. *)
+    dedicated unicast fast path. The paper's values are in [claims]. *)
 
 type point = { participants : int; gain_low : float; gain_high : float }
 
@@ -17,5 +17,6 @@ type result = {
   max_gain : float;
 }
 
-val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val compute : unit -> result
+val claims : result Claim.t list
+val print : result -> unit

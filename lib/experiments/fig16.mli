@@ -17,5 +17,6 @@ type point = {
 
 type result = { points : point list; always_ahead : bool }
 
-val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val compute : unit -> result
+val claims : result Claim.t list
+val print : result -> unit

@@ -28,8 +28,8 @@ let tracker_meetings variant ~participants =
   in
   streams / adapted
 
-let compute ?(quick = false) () =
-  let max_n = if quick then 16 else 30 in
+let compute () =
+  let max_n = 30 in
   let two_party = Cap.meetings_supported Cap.Two_party ~participants:2 ~senders:2 () in
   let points =
     List.init (max_n - 2) (fun i ->
@@ -47,8 +47,20 @@ let compute ?(quick = false) () =
   in
   { two_party; points }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let at n r = List.find (fun p -> p.participants = n) r.points
+
+let claims =
+  [
+    Claim.int "Fig 17" "two-party meetings" ~paper:"533K" ~gt:500_000 ~lt:560_000
+      (fun r -> r.two_party);
+    Claim.int "Fig 17" "NRA meetings at 3p" ~paper:"128K" ~gt:120_000 (fun r -> (at 3 r).nra);
+    Claim.int "Fig 17" "RA-R meetings at 3p" ~paper:"42.7K" ~gt:40_000 ~lt:46_000
+      (fun r -> (at 3 r).ra_r);
+    Claim.int "Fig 17" "RA-SR meetings at 10p" ~paper:"4.3K" ~gt:4_000 ~lt:4_700
+      (fun r -> (at 10 r).ra_sr);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Fig 17: capacity per replication-tree design (all senders)"
       ~columns:[ "N"; "NRA"; "RA-R"; "RA-SR"; "S-LM mem"; "S-LR mem"; "32-core server" ]
@@ -67,11 +79,4 @@ let run ?quick () =
         ])
     r.points;
   Table.print table;
-  Printf.printf
-    "two-party fast path: %d meetings (paper: 533K vs 4.8K software); \
-     anchors: NRA 3p=%d (paper 128K), RA-R 3p=%d (paper 42.7K), RA-SR 10p=%d (paper 4.3K)\n\n"
-    r.two_party
-    (List.nth r.points 0).nra (List.nth r.points 0).ra_r
-    (match List.find_opt (fun p -> p.participants = 10) r.points with
-    | Some p -> p.ra_sr
-    | None -> -1)
+  Printf.printf "two-party fast path: %d meetings\n" r.two_party

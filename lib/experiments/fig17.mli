@@ -18,5 +18,6 @@ type point = {
 
 type result = { two_party : int; points : point list }
 
-val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val compute : unit -> result
+val claims : result Claim.t list
+val print : result -> unit

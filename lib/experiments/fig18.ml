@@ -183,8 +183,28 @@ let compute ?(quick = false) () =
   in
   { points }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let at loss r = List.find (fun p -> Float.abs (p.loss -. loss) < 1e-9) r.points
+
+let claims =
+  let pct f r = 100.0 *. f r in
+  [
+    Claim.int "Fig 18" "duplicate sequence numbers" ~paper:"never" ~eq:0
+      (fun r -> List.fold_left (fun acc p -> acc + p.duplicates) 0 r.points);
+    Claim.float "Fig 18" "S-LR overhead % at 10% loss" ~paper:"<5%" ~lt:5.0
+      (pct (fun r -> (at 0.1 r).overhead_slr));
+    Claim.float "Fig 18" "S-LR overhead % at 20% loss" ~paper:"~7.5%" ~lt:10.0
+      (pct (fun r -> (at 0.2 r).overhead_slr));
+    Claim.float "Fig 18" "S-LR overhead % at 40% loss" ~paper:"<20%" ~lt:20.0
+      (pct (fun r -> (at 0.4 r).overhead_slr));
+    Claim.float "Fig 18" "S-LR bursty overhead % at 20% loss"
+      ~paper:"bounded under high loss" ~lt:20.0
+      (pct (fun r -> (at 0.2 r).overhead_slr_bursty));
+    Claim.float "Fig 18" "S-LM minus S-LR overhead pts at 20% loss"
+      ~paper:"S-LM trades overhead for memory" ~gt:0.0
+      (pct (fun r -> (at 0.2 r).overhead_slm -. (at 0.2 r).overhead_slr));
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Fig 18: retransmission overhead of sequence rewriting"
       ~columns:[ "loss"; "S-LR overhead"; "S-LM overhead"; "S-LR (bursty loss)"; "duplicates" ]
@@ -200,5 +220,4 @@ let run ?quick () =
           Table.cell_i p.duplicates;
         ])
     r.points;
-  Table.print table;
-  print_string "paper (S-LR): <5% at 10% loss, ~7.5% at 20%, <20% at 40%; duplicates must be 0\n\n"
+  Table.print table

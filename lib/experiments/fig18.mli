@@ -7,7 +7,7 @@
     were suppressed. The receiver NACKs every sequence gap it sees; the
     overhead is the fraction of forwarded packets whose gaps were
     {e artificial} — NACKed only because the heuristic failed to mask an
-    intentional gap (paper: <5% at 10% loss, ~7.5% at 20%, <20% at 40%).
+    intentional gap ([claims] holds the paper's bounds).
 
     The experiment also verifies the invariant the paper treats as
     non-negotiable: the heuristic never emits a duplicate sequence
@@ -26,4 +26,5 @@ type point = {
 type result = { points : point list }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

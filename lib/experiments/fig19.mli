@@ -4,8 +4,8 @@
     plane or through the software SFU. Every RTP media packet is
     timestamped at the sending client and at the receiving client; the
     difference, minus nothing (the network path is identical in both
-    setups), is dominated by SFU residence time. The paper reports a
-    26.8x lower median and 8.5x lower 99th percentile for Scallop. *)
+    setups), is dominated by SFU residence time. [claims] holds the
+    paper's median and p99 ratios. *)
 
 type dist = { median_us : float; p90_us : float; p99_us : float; samples : int }
 
@@ -19,4 +19,5 @@ type result = {
 }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

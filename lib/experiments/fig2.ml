@@ -27,8 +27,17 @@ let compute ?(quick = false) () =
     two_party_fraction = Trace.Dataset.two_party_fraction dataset;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.int "Fig 2" "max streams at 10 participants" ~paper:"~200" ~gt:120 ~le:260
+      (fun r -> r.streams_at_10);
+    Claim.int "Fig 2" "max streams at 25 participants" ~paper:">700" ~gt:700
+      (fun r -> r.streams_at_25);
+    Claim.float "Fig 2" "two-party meetings %" ~paper:"60%" ~decimals:0 ~gt:50.0 ~lt:70.0
+      (fun r -> 100.0 *. r.two_party_fraction);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Fig 2: media streams at the SFU per meeting size"
       ~columns:[ "participants"; "min"; "median"; "max"; "2N^2 bound" ]
@@ -45,9 +54,4 @@ let run ?quick () =
             Table.cell_i row.bound;
           ])
     r.rows;
-  Table.print table;
-  Printf.printf
-    "max streams at 10 participants: %d (paper: ~200); at 25: %d (paper: >700); \
-     two-party meetings: %.0f%% (paper: 60%%)\n\n"
-    r.streams_at_10 r.streams_at_25
-    (100.0 *. r.two_party_fraction)
+  Table.print table

@@ -2,8 +2,8 @@
 
     From the synthetic campus dataset: per meeting-size bucket, the range
     and median of concurrently carried SFU streams, against the 2N^2
-    upper bound (exceeded only via screen shares). Paper anchors: ~200
-    streams already at 10 participants, >700 at 25. *)
+    upper bound (exceeded only via screen shares). The paper's anchors
+    are in [claims]. *)
 
 type row = { size : int; min : int; median : float; max : int; bound : int }
 
@@ -15,4 +15,5 @@ type result = {
 }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

@@ -13,4 +13,6 @@ type result = {
   weekend_weekday_ratio : float;  (** peak weekend load / peak weekday load *)
 }
 
-val run : ?quick:bool -> unit -> unit
+val compute : ?quick:bool -> unit -> result
+val claims : result Claim.t list
+val print : result -> unit

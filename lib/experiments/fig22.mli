@@ -2,8 +2,8 @@
     process under a week of campus load.
 
     The software SFU touches every media byte; the agent only sees the
-    control-plane share measured in Table 1 (~0.35% of bytes). Paper
-    peaks: ~1250 Mb/s software vs ~4.4 Mb/s agent. *)
+    control-plane share measured in Table 1 (~0.35% of bytes). The
+    paper's peaks are in [claims]. *)
 
 type result = {
   software_peak_mbps : float;
@@ -13,4 +13,5 @@ type result = {
 }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

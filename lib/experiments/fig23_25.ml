@@ -71,8 +71,15 @@ let compute ?(quick = false) () =
     a_enhancement_share_after = enhancement_share ((2 * p) - 6) (2 * p);
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.float "Fig 24" "A's T2-template byte share % before" ~paper:"enhancement layers sent"
+      ~decimals:1 ~gt:20.0 (fun r -> 100.0 *. r.a_enhancement_share_before);
+    Claim.float "Fig 24" "A's T2-template byte share % after" ~paper:"vanish when reduced"
+      ~decimals:1 ~lt:2.0 (fun r -> 100.0 *. r.a_enhancement_share_after);
+  ]
+
+let print r =
   let table =
     Table.create
       ~title:"Fig 23-24: forwarded kb/s per receiver and per SVC template (receiver A)"
@@ -87,11 +94,6 @@ let run ?quick () =
           @ (Array.to_list s.a_by_template |> List.map (Table.cell_f ~decimals:0))))
     r.series;
   Table.print table;
-  Printf.printf
-    "receiver A's T2-template byte share: %.1f%% before vs %.1f%% after reduction \
-     (paper: enhancement templates vanish from the forwarded set)\n\n"
-    (100.0 *. r.a_enhancement_share_before)
-    (100.0 *. r.a_enhancement_share_after);
   (* Fig 25: frame-survival schematic for a 16-frame window *)
   let schematic =
     Table.create ~title:"Fig 25: frames forwarded per decode target (16-frame window)"
@@ -106,5 +108,4 @@ let run ?quick () =
       in
       Table.add_row schematic [ Printf.sprintf "%.1f fps" (Dd.fps_of_target dt); marks ])
     [ Dd.DT_30fps; Dd.DT_15fps; Dd.DT_7_5fps ];
-  Table.print schematic;
-  print_newline ()
+  Table.print schematic

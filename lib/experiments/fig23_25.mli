@@ -24,4 +24,5 @@ type result = {
 }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

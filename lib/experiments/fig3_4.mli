@@ -5,8 +5,7 @@
     incrementally. The quality of the {e first} meeting is measured as
     load grows: receive jitter (Fig. 3) climbs into the hundreds of
     milliseconds and the decoded frame rate (Fig. 4) collapses once the
-    CPU saturates. Paper anchors: 100% CPU around 80 participants,
-    noticeable fps drops from ~60, unusable at 100–120.
+    CPU saturates (the paper's anchors are in [claims]).
 
     Media is scaled down (250 kb/s video, no audio) with the CPU cost
     scaled up correspondingly, keeping the participant-count anchors
@@ -29,4 +28,5 @@ type result = {
 }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

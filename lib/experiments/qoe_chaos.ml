@@ -120,19 +120,27 @@ let summary_table summaries =
     summaries;
   table
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.int "QoE" "SLO alerts" ~paper:"loss on one downlink fires an alert" ~ge:1
+      (fun r -> List.length r.alerts);
+    Claim.holds "QoE" "attribution names the faulty link" ~paper:"trace-linked attribution"
+      (fun r -> r.link_named);
+    Claim.holds "QoE" "findings round-trip through JSON" ~paper:"replayable report"
+      (fun r -> r.roundtrip_ok);
+  ]
+
+let print r =
   Printf.printf
     "chaos: %.0f%% loss on %s (victim p%d) during [%.1fs, %.1fs]\n\n"
     (100.0 *. r.loss) r.victim_link r.victim r.burst_from_s r.burst_until_s;
   Table.print (summary_table r.summaries);
   List.iter (fun a -> Printf.printf "slo alert: %s\n" (Slo.alert_str a)) r.alerts;
-  if r.alerts = [] then print_endline "slo alert: none (unexpected)";
   print_newline ();
   List.iter (fun f -> Printf.printf "finding: %s\n" (Attrib.render f)) r.findings;
   Printf.printf
     "\nqoe report: %d alert(s), %d finding(s); faulty link %s: %s; json \
-     round-trip: %s\n\n"
+     round-trip: %s\n"
     (List.length r.alerts) (List.length r.findings) r.victim_link
     (if r.link_named then "named" else "NOT NAMED")
     (if r.roundtrip_ok then "ok" else "FAILED")

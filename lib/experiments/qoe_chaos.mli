@@ -24,6 +24,8 @@ val compute : ?quick:bool -> ?seed:int -> ?loss:float -> unit -> result
     Resets the trace ring and the QoE registry, and restores the previous
     trace level on return. *)
 
-val summary_table : Scallop_obs.Qoe.summary list -> Scallop_util.Table.t
+val claims : result Claim.t list
 
-val run : ?quick:bool -> unit -> unit
+val print : result -> unit
+(** The human report of [scallop_cli qoe]: the per-stream QoE table, the
+    alerts, the findings and a one-line verdict. *)

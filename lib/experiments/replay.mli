@@ -1,7 +1,6 @@
-(** Campus-trace replay — the experiment behind the paper's headline claim
-    ("in experiments replaying campus-scale Zoom traces, Scallop handles
-    96.5% of all packets and 99.7% of bytes entirely in the hardware-based
-    data plane", §1).
+(** Campus-trace replay — the experiment behind the paper's headline
+    claim (§1): replaying campus-scale Zoom traces, Scallop handles
+    nearly all packets and bytes in the hardware data plane ([claims]).
 
     A window of the synthetic campus dataset is replayed {e live} against
     the Scallop stack: meetings are created and joined at (compressed)
@@ -22,4 +21,5 @@ type result = {
 }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

@@ -38,8 +38,18 @@ let compute ?(quick = false) () =
     freezes = Codec.Video_receiver.freezes fast_rx + Codec.Video_receiver.freezes slow_rx;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.int "§3" "freezes" ~paper:"one continuous stream" ~eq:0 (fun r -> r.freezes);
+    Claim.float "§3" "healthy receiver fps" ~paper:"full frame rate" ~decimals:1 ~gt:27.0
+      (fun r -> r.fast_fps);
+    Claim.float "§3" "constrained receiver fps" ~paper:"full frame rate" ~decimals:1 ~gt:27.0
+      (fun r -> r.slow_fps);
+    Claim.float "§3" "constrained/healthy receive rate" ~paper:"cheaper rendition" ~lt:0.6
+      (fun r -> r.slow_kbps /. r.fast_kbps);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Simulcast splicing (3: the Simulcast sibling of SVC)"
       ~columns:[ "receiver"; "receive rate (kb/s)"; "decoded fps" ]
@@ -48,7 +58,4 @@ let run ?quick () =
     [ "healthy downlink"; Table.cell_f ~decimals:0 r.fast_kbps; Table.cell_f ~decimals:1 r.fast_fps ];
   Table.add_row table
     [ "1.2 Mb/s downlink"; Table.cell_f ~decimals:0 r.slow_kbps; Table.cell_f ~decimals:1 r.slow_fps ];
-  Table.print table;
-  Printf.printf
-    "both streams continuous (freezes = %d); the slow receiver was spliced to a cheaper rendition at a key frame\n\n"
-    r.freezes
+  Table.print table

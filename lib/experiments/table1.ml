@@ -66,8 +66,15 @@ let compute ?(quick = false) () =
     data_plane_byte_fraction = data_b /. total_b;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.float "Table 1" "data-plane packets %" ~paper:"96.46%" ~gt:94.0
+      (fun r -> 100.0 *. r.data_plane_packet_fraction);
+    Claim.float "Table 1" "data-plane bytes %" ~paper:"99.65%" ~gt:99.0
+      (fun r -> 100.0 *. r.data_plane_byte_fraction);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Table 1: Packets per participant sent to SFU"
       ~columns:[ "Proto./Type"; "Packets"; "Pct."; "Per sec."; "KBytes"; "Pct." ]
@@ -84,7 +91,4 @@ let run ?quick () =
           Table.cell_f row.byte_pct;
         ])
     r.rows;
-  Table.print table;
-  Printf.printf "Data plane handles %.2f%% of packets and %.2f%% of bytes (paper: 96.46%% / 99.65%%)\n\n"
-    (100.0 *. r.data_plane_packet_fraction)
-    (100.0 *. r.data_plane_byte_fraction)
+  Table.print table

@@ -25,4 +25,5 @@ type result = {
 val compute : ?quick:bool -> unit -> result
 (** [quick] runs 60 simulated seconds instead of 600. *)
 
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

@@ -14,7 +14,9 @@ type result = {
   megabytes : float;
   mbit_per_s : float;
   rtp_streams : int;  (** distinct media SSRCs *)
+  senders : int;  (** participants, every one sending video and audio *)
 }
 
 val compute : ?quick:bool -> unit -> result
-val run : ?quick:bool -> unit -> unit
+val claims : result Claim.t list
+val print : result -> unit

@@ -37,8 +37,15 @@ let compute ?(quick = false) () =
     stages_fit = Tofino.Resources.stages_ok program;
   }
 
-let run ?quick () =
-  let r = compute ?quick () in
+let claims =
+  [
+    Claim.holds "Table 3" "program fits the pipeline" ~paper:"Ing. 7 / Eg. 5 stages"
+      (fun r -> r.stages_fit);
+    Claim.float "Table 3" "max-utilization egress Gb/s" ~paper:"197" ~decimals:1 ~gt:195.0
+      ~lt:199.0 (fun r -> r.egress_max_gbps);
+  ]
+
+let print r =
   let table =
     Table.create ~title:"Table 3: Tofino resource usage of the data plane"
       ~columns:[ "Resource type"; "Scaling"; "Usage" ]
@@ -51,6 +58,4 @@ let run ?quick () =
     [ "Egress Tput (campus peak)"; "Quadratic"; Printf.sprintf "%.1f Gb/s" r.egress_campus_gbps ];
   Table.add_row table
     [ "Egress Tput (max util.)"; "Quadratic"; Printf.sprintf "%.0f Gb/s" r.egress_max_gbps ];
-  Table.print table;
-  Printf.printf "program fits the pipeline: %b (paper: Ing. 7 / Eg. 5 stages, all resources <22%%)\n\n"
-    r.stages_fit
+  Table.print table

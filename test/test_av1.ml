@@ -108,7 +108,7 @@ let prop_target_monotone =
            (fun higher -> Dd.template_in_target_l1t3 tpl (Dd.target_of_index higher))
            (List.filter (fun i -> i >= dt_idx) [ 0; 1; 2 ]))
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_descriptor_roundtrip; prop_target_monotone ]
+let qsuite = List.map Fixed_seed.to_alcotest [ prop_descriptor_roundtrip; prop_target_monotone ]
 
 let () =
   Alcotest.run "av1"

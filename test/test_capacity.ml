@@ -94,7 +94,7 @@ let prop_capacity_positive =
         (if n = 2 then [ Cap.Two_party; Cap.Nra; Cap.Ra_r; Cap.Ra_sr ]
          else [ Cap.Nra; Cap.Ra_r; Cap.Ra_sr ]))
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_capacity_positive ]
+let qsuite = List.map Fixed_seed.to_alcotest [ prop_capacity_positive ]
 
 let () =
   Alcotest.run "capacity"

@@ -528,8 +528,8 @@ let () =
           Alcotest.test_case "unknown counted" `Quick unknown_traffic_counted;
         ] );
       ( "fastpath",
-        QCheck_alcotest.to_alcotest prop_fast_slow_identical
-        :: QCheck_alcotest.to_alcotest prop_fast_slow_identical_simulcast
+        Fixed_seed.to_alcotest prop_fast_slow_identical
+        :: Fixed_seed.to_alcotest prop_fast_slow_identical_simulcast
         :: [
              Alcotest.test_case "paranoid checks counted" `Quick paranoid_checks_counted;
              Alcotest.test_case "replica copies counted" `Quick replica_copies_counted;

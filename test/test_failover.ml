@@ -824,8 +824,8 @@ let () =
         ] );
       ( "equivalence",
         [
-          QCheck_alcotest.to_alcotest ~verbose:false resync_equiv_prop;
-          QCheck_alcotest.to_alcotest ~verbose:false batched_equiv_prop;
-          QCheck_alcotest.to_alcotest ~verbose:false cluster_equiv_prop;
+          Fixed_seed.to_alcotest ~verbose:false resync_equiv_prop;
+          Fixed_seed.to_alcotest ~verbose:false batched_equiv_prop;
+          Fixed_seed.to_alcotest ~verbose:false cluster_equiv_prop;
         ] );
     ]

@@ -335,5 +335,5 @@ let () =
           Alcotest.test_case "ring = list under overuse" `Quick
             ring_matches_list_under_overuse;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_ring_matches_list ]);
+      ("properties", [ Fixed_seed.to_alcotest prop_ring_matches_list ]);
     ]

@@ -634,7 +634,7 @@ let cpu_wakeup_latency () =
   Alcotest.(check int) "service + wakeup" 6000 !finish
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Fixed_seed.to_alcotest
     [
       prop_eventq_sorted;
       prop_eventq_pop_nth0_is_pop;

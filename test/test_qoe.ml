@@ -675,7 +675,7 @@ let () =
       ( "json",
         [
           t "manual round-trips and rejects" `Quick json_roundtrip_manual;
-          QCheck_alcotest.to_alcotest json_roundtrip_prop;
+          Fixed_seed.to_alcotest json_roundtrip_prop;
         ] );
       ("chaos", [ t "same seed, same root cause" `Slow chaos_deterministic ]);
     ]

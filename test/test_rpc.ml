@@ -456,8 +456,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick codec_roundtrip;
           Alcotest.test_case "garbage" `Quick codec_rejects_garbage;
-          QCheck_alcotest.to_alcotest ~verbose:false request_roundtrip_prop;
-          QCheck_alcotest.to_alcotest ~verbose:false reply_roundtrip_prop;
+          Fixed_seed.to_alcotest ~verbose:false request_roundtrip_prop;
+          Fixed_seed.to_alcotest ~verbose:false reply_roundtrip_prop;
         ] );
       ( "transport",
         [

@@ -296,7 +296,7 @@ let prop_demux_never_confuses =
     (fun p -> Demux.classify (Packet.serialize p) = Demux.Rtp_media)
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Fixed_seed.to_alcotest
     [ prop_rtp_roundtrip; prop_nack_roundtrip; prop_seq_sub_inverse; prop_demux_never_confuses ]
 
 let () =

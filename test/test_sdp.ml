@@ -268,7 +268,7 @@ let () =
           Alcotest.test_case "answer wire text" `Quick answer_wire_text;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_malformed_fails_cleanly ] );
+        List.map Fixed_seed.to_alcotest [ prop_roundtrip; prop_malformed_fails_cleanly ] );
       ( "offer-answer",
         [
           Alcotest.test_case "candidate rewrite" `Quick candidate_rewrite;

@@ -307,7 +307,7 @@ let prop_simulcast_no_duplicates =
       !ok)
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Fixed_seed.to_alcotest
     [
       prop_no_duplicates_slm;
       prop_no_duplicates_slr;

@@ -364,7 +364,7 @@ let parser_tracker () =
 let parser_graph_depth_is_paper_value () =
   Alcotest.(check int) "27" 27 Parser.graph_depth
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pruning_exact ]
+let qsuite = List.map Fixed_seed.to_alcotest [ prop_pruning_exact ]
 
 let () =
   Alcotest.run "tofino"

@@ -215,7 +215,7 @@ let prop_ra_r_deliveries_match_model =
           deliveries pre t h ~sender:0 ~layer = expected)
         [ Dd.T0; Dd.T1; Dd.T2 ])
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_ra_r_deliveries_match_model ]
+let qsuite = List.map Fixed_seed.to_alcotest [ prop_ra_r_deliveries_match_model ]
 
 let () =
   Alcotest.run "trees"

@@ -597,7 +597,7 @@ let json_escape () =
   (* bytes from 0x20 up pass through, UTF-8 included *)
   check "\x7f caf\xc3\xa9" "\x7f caf\xc3\xa9"
 
-let qsuite = List.map QCheck_alcotest.to_alcotest
+let qsuite = List.map Fixed_seed.to_alcotest
     [ prop_percentile_bounded; prop_online_mean_matches; prop_addr_roundtrip;
       prop_bufpool_model; prop_timeseries_matches_reference ]
 
