@@ -53,22 +53,25 @@ let run_cmd =
   in
   let run quick csv ids =
     Option.iter csv_to_dir csv;
-    match ids with
-    | [] ->
-        Experiments.Registry.run_all ~quick ();
-        Ok ()
-    | ids ->
-        List.fold_left
-          (fun acc id ->
-            match Experiments.Registry.find id with
-            | Some e ->
-                e.run ~quick ();
-                acc
-            | None -> Error (`Msg (Printf.sprintf "unknown experiment %S (try 'list')" id)))
-          (Ok ()) ids
+    let held =
+      match ids with
+      | [] -> Ok (Experiments.Registry.run_all ~quick ())
+      | ids ->
+          List.fold_left
+            (fun acc id ->
+              match Experiments.Registry.find id with
+              | Some e ->
+                  let held = e.run ~quick () in
+                  Result.map (fun all -> all && held) acc
+              | None -> Error (`Msg (Printf.sprintf "unknown experiment %S (try 'list')" id)))
+            (Ok true) ids
+    in
+    if held = Ok false then exit 1;
+    Result.map ignore held
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one or more experiments (all by default).")
+    (Cmd.info "run"
+       ~doc:"Run one or more experiments (all by default); exit 1 if a claim row is FAIL.")
     Term.(term_result (const run $ quick_arg $ csv_arg $ ids))
 
 let capacity_cmd =
@@ -316,17 +319,15 @@ let simulate_cmd =
     Scallop_util.Table.print table;
     let c = Scallop.Dataplane.ingress_counters stack.Experiments.Common.dp in
     let dp_pkts = c.rtp_audio_pkts + c.rtp_video_pkts + c.rtcp_sr_sdes_pkts in
-    let astats = Scallop.Switch_agent.stats stack.Experiments.Common.agent in
-    Printf.printf "data plane: %d pkts; agent CPU copies: %d; migrations: %d
-" dp_pkts
+    let agent what = Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] what in
+    Printf.printf "data plane: %d pkts; agent CPU copies: %d; migrations: %d\n" dp_pkts
       (Scallop.Dataplane.cpu_pkts stack.Experiments.Common.dp)
-      astats.migrations;
-    let cstats = Scallop.Controller.stats stack.Experiments.Common.controller in
+      (agent "scallop_agent_migrations");
+    let rpc = Experiments.Common.rpc_sum stack in
     Printf.printf
-      "control plane: %d RPCs on the wire (%d retries, %d failures), %d received by agent
-"
-      cstats.control_requests cstats.control_retries cstats.control_failures
-      astats.rpc_calls;
+      "control plane: %d RPCs on the wire (%d retries, %d failures), %d received by agent\n"
+      (rpc "wire_requests") (rpc "retries") (rpc "failures")
+      (agent "scallop_agent_rpc_calls");
     let fp = Scallop.Dataplane.fastpath_stats stack.Experiments.Common.dp in
     Printf.printf
       "fast path: %d fast / %d slow ingress, %d replica copies; PRE cache: %d hits, \
@@ -706,21 +707,7 @@ let trace_cmd =
       (Array.length dataset.Trace.Dataset.meetings)
       days
       (100.0 *. Trace.Dataset.two_party_fraction dataset);
-    let fig2 =
-      Scallop_util.Table.create ~title:"streams at the SFU per meeting size"
-        ~columns:[ "participants"; "min"; "median"; "max"; "2N^2 bound" ]
-    in
-    List.iter
-      (fun (size, mn, md, mx, bound) ->
-        if size <= 40 then
-          Scallop_util.Table.add_row fig2
-            [
-              string_of_int size; string_of_int mn;
-              Scallop_util.Table.cell_f ~decimals:1 md; string_of_int mx;
-              string_of_int bound;
-            ])
-      (Trace.Dataset.fig2_rows dataset);
-    Scallop_util.Table.print fig2;
+    Experiments.Fig2.print (Experiments.Fig2.of_dataset dataset);
     let meetings_ts, participants_ts =
       Trace.Dataset.concurrency_series dataset ~bin_ns:3_600_000_000_000
     in

@@ -19,7 +19,7 @@ let () =
   let switch name ip_str =
     let ip = Addr.ip_of_string ip_str in
     Network.add_host network ~ip ~uplink:port ~downlink:port ();
-    let dp = Scallop.Dataplane.create engine network ~ip () in
+    let dp = Scallop.Dataplane.create engine network ~ip ~obs_label:name () in
     let agent = Scallop.Switch_agent.create engine dp () in
     Printf.printf "switch %-6s at %s\n" name ip_str;
     (agent, dp)
@@ -59,7 +59,8 @@ let () =
     \  east switch egress %d pkts, west switch egress %d pkts\n"
     (Scallop.Dataplane.egress_pkts dp_e)
     (Scallop.Dataplane.egress_pkts dp_w);
-  let a_e, _ = east and a_w, _ = west in
+  let rpc_calls switch =
+    Scallop_obs.Metrics.read ~labels:[ ("switch", switch) ] "scallop_agent_rpc_calls"
+  in
   Printf.printf "agent RPCs: east %d, west %d (one controller drives both)\n"
-    (Scallop.Switch_agent.stats a_e).rpc_calls
-    (Scallop.Switch_agent.stats a_w).rpc_calls
+    (rpc_calls "east") (rpc_calls "west")

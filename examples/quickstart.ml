@@ -69,7 +69,7 @@ let () =
     "\ndata plane forwarded %d packets; switch agent handled %d CPU-port copies (%d STUN answered)\n"
     dp
     (Scallop.Dataplane.cpu_pkts dataplane)
-    (Scallop.Switch_agent.stats agent).stun_answered;
+    (Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] "scallop_agent_stun_answered");
   Printf.printf "controller exchanged %d SDP messages and made %d agent RPCs\n"
-    (Scallop.Controller.stats controller).sdp_messages
-    (Scallop.Switch_agent.stats agent).rpc_calls
+    (Scallop_obs.Metrics.read ~labels:[ ("ctrl", "ctl") ] "scallop_ctrl_sdp_messages")
+    (Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] "scallop_agent_rpc_calls")

@@ -55,8 +55,9 @@ let () =
   Experiments.Common.run_for stack.engine ~seconds:15.0;
   report "after second degradation:";
 
+  let agent what = Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] what in
   Printf.printf
     "\nswitch agent: %d REMBs analyzed, %d decode-target changes, %d tree migrations\n"
-    (Scallop.Switch_agent.stats stack.agent).rembs_analyzed
-    (Scallop.Switch_agent.stats stack.agent).target_changes
-    (Scallop.Switch_agent.stats stack.agent).migrations
+    (agent "scallop_agent_rembs_analyzed")
+    (agent "scallop_agent_target_changes")
+    (agent "scallop_agent_migrations")

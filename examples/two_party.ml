@@ -32,7 +32,7 @@ let () =
   Printf.printf "with 3 participants: design = %s, PRE trees in use = %d, migrations = %d\n\n"
     (designs () (Scallop.Switch_agent.meeting_design stack.agent agent_meeting))
     (Tofino.Pre.trees_used (Scallop.Dataplane.pre stack.dp))
-    (Scallop.Switch_agent.stats stack.agent).migrations;
+    (Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] "scallop_agent_migrations");
 
   (* the capacity story the fast path buys *)
   let two_party =

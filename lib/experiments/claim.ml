@@ -73,4 +73,5 @@ let line row =
 
 let print rows =
   List.iter (fun row -> print_endline (line row)) rows;
-  print_newline ()
+  print_newline ();
+  List.for_all (fun row -> row.ok) rows

@@ -32,5 +32,6 @@ val line : row -> string
 (** ["ok   [Fig 15] min gain = 6.83, range (5, 10); paper: 7x"], [FAIL]
     in place of [ok] outside the range. *)
 
-val print : row list -> unit
-(** Each row's {!line}, then a blank line. *)
+val print : row list -> bool
+(** Each row's {!line}, then a blank line; [true] when every row is
+    [ok]. [scallop_cli run] exits 1 on [false]. *)

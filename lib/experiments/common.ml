@@ -82,6 +82,13 @@ let verify s =
   Scallop_analysis.verify (endpoint s)
   @ match s.cluster with Some cl -> Scallop_analysis.check_cluster cl | None -> []
 
+let rpc_sum s what =
+  List.init (Scallop.Controller.switch_count s.controller) (fun i ->
+      Scallop_obs.Metrics.read
+        ~labels:[ ("client", Printf.sprintf "sw%d" i) ]
+        ("scallop_rpc_" ^ what))
+  |> List.fold_left ( + ) 0
+
 type software_stack = {
   s_engine : Engine.t;
   s_rng : Rng.t;

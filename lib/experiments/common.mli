@@ -61,6 +61,12 @@ val verify : scallop_stack -> Scallop_analysis.finding list
 (** {!Scallop_analysis.verify} against {!endpoint}, plus
     {!Scallop_analysis.check_cluster} for the pair. *)
 
+val rpc_sum : scallop_stack -> string -> int
+(** [rpc_sum stack what]: the [scallop_rpc_<what>] counter summed over
+    the single controller's per-switch clients ([client="sw<i>"]), e.g.
+    ["wire_requests"] for every request datagram it put on the control
+    links. Read it before another world is built. *)
+
 type software_stack = {
   s_engine : Netsim.Engine.t;
   s_rng : Scallop_util.Rng.t;

@@ -35,18 +35,17 @@ let measure ?(participants = 4) ~rtt_ms ~loss () =
         in
         float_of_int (Engine.now stack.engine - started) /. 1e6)
   in
-  let cstats = Scallop.Controller.stats stack.controller in
-  let astats = Scallop.Switch_agent.stats stack.agent in
   {
     rtt_ms;
     loss;
     joins = List.length latencies;
     mean_join_ms = List.fold_left ( +. ) 0.0 latencies /. float_of_int participants;
     max_join_ms = List.fold_left Float.max 0.0 latencies;
-    wire_requests = cstats.control_requests;
-    retries = cstats.control_retries;
-    failures = cstats.control_failures;
-    agent_rpc_calls = astats.rpc_calls;
+    wire_requests = Common.rpc_sum stack "wire_requests";
+    retries = Common.rpc_sum stack "retries";
+    failures = Common.rpc_sum stack "failures";
+    agent_rpc_calls =
+      Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] "scallop_agent_rpc_calls";
   }
 
 let compute ?(quick = false) () =

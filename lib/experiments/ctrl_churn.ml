@@ -186,17 +186,7 @@ let replay ~seed ~control ~batch events =
   let elapsed_s = float_of_int (Engine.now engine - t_start) /. 1e9 in
   let lat = Array.of_list !latencies in
   Array.sort compare lat;
-  let cstats = Scallop.Controller.stats controller in
-  let sum f =
-    List.fold_left
-      (fun acc idx ->
-        let s =
-          Scallop.Rpc_transport.Client.stats
-            (Scallop.Controller.control_channel controller idx)
-        in
-        acc + f s)
-      0 [ 0; 1 ]
-  in
+  let rpc = Common.rpc_sum stack in
   {
     ops = !ops;
     elapsed_s;
@@ -206,11 +196,11 @@ let replay ~seed ~control ~batch events =
        else Array.fold_left ( +. ) 0.0 lat /. float_of_int (Array.length lat));
     p50_ms = (if lat = [||] then 0.0 else Stats.percentile_of_array lat 50.0);
     p99_ms = (if lat = [||] then 0.0 else Stats.percentile_of_array lat 99.0);
-    wire_requests = cstats.Scallop.Controller.control_requests;
-    retries = cstats.Scallop.Controller.control_retries;
-    failures = cstats.Scallop.Controller.control_failures;
-    batches = sum (fun (s : Scallop.Rpc_transport.Client.stats) -> s.batches);
-    batched_ops = sum (fun (s : Scallop.Rpc_transport.Client.stats) -> s.batched_ops);
+    wire_requests = rpc "wire_requests";
+    retries = rpc "retries";
+    failures = rpc "failures";
+    batches = rpc "batch_flushes";
+    batched_ops = rpc "batched_ops";
   }
 
 (* The batching gate runs this at 30% control loss. [max_retries] is raised so

@@ -13,9 +13,8 @@ let agent_load ~seconds mode =
   let config ~ip = { (Webrtc.Client.default_config ~ip) with feedback_mode = mode } in
   let _ = Common.scallop_meeting stack ~participants:3 ~senders:3 ~config () in
   Common.run_for stack.engine ~seconds;
-  let stats = Scallop.Switch_agent.stats stack.agent in
-  ( float_of_int stats.cpu_packets /. seconds,
-    float_of_int stats.cpu_bytes *. 8.0 /. 1000.0 /. seconds )
+  ( float_of_int (Scallop.Dataplane.cpu_pkts stack.dp) /. seconds,
+    float_of_int (Scallop.Dataplane.cpu_bytes stack.dp) *. 8.0 /. 1000.0 /. seconds )
 
 let compute ?(quick = false) () =
   let seconds = if quick then 30.0 else 120.0 in

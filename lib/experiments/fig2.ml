@@ -10,9 +10,7 @@ type result = {
   two_party_fraction : float;
 }
 
-let compute ?(quick = false) () =
-  let meetings = if quick then 4_000 else 19_704 in
-  let dataset = Trace.Dataset.generate (Rng.create 7) ~meetings () in
+let of_dataset dataset =
   let rows =
     Trace.Dataset.fig2_rows dataset
     |> List.map (fun (size, min, median, max, bound) -> { size; min; median; max; bound })
@@ -26,6 +24,10 @@ let compute ?(quick = false) () =
     streams_at_25 = max_at 25;
     two_party_fraction = Trace.Dataset.two_party_fraction dataset;
   }
+
+let compute ?(quick = false) () =
+  let meetings = if quick then 4_000 else 19_704 in
+  of_dataset (Trace.Dataset.generate (Rng.create 7) ~meetings ())
 
 let claims =
   [

@@ -14,6 +14,11 @@ type result = {
   two_party_fraction : float;
 }
 
+val of_dataset : Trace.Dataset.t -> result
+(** The figure over a given dataset ([scallop_cli trace]'s). *)
+
 val compute : ?quick:bool -> unit -> result
+(** {!of_dataset} over the campus dataset at seed 7. *)
+
 val claims : result Claim.t list
 val print : result -> unit

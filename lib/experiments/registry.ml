@@ -2,7 +2,7 @@ type entry = {
   id : string;
   title : string;
   claims : string list;
-  run : ?quick:bool -> unit -> unit;
+  run : ?quick:bool -> unit -> bool;
   check : quick:bool -> Claim.row list;
 }
 
@@ -74,8 +74,8 @@ let all =
 let find id = List.find_opt (fun e -> e.id = id) all
 
 let run_all ?quick () =
-  List.iter
-    (fun e ->
+  List.fold_left
+    (fun held e ->
       Printf.printf "--- %s: %s\n    paper: %s\n\n" e.id e.title (String.concat "; " e.claims);
-      e.run ?quick ())
-    all
+      e.run ?quick () && held)
+    true all

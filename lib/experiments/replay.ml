@@ -93,7 +93,8 @@ let compute ?(quick = false) () =
     leaves = !leaves;
     data_plane_packet_fraction = float_of_int dp_p /. float_of_int (dp_p + cpu_p);
     data_plane_byte_fraction = float_of_int dp_b /. float_of_int (dp_b + cpu_b);
-    migrations = (Scallop.Switch_agent.stats stack.Common.agent).migrations;
+    migrations =
+      Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] "scallop_agent_migrations";
     freezes;
   }
 

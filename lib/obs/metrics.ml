@@ -61,6 +61,14 @@ let histogram ?labels ?help ?bounds name =
 
 let register_callback ?labels ?help name f = register ?labels ?help name (Callback f)
 
+let read ?(labels = []) name =
+  match Registry.find_opt registry (name, List.sort compare labels) with
+  | Some { metric = Counter c; _ } -> c.c
+  | Some { metric = Callback f; _ } -> int_of_float (f ())
+  | Some { metric = Gauge _ | Histogram _; _ } ->
+      invalid_arg ("Metrics.read: not a counter or callback: " ^ name ^ render_labels labels)
+  | None -> invalid_arg ("Metrics.read: no series " ^ name ^ render_labels labels)
+
 (* Adopt a histogram the caller already owns (and keeps observing into)
    instead of minting a fresh zeroed one like {!histogram} does. *)
 let register_histogram ?labels ?help name h = register ?labels ?help name (Histogram h)

@@ -42,6 +42,14 @@ val register_callback :
 (** A gauge whose value is polled at dump time — for quantities another
     data structure already maintains (cache residency, table occupancy). *)
 
+val read : ?labels:(string * string) list -> string -> int
+(** The current value of the counter or callback series registered under
+    [name] and [labels] — the read surface for every registry-backed
+    count. Under replace semantics that is the most recently registered
+    instance: read a world's counts before building another under the
+    same labels. Raises [Invalid_argument] when no counter or callback
+    series matches, so a misspelt name fails instead of reading 0. *)
+
 val register_histogram :
   ?labels:(string * string) list ->
   ?help:string ->

@@ -200,7 +200,7 @@ type t = {
   agents : (Switch_agent.t * Dataplane.t) array;
   rpcs : Rpc_transport.Client.t array;  (** one control channel per switch *)
   mutable state : persisted;
-  mutable sdp_messages : int;
+  sdp_messages : Metrics.counter;  (** registry-backed (label [ctrl="..."]) *)
   mutable health : health_state option;  (** None until {!start_health} *)
   batch : bool;  (** flush at operation boundaries; [false] flushes every op *)
   buffers : buffered_op Queue.t array;  (** per-agent batch buffer (FIFO) *)
@@ -251,7 +251,9 @@ let create engine _network rng ~agents ?(control = Rpc_transport.default)
       agents;
       rpcs;
       state = fresh_state ();
-      sdp_messages = 0;
+      sdp_messages =
+        Metrics.counter ~labels:[ ("ctrl", label) ]
+          ~help:"SDP messages shipped through the codec" "scallop_ctrl_sdp_messages";
       health = None;
       batch;
       buffers = Array.map (fun _ -> Queue.create ()) agents;
@@ -617,7 +619,7 @@ let agent_op t m idx (build : agent_mid:int -> Rpc.request) =
    "wire") -> candidate rewrite -> answer. *)
 
 let ship t (sdp : Sdp.t) =
-  t.sdp_messages <- t.sdp_messages + 1;
+  Metrics.incr t.sdp_messages;
   Sdp.of_string (Sdp.to_string sdp)
 
 (* [prefix] then the low [width] hex digits of [n], zero-padded: what
@@ -1112,24 +1114,6 @@ let primary_site t mid =
   site_of t m m.primary
 
 let agent_meeting_id t mid = (primary_site t mid).agent_mid
-
-type stats = {
-  sdp_messages : int;
-  control_requests : int;
-  control_replies : int;
-  control_retries : int;
-  control_failures : int;
-}
-
-let stats (t : t) =
-  let sum f = Array.fold_left (fun acc c -> acc + f (Rpc_transport.Client.stats c)) 0 t.rpcs in
-  {
-    sdp_messages = t.sdp_messages;
-    control_requests = sum (fun (s : Rpc_transport.Client.stats) -> s.wire_requests);
-    control_replies = sum (fun (s : Rpc_transport.Client.stats) -> s.replies_received);
-    control_retries = sum (fun (s : Rpc_transport.Client.stats) -> s.retries);
-    control_failures = sum (fun (s : Rpc_transport.Client.stats) -> s.failures);
-  }
 
 let control_channel t idx = t.rpcs.(switch_idx t "control_channel" idx)
 

@@ -56,9 +56,11 @@ val create :
 
     [standby] (default [false]) creates the instance as a tailing
     standby of [journal] instead of an acting primary. [label] (default
-    ["ctl"]) names the instance on traces; non-default labels also
-    prefix its per-switch RPC metric labels so two instances never
-    collide in the registry. [ip] (default 10.255.0.1) is the instance's
+    ["ctl"]) names the instance on traces and labels its
+    [scallop_ctrl_sdp_messages] counter ([ctrl="..."]: SDP messages
+    shipped through the {!Sdp} codec); non-default labels also prefix
+    its per-switch RPC metric labels so two instances never collide in
+    the registry. [ip] (default 10.255.0.1) is the instance's
     address on the management network — give the standby its own so the
     agents' reply-path caches keyed by (address, seq) never conflate the
     two. *)
@@ -123,22 +125,12 @@ val send_connection : t -> participant_id -> Webrtc.Client.connection option
 
 val agent_meeting_id : t -> meeting_id -> Switch_agent.meeting_id
 
-type stats = {
-  sdp_messages : int;
-      (** SDP messages exchanged (each parsed and re-serialized through
-          the {!Sdp} codec) *)
-  control_requests : int;
-      (** request datagrams put on the control links, retries included *)
-  control_replies : int;
-  control_retries : int;
-  control_failures : int;  (** calls that exhausted every retry *)
-}
-
-val stats : t -> stats
-
 val control_channel : t -> int -> Rpc_transport.Client.t
 (** The RPC client for the switch at the given agent-list index
-    (fault-injection and wire-count introspection). *)
+    (fault injection). The default instance labels switch [i]'s client
+    [client="sw<i>"] in the metrics registry, another instance
+    [client="<label>-sw<i>"]; a count over the whole control plane is
+    the sum of those [scallop_rpc_*] series. *)
 
 val meeting_participants : t -> meeting_id -> participant_id list
 

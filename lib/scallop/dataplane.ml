@@ -222,8 +222,7 @@ type t = {
   mutable egress_bytes : int;
   mutable replicas_suppressed : int;
   mutable mode : mode;
-  (* registry-backed fast-path counters (O(1) field increments; the
-     fastpath_stats record stays the read view) *)
+  (* registry-backed fast-path counters (O(1) field increments) *)
   fast_pkts : Metrics.counter;
   slow_pkts : Metrics.counter;
   replica_copies : Metrics.counter;
@@ -1029,7 +1028,7 @@ type fastpath_stats = {
 }
 
 let fastpath_stats t =
-  let c = Tofino.Pre.cache_stats t.pre in
+  let pre what = Metrics.read ~labels:[ ("pre", t.obs_label) ] ("scallop_pre_cache_" ^ what) in
   let p = Bufpool.stats t.pool in
   {
     fp_fast_pkts = Metrics.value t.fast_pkts;
@@ -1037,10 +1036,10 @@ let fastpath_stats t =
     fp_replica_copies = Metrics.value t.replica_copies;
     fp_paranoid_checks = Metrics.value t.paranoid_checks;
     fp_paranoid_mismatches = Metrics.value t.paranoid_mismatches;
-    fp_cache_hits = c.Tofino.Pre.hits;
-    fp_cache_misses = c.Tofino.Pre.misses;
-    fp_cache_invalidations = c.Tofino.Pre.invalidations;
-    fp_cache_entries = c.Tofino.Pre.entries;
+    fp_cache_hits = pre "hits";
+    fp_cache_misses = pre "misses";
+    fp_cache_invalidations = pre "invalidations";
+    fp_cache_entries = pre "entries";
     fp_pool_live = p.Bufpool.live;
     fp_pool_high_water = p.Bufpool.high_water;
     fp_pool_recycled = p.Bufpool.recycled;

@@ -190,10 +190,12 @@ type fastpath_stats = {
 }
 
 val fastpath_stats : t -> fastpath_stats
-(** Fast-path and PRE fan-out cache counters, for experiments and
-    [scallop_cli check]. A view over the registry-backed
-    [scallop_dp_*] / [scallop_pre_cache_*] series (see
-    {!Scallop_obs.Metrics}). *)
+(** Fast-path, PRE fan-out cache and replica-pool counters, for the
+    bench, the ledger and [scallop_cli check]: a snapshot of the
+    registry-backed [scallop_dp_*] series and of the
+    [scallop_pre_cache_*] series under [pre="<obs_label>"], read through
+    {!Scallop_obs.Metrics.read}, so take it before another data plane
+    registers under the same label. *)
 
 val pool_stats : t -> Scallop_util.Bufpool.stats
 (** The replica buffer pool's full accounting (see {!Scallop_util.Bufpool}).

@@ -55,19 +55,9 @@ let () =
 (* --- server (agent side) --------------------------------------------------- *)
 
 module Server = struct
-  type stats = {
-    requests_received : int;
-    executed : int;
-    replayed : int;
-    replies_sent : int;
-    decode_errors : int;
-    dropped_offline : int;
-  }
-
   type t = {
     engine : Engine.t;
     handler : Rpc.request -> Rpc.reply;
-    on_receive : unit -> unit;
     label : string;  (** agent identity stamped on [rpc_exec] trace events *)
     seen : (Addr.t * int, Rpc.reply) Hashtbl.t;
         (** reply cache keyed by (requester, seq): controller instances
@@ -77,32 +67,40 @@ module Server = struct
     seen_order : (Addr.t * int) Queue.t;
     mutable reply_fault : (seq:int -> Rpc.reply -> fault) option;
     mutable online : bool;
-    mutable requests_received : int;
-    mutable executed : int;
-    mutable replayed : int;
-    mutable replies_sent : int;
-    mutable decode_errors : int;
-    mutable dropped_offline : int;
+    (* registry-backed (label [switch="..."]) *)
+    requests_received : Metrics.counter;
+    executed : Metrics.counter;
+    replayed : Metrics.counter;
+    replies_sent : Metrics.counter;
+    decode_errors : Metrics.counter;
+    dropped_offline : Metrics.counter;
   }
 
   let cache_capacity = 1024
 
-  let create engine ?(on_receive = fun () -> ()) ?(label = "agent") ~handler () =
+  let create engine ?(label = "agent") ~handler () =
+    let counter help name = Metrics.counter ~labels:[ ("switch", label) ] ~help name in
     {
       engine;
       handler;
-      on_receive;
       label;
       seen = Hashtbl.create 64;
       seen_order = Queue.create ();
       reply_fault = None;
       online = true;
-      requests_received = 0;
-      executed = 0;
-      replayed = 0;
-      replies_sent = 0;
-      decode_errors = 0;
-      dropped_offline = 0;
+      requests_received =
+        counter "control requests the agent received on the wire (dups included)"
+          "scallop_agent_rpc_calls";
+      executed = counter "requests that ran the handler" "scallop_rpc_server_executed";
+      replayed =
+        counter "duplicate requests answered from the reply cache"
+          "scallop_rpc_server_replayed";
+      replies_sent = counter "replies put on the wire" "scallop_rpc_server_replies";
+      decode_errors =
+        counter "datagrams that did not decode as a request"
+          "scallop_rpc_server_decode_errors";
+      dropped_offline =
+        counter "requests that arrived while offline" "scallop_rpc_server_dropped_offline";
     }
 
   let set_reply_fault t f = t.reply_fault <- f
@@ -130,7 +128,7 @@ module Server = struct
     | Drop -> ()
     | Delay ns -> Engine.schedule t.engine ~after:ns (fun () -> reply_via dgram)
     | Duplicate ->
-        t.replies_sent <- t.replies_sent + 1;
+        Metrics.incr t.replies_sent;
         reply_via dgram;
         reply_via dgram
     | Pass -> reply_via dgram
@@ -140,20 +138,19 @@ module Server = struct
      mutate agent state twice. *)
   let deliver t ~reply_via (dgram : Dgram.t) =
     if (not t.online) && not (Mutation.on Mutation.Exec_while_offline) then
-      t.dropped_offline <- t.dropped_offline + 1
+      Metrics.incr t.dropped_offline
     else
     match Rpc.decode dgram.payload with
-    | exception Rpc.Decode_error _ -> t.decode_errors <- t.decode_errors + 1
-    | Rpc.Reply _ -> t.decode_errors <- t.decode_errors + 1
+    | exception Rpc.Decode_error _ -> Metrics.incr t.decode_errors
+    | Rpc.Reply _ -> Metrics.incr t.decode_errors
     | Rpc.Request { seq; request } ->
-        t.requests_received <- t.requests_received + 1;
-        t.on_receive ();
+        Metrics.incr t.requests_received;
         let key = (dgram.src, seq) in
         let replayed = Hashtbl.mem t.seen key in
         let reply =
           match Hashtbl.find_opt t.seen key with
           | Some cached ->
-              t.replayed <- t.replayed + 1;
+              Metrics.incr t.replayed;
               if Mutation.on Mutation.Corrupt_replay then Rpc.Error "replay-corrupt"
               else cached
           | None ->
@@ -162,11 +159,11 @@ module Server = struct
                 | r -> r
                 | exception Invalid_argument msg -> Rpc.Error msg
               in
-              t.executed <- t.executed + 1;
+              Metrics.incr t.executed;
               remember t key reply;
               reply
         in
-        t.replies_sent <- t.replies_sent + 1;
+        Metrics.incr t.replies_sent;
         let payload = Rpc.encode (Rpc.Reply { seq; reply }) in
         if Trace.enabled Trace.Rpc then begin
           let fence_args =
@@ -199,32 +196,11 @@ module Server = struct
               @ fence_args)
         end;
         transmit t ~reply_via ~seq ~reply (Dgram.v ~src:dgram.dst ~dst:dgram.src payload)
-
-  let stats t =
-    {
-      requests_received = t.requests_received;
-      executed = t.executed;
-      replayed = t.replayed;
-      replies_sent = t.replies_sent;
-      decode_errors = t.decode_errors;
-      dropped_offline = t.dropped_offline;
-    }
 end
 
 (* --- client (controller side) ---------------------------------------------- *)
 
 module Client = struct
-  type stats = {
-    calls : int;
-    wire_requests : int;
-    retries : int;
-    replies_received : int;
-    stale_replies : int;
-    failures : int;
-    batches : int;
-    batched_ops : int;
-  }
-
   (* One request, from submission to settlement. Both entry points —
      blocking [call] and single-shot [probe] — are this same record
      with different retry parameters. *)
@@ -255,7 +231,7 @@ module Client = struct
         (** a killed controller transmits nothing — not even retransmits
             of in-flight requests or probes; its pending calls just time
             out in virtual time *)
-    (* registry-backed (label [client="..."]); the stats record is the view *)
+    (* registry-backed (label [client="..."]) *)
     calls : Metrics.counter;
     wire_requests : Metrics.counter;
     retries : Metrics.counter;
@@ -263,7 +239,7 @@ module Client = struct
     stale_replies : Metrics.counter;
     failures : Metrics.counter;
     batch_flushes : Metrics.counter;
-    batched_ops_c : Metrics.counter;
+    batched_ops : Metrics.counter;
     batch_size : Scallop_util.Stats.Histogram.t;
     pipeline_depth : Metrics.gauge;
   }
@@ -399,7 +375,7 @@ module Client = struct
         batch_flushes =
           counter "Batch requests submitted (one per controller buffer flush)"
             "scallop_rpc_batch_flushes";
-        batched_ops_c =
+        batched_ops =
           counter "ops carried inside Batch requests" "scallop_rpc_batched_ops";
         batch_size =
           Metrics.histogram ~labels ~help:"ops per Batch request"
@@ -429,7 +405,7 @@ module Client = struct
     | Rpc.Batch ops | Rpc.Fenced { op = Rpc.Batch ops; _ } ->
         Metrics.incr t.batch_flushes;
         let n = List.length ops in
-        Metrics.add t.batched_ops_c n;
+        Metrics.add t.batched_ops n;
         Scallop_util.Stats.Histogram.observe t.batch_size (float_of_int n)
     | _ -> ());
     let seq = t.next_seq in
@@ -486,16 +462,4 @@ module Client = struct
   let channel t = t.channel
   let request_link t = Control_channel.fwd_link t.channel
   let reply_link t = Control_channel.rev_link t.channel
-
-  let stats t =
-    {
-      calls = Metrics.value t.calls;
-      wire_requests = Metrics.value t.wire_requests;
-      retries = Metrics.value t.retries;
-      replies_received = Metrics.value t.replies_received;
-      stale_replies = Metrics.value t.stale_replies;
-      failures = Metrics.value t.failures;
-      batches = Metrics.value t.batch_flushes;
-      batched_ops = Metrics.value t.batched_ops_c;
-    }
 end

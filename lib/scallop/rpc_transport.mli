@@ -57,42 +57,34 @@ module Server : sig
 
   val create :
     Netsim.Engine.t ->
-    ?on_receive:(unit -> unit) ->
     ?label:string ->
     handler:(Rpc.request -> Rpc.reply) ->
     unit ->
     t
   (** [handler] executes a request against agent state; an
       [Invalid_argument] it raises is shipped back as [Rpc.Error].
-      [on_receive] fires once per request datagram delivered on the
-      wire (duplicates included) — how the agent counts real control
-      messages. [label] (default ["agent"]) identifies this server on
-      its [rpc_exec] trace events, correlating them with controller-side
-      health events about the same switch. *)
+      [label] (default ["agent"]) identifies this server on its
+      [rpc_exec] trace events, correlating them with controller-side
+      health events about the same switch, and in the metrics registry
+      (label [switch="..."]): [scallop_agent_rpc_calls] counts request
+      datagrams delivered on the wire (duplicates included), and
+      [scallop_rpc_server_executed], [_replayed] (duplicates answered
+      from the reply cache), [_replies], [_decode_errors] and
+      [_dropped_offline] (requests that arrived while offline) the
+      rest. *)
 
   val set_reply_fault : t -> (seq:int -> Rpc.reply -> fault) option -> unit
 
   val set_online : t -> bool -> unit
   (** [set_online t false] models a crashed agent process: every
       delivered request is dropped on the floor (counted in
-      [dropped_offline]), so client calls time out exactly as they
-      would against a dead host. *)
+      [scallop_rpc_server_dropped_offline]), so client calls time out
+      exactly as they would against a dead host. *)
 
   val flush_cache : t -> unit
   (** Drop the reply cache — a freshly restarted process remembers no
       sequence numbers, so pre-crash retransmits re-execute instead of
       replaying (the drift the post-restart resync repairs). *)
-
-  type stats = {
-    requests_received : int;  (** datagrams decoded as requests, dups included *)
-    executed : int;  (** requests that ran the handler *)
-    replayed : int;  (** duplicates answered from the reply cache *)
-    replies_sent : int;
-    decode_errors : int;
-    dropped_offline : int;  (** requests that arrived while offline *)
-  }
-
-  val stats : t -> stats
 end
 
 module Client : sig
@@ -110,8 +102,13 @@ module Client : sig
   (** Builds the control channel to [Server] and wires both sinks.
       [local]/[remote] only label the datagrams (the channel is
       point-to-point). [label] (default ["ctl"]) names this client in
-      the metrics registry (label [client="..."] on the
-      [scallop_rpc_*] series) and in its trace spans. *)
+      its trace spans and in the metrics registry (label
+      [client="..."]) on [scallop_rpc_calls], [_wire_requests] (request
+      datagrams put on the wire, retries and duplicates included),
+      [_retries], [_replies], [_stale_replies] (late or duplicate
+      replies for settled calls), [_failures] (calls that exhausted
+      every retry), [_batch_flushes] and [_batched_ops] (ops inside
+      those batches). *)
 
   val call : t -> Rpc.request -> (Rpc.reply, error) result
   (** Put the request on the wire and pump the engine until it settles.
@@ -154,17 +151,4 @@ module Client : sig
       message count the agent observed. *)
 
   val reply_link : t -> Netsim.Link.t
-
-  type stats = {
-    calls : int;
-    wire_requests : int;  (** request datagrams put on the wire (retries/dups incl.) *)
-    retries : int;
-    replies_received : int;
-    stale_replies : int;  (** late/duplicate replies for settled calls *)
-    failures : int;  (** calls that exhausted every retry *)
-    batches : int;  (** [Rpc.Batch] requests issued, fenced or bare *)
-    batched_ops : int;  (** ops carried inside those batches *)
-  }
-
-  val stats : t -> stats
 end

@@ -3,6 +3,7 @@ module Ewma = Scallop_util.Ewma
 module Engine = Netsim.Engine
 module Dgram = Netsim.Dgram
 module Dd = Av1.Dd
+module Metrics = Scallop_obs.Metrics
 module Trace = Scallop_obs.Trace
 
 type meeting_id = int
@@ -55,15 +56,11 @@ type t = {
           requests under a lower fence answer [Stale_fence]. Lost on
           restart like all agent memory — the acting controller's fenced
           resync re-installs it. *)
-  rpc_calls : Scallop_obs.Metrics.counter;
-  mutable cpu_packets : int;
-  mutable cpu_bytes : int;
-  mutable stun_answered : int;
-  mutable rembs_analyzed : int;
-  mutable target_changes : int;
-  mutable filter_switches : int;
-  mutable migrations : int;
-  mutable structures_seen : int;
+  (* registry-backed (label [switch="..."]) *)
+  stun_answered : Metrics.counter;
+  rembs_analyzed : Metrics.counter;
+  target_changes : Metrics.counter;
+  migrations : Metrics.counter;
   mutable rpc_server : Rpc_transport.Server.t option;
 }
 
@@ -113,7 +110,7 @@ let rebuild t m want =
   Trees.unregister_meeting (Dataplane.trees t.dp) m.handle;
   m.handle <- handle';
   m.design <- want;
-  t.migrations <- t.migrations + 1
+  Metrics.incr t.migrations
 
 let maybe_migrate t m =
   let want = desired_design t m in
@@ -123,8 +120,9 @@ let maybe_migrate t m =
 
    These are the agent-local session operations. The controller reaches
    them through {!dispatch}, driven by the RPC server over the control
-   link; [rpc_calls] counts the request messages that actually arrived
-   on the wire (duplicates included), not local function entries. *)
+   link, whose [scallop_agent_rpc_calls] counts the request messages that
+   actually arrived on the wire (duplicates included), not local function
+   entries. *)
 
 let new_meeting t ~two_party =
   ignore two_party;
@@ -324,7 +322,7 @@ let answer_stun t (dgram : Dgram.t) =
   match Rtp.Stun.parse dgram.payload with
   | exception Rtp.Wire.Parse_error _ -> ()
   | msg when msg.Rtp.Stun.cls = Rtp.Stun.Request ->
-      t.stun_answered <- t.stun_answered + 1;
+      Metrics.incr t.stun_answered;
       let reply =
         Rtp.Stun.binding_success ~transaction_id:msg.Rtp.Stun.transaction_id
           ~mapped_ip:dgram.src.Addr.ip ~mapped_port:dgram.src.Addr.port
@@ -356,8 +354,7 @@ let run_filter t stream =
         | Some old -> Dataplane.set_remb_forwarding t.dp ~leg_port:old false
         | None -> ());
         Dataplane.set_remb_forwarding t.dp ~leg_port:leg.leg_port true;
-        stream.best_leg <- Some leg.leg_port;
-        t.filter_switches <- t.filter_switches + 1
+        stream.best_leg <- Some leg.leg_port
       end
 
 (* Downgrades apply immediately (QoE-critical); upgrades hold down for a
@@ -373,7 +370,7 @@ let apply_target t m stream leg target =
   if target <> leg.target && not held then begin
     leg.target <- target;
     leg.last_target_change_ns <- Engine.now t.engine;
-    t.target_changes <- t.target_changes + 1;
+    Metrics.incr t.target_changes;
     Dataplane.set_leg_target t.dp ~receiver:leg.receiver ~video_ssrc:stream.video_ssrc target;
     if m.pair_specific && m.design = Trees.Ra_sr then
       Trees.set_pair_target (Dataplane.trees t.dp) m.handle ~sender:stream.sender
@@ -401,14 +398,14 @@ let select_rendition t stream leg ~smoothed =
       in
       if desired <> current && not held then begin
         leg.last_target_change_ns <- Engine.now t.engine;
-        t.target_changes <- t.target_changes + 1;
+        Metrics.incr t.target_changes;
         Dataplane.set_leg_rendition t.dp ~leg_port:leg.leg_port desired;
         Dataplane.request_keyframe t.dp ~uplink_port:stream.uplink_port
           ~ssrc:(fst stream.renditions.(desired))
       end
 
 let on_remb t stream leg estimate =
-  t.rembs_analyzed <- t.rembs_analyzed + 1;
+  Metrics.incr t.rembs_analyzed;
   Ewma.observe leg.ewma (float_of_int estimate);
   run_filter t stream;
   let m = meeting t stream.s_meeting in
@@ -440,28 +437,12 @@ let on_rtcp_copy t (dgram : Dgram.t) =
               | Rtp.Rtcp.Bye _ -> ())
             packets)
 
-let on_av1_structure t (dgram : Dgram.t) =
-  match Rtp.Packet.parse dgram.payload with
-  | exception Rtp.Wire.Parse_error _ -> ()
-  | pkt -> (
-      match Rtp.Packet.find_extension pkt Dd.extension_id with
-      | None -> ()
-      | Some data -> (
-          match Dd.parse data with
-          | exception Rtp.Wire.Parse_error _ -> ()
-          | dd -> if dd.Dd.structure <> None then t.structures_seen <- t.structures_seen + 1))
-
 let cpu_handler t (dgram : Dgram.t) =
-  if not t.alive then ()
-  else begin
-  t.cpu_packets <- t.cpu_packets + 1;
-  t.cpu_bytes <- t.cpu_bytes + Dgram.wire_size dgram;
-  match Rtp.Demux.classify dgram.payload with
-  | Rtp.Demux.Stun_packet -> answer_stun t dgram
-  | Rtp.Demux.Rtcp_feedback -> on_rtcp_copy t dgram
-  | Rtp.Demux.Rtp_media -> on_av1_structure t dgram
-  | Rtp.Demux.Unknown -> ()
-  end
+  if t.alive then
+    match Rtp.Demux.classify dgram.payload with
+    | Rtp.Demux.Stun_packet -> answer_stun t dgram
+    | Rtp.Demux.Rtcp_feedback -> on_rtcp_copy t dgram
+    | Rtp.Demux.Rtp_media | Rtp.Demux.Unknown -> ()
 
 (* --- control-plane endpoint --------------------------------------------------
 
@@ -563,6 +544,9 @@ let rec dispatch t (req : Rpc.request) : Rpc.reply =
 
 let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(rewriting_enabled = true)
     ?(feedback_filter = true) () =
+  let counter help name =
+    Metrics.counter ~labels:[ ("switch", Dataplane.obs_label dp) ] ~help name
+  in
   let t =
     {
       engine;
@@ -577,19 +561,11 @@ let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(rewriting_enabled = true)
       alive = true;
       epoch = 0;
       fence = 0;
-      rpc_calls =
-        Scallop_obs.Metrics.counter
-          ~labels:[ ("switch", Dataplane.obs_label dp) ]
-          ~help:"control requests the agent received on the wire (dups included)"
-          "scallop_agent_rpc_calls";
-      cpu_packets = 0;
-      cpu_bytes = 0;
-      stun_answered = 0;
-      rembs_analyzed = 0;
-      target_changes = 0;
-      filter_switches = 0;
-      migrations = 0;
-      structures_seen = 0;
+      stun_answered = counter "STUN binding requests answered" "scallop_agent_stun_answered";
+      rembs_analyzed = counter "REMB estimates analyzed" "scallop_agent_rembs_analyzed";
+      target_changes =
+        counter "decode-target or rendition changes applied" "scallop_agent_target_changes";
+      migrations = counter "meeting tree-design migrations" "scallop_agent_migrations";
       rpc_server = None;
     }
   in
@@ -597,7 +573,6 @@ let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(rewriting_enabled = true)
   t.rpc_server <-
     Some
       (Rpc_transport.Server.create engine
-         ~on_receive:(fun () -> Scallop_obs.Metrics.incr t.rpc_calls)
          ~label:(Dataplane.obs_label dp)
          ~handler:(fun req -> dispatch t req)
          ());
@@ -641,29 +616,6 @@ let restart t =
           ("agent", Trace.S (Dataplane.obs_label t.dp));
           ("epoch", Trace.I t.epoch);
         ]
-
-type stats = {
-  rpc_calls : int;
-  cpu_packets : int;
-  cpu_bytes : int;
-  stun_answered : int;
-  rembs_analyzed : int;
-  target_changes : int;
-  filter_switches : int;
-  migrations : int;
-}
-
-let stats (t : t) =
-  {
-    rpc_calls = Scallop_obs.Metrics.value t.rpc_calls;
-    cpu_packets = t.cpu_packets;
-    cpu_bytes = t.cpu_bytes;
-    stun_answered = t.stun_answered;
-    rembs_analyzed = t.rembs_analyzed;
-    target_changes = t.target_changes;
-    filter_switches = t.filter_switches;
-    migrations = t.migrations;
-  }
 
 let meeting_members t mid = List.map fst (meeting t mid).members
 

@@ -43,7 +43,14 @@ val create :
     state, so rate adaptation leaves raw gaps (the naive design §6.2
     argues against); [feedback_filter:false] forwards {e every} receiver's
     REMB to the sender instead of the best downlink's, recreating the
-    mixed-feedback collapse of §5.3/Fig. 8. *)
+    mixed-feedback collapse of §5.3/Fig. 8.
+
+    The agent counts into the metrics registry under the data plane's
+    label ([switch="..."]): [scallop_agent_stun_answered],
+    [_rembs_analyzed], [_target_changes] and [_migrations]; its RPC
+    server adds [scallop_agent_rpc_calls] ({!Rpc_transport.Server}).
+    The packets and bytes it takes off the CPU port are the data
+    plane's {!Dataplane.cpu_pkts} and {!Dataplane.cpu_bytes}. *)
 
 (** {1 Session registration (the targets of the {!Rpc} vocabulary)} *)
 
@@ -90,23 +97,6 @@ val restart : t -> unit
     running switch models a reboot — the crash happens implicitly. *)
 
 val epoch : t -> int
-
-(** {1 Statistics} *)
-
-type stats = {
-  rpc_calls : int;
-      (** control-plane request messages received on the wire,
-          duplicate deliveries included *)
-  cpu_packets : int;
-  cpu_bytes : int;
-  stun_answered : int;
-  rembs_analyzed : int;
-  target_changes : int;
-  filter_switches : int;  (** times the best-downlink selection changed *)
-  migrations : int;
-}
-
-val stats : t -> stats
 
 val current_target : t -> meeting:meeting_id -> sender:int -> receiver:int ->
   Av1.Dd.decode_target

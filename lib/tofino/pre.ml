@@ -17,8 +17,6 @@ type node = {
 
 type replica = { rid : int; port : int }
 
-type cache_stats = { hits : int; misses : int; invalidations : int; entries : int }
-
 module Metrics = Scallop_obs.Metrics
 module Trace = Scallop_obs.Trace
 
@@ -33,8 +31,8 @@ type t = {
      Any mutation of trees, nodes or L2-XID sets flushes the whole table —
      correctness over retention, mutations are control-plane-rare. *)
   cache : (int * int * int * int, replica array) Hashtbl.t;
-  (* registry-backed (same O(1) field mutation as a plain int); the
-     cache_stats record remains the read view *)
+  (* registry-backed (same O(1) field mutation as a plain int): read
+     through [Metrics.read] under [pre=<obs_label>] *)
   cache_hits : Metrics.counter;
   cache_misses : Metrics.counter;
   cache_invalidations : Metrics.counter;
@@ -196,14 +194,6 @@ let replicate_cached t ~mgid ~l1_xid ~rid ~l2_xid =
       arr
 
 let cache_hit_count t = Metrics.value t.cache_hits
-
-let cache_stats t =
-  {
-    hits = Metrics.value t.cache_hits;
-    misses = Metrics.value t.cache_misses;
-    invalidations = Metrics.value t.cache_invalidations;
-    entries = Hashtbl.length t.cache;
-  }
 
 let iter_cache t f =
   Hashtbl.iter

@@ -73,14 +73,10 @@ val replicate_cached : t -> mgid:mgid -> l1_xid:int -> rid:int -> l2_xid:int -> 
     [(mgid, l1_xid, rid, l2_xid)] metadata tuple. Every tree/node/L2-XID
     mutation flushes the whole memo table, so a served entry is always
     equal to what {!replicate} would compute. Callers must not mutate the
-    returned array. *)
-
-type cache_stats = { hits : int; misses : int; invalidations : int; entries : int }
-
-val cache_stats : t -> cache_stats
-(** [invalidations] counts flushes that actually dropped entries;
-    [entries] is the current resident entry count. A view over the
-    registry-backed counters (see {!Scallop_obs.Metrics}). *)
+    returned array. The memo counts into the [scallop_pre_cache_hits],
+    [_misses] and [_invalidations] (flushes that dropped entries)
+    counters and the [_entries] (resident) callback, read through
+    {!Scallop_obs.Metrics.read}. *)
 
 val cache_hit_count : t -> int
 (** Just the hit counter — cheap enough for the data plane to read

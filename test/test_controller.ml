@@ -48,7 +48,7 @@ let sdp_volume () =
   let engine, network, rng, controller = make () in
   let before k =
     let _ = join_n controller engine network rng k in
-    (C.stats controller).sdp_messages
+    Scallop_obs.Metrics.read ~labels:[ ("ctrl", "ctl") ] "scallop_ctrl_sdp_messages"
   in
   let total = before 3 in
   (* p0: 2 (uplink). p1: 2 + 2 legs x 2 = 6. p2: 2 + 4 legs x 2 = 10. *)

@@ -41,6 +41,9 @@ let out_of_range_fails () =
   Alcotest.(check (list bool)) "degenerate range" [ true; false ] (List.map (ok none) [ 0; 1 ]);
   Alcotest.(check bool) "false fails" false
     (ok (Claim.holds "Fig 0" "ahead" ~paper:"always" Fun.id) false);
+  (* [scallop_cli run] exits 1 on the verdict [Claim.print] returns *)
+  Alcotest.(check (list bool)) "run verdict" [ true; false ]
+    (List.map (fun x -> Claim.print (Claim.check [ gain ] x)) [ 7.0; 4.2 ]);
   match assert_in_range (Claim.check [ gain ] 4.2) with
   | () -> Alcotest.fail "a claim outside its range passed"
   | exception _ -> ()

@@ -58,7 +58,8 @@ let scallop_three_party () =
   let frac = float_of_int dp_pkts /. float_of_int (dp_pkts + cpu_pkts) in
   if frac < 0.90 then Alcotest.failf "only %.1f%% of packets in data plane" (100. *. frac);
   Printf.printf "data-plane fraction: %.2f%% (dp=%d cpu=%d) stun answered=%d\n"
-    (100. *. frac) dp_pkts cpu_pkts (Scallop.Switch_agent.stats agent).stun_answered;
+    (100. *. frac) dp_pkts cpu_pkts
+    (Scallop_obs.Metrics.read ~labels:[ ("switch", "sw0") ] "scallop_agent_stun_answered");
   (* the three layers must agree after 10 s of steady state *)
   Scallop_analysis.assert_clean ~what:"three-party steady state" controller
 

@@ -49,6 +49,35 @@ let metrics_replace_semantics () =
      in
      scan 0)
 
+let raises f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let metrics_read_unknown_raises () =
+  fresh ();
+  Metrics.add (Metrics.counter ~labels:[ ("b", "2"); ("a", "1") ] "read_pkts") 5;
+  Metrics.register_callback ~labels:[ ("a", "1") ] "read_polled" (fun () -> 3.0);
+  Alcotest.(check int) "counter, labels in any order" 5
+    (Metrics.read ~labels:[ ("a", "1"); ("b", "2") ] "read_pkts");
+  Alcotest.(check int) "callback" 3 (Metrics.read ~labels:[ ("a", "1") ] "read_polled");
+  Alcotest.(check bool) "unknown name" true (raises (fun () -> Metrics.read "read_pktz"));
+  Alcotest.(check bool) "known name, unknown labels" true
+    (raises (fun () -> Metrics.read ~labels:[ ("a", "1"); ("b", "3") ] "read_pkts"));
+  Alcotest.(check bool) "known name, no labels" true
+    (raises (fun () -> Metrics.read "read_pkts"));
+  ignore (Metrics.gauge "read_gauge");
+  Alcotest.(check bool) "a gauge is not read" true
+    (raises (fun () -> Metrics.read "read_gauge"))
+
+let metrics_read_follows_replacement () =
+  fresh ();
+  let labels = [ ("switch", "sw0") ] in
+  let old_world = Metrics.counter ~labels "read_replaced" in
+  Metrics.add old_world 7;
+  Alcotest.(check int) "first instance" 7 (Metrics.read ~labels "read_replaced");
+  let new_world = Metrics.counter ~labels "read_replaced" in
+  Metrics.add new_world 2;
+  Metrics.incr old_world;
+  Alcotest.(check int) "newer instance only" 2 (Metrics.read ~labels "read_replaced")
+
 let metrics_dump_sorted_deterministic () =
   fresh ();
   Metrics.add (Metrics.counter "zeta") 1;
@@ -294,6 +323,10 @@ let () =
         [
           Alcotest.test_case "counter basics" `Quick metrics_counter_basics;
           Alcotest.test_case "replace semantics" `Quick metrics_replace_semantics;
+          Alcotest.test_case "read of an unknown series raises" `Quick
+            metrics_read_unknown_raises;
+          Alcotest.test_case "read follows replacement" `Quick
+            metrics_read_follows_replacement;
           Alcotest.test_case "sorted deterministic dump" `Quick
             metrics_dump_sorted_deterministic;
           Alcotest.test_case "callback gauge" `Quick metrics_callback_polls;

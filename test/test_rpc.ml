@@ -10,6 +10,7 @@ module Link = Netsim.Link
 module Rpc = Scallop.Rpc
 module T = Scallop.Rpc_transport
 module C = Scallop.Controller
+module Metrics = Scallop_obs.Metrics
 
 (* --- codec ----------------------------------------------------------------- *)
 
@@ -92,25 +93,29 @@ let harness ?(config = T.default) ?on_request () =
   in
   (engine, server, client, executed)
 
+(* the harness's registry series: its client is [client="ctl"], its
+   server [switch="agent"] *)
+let client_count what = Metrics.read ~labels:[ ("client", "ctl") ] ("scallop_rpc_" ^ what)
+let server_count name = Metrics.read ~labels:[ ("switch", "agent") ] name
+
 let lossy_config = { T.default with T.timeout_ns = Engine.ms 10 }
 
 let retry_after_timeout () =
-  let engine, server, client, executed = harness ~config:lossy_config () in
+  let engine, _, client, executed = harness ~config:lossy_config () in
   (* drop the first two attempts; the third gets through *)
   T.Client.set_request_fault client
     (Some (fun ~seq:_ ~attempt _ -> if attempt < 2 then T.Drop else T.Pass));
   let reply = T.Client.call client (Rpc.New_meeting { two_party = false }) in
   Alcotest.(check bool) "reply" true (reply = Ok (Rpc.Meeting_created { meeting = 1 }));
   Alcotest.(check int) "executed once" 1 !executed;
-  let cs = T.Client.stats client in
-  Alcotest.(check int) "two retries" 2 cs.retries;
-  Alcotest.(check int) "no failures" 0 cs.failures;
+  Alcotest.(check int) "two retries" 2 (client_count "retries");
+  Alcotest.(check int) "no failures" 0 (client_count "failures");
   (* the retry timers actually waited: 10 ms + 20 ms of backoff passed *)
   Alcotest.(check bool) "time advanced" true (Engine.now engine >= Engine.ms 30);
-  Alcotest.(check int) "server saw one" 1 (T.Server.stats server).requests_received
+  Alcotest.(check int) "server saw one" 1 (server_count "scallop_agent_rpc_calls")
 
 let duplicates_execute_once () =
-  let engine, server, client, executed = harness () in
+  let engine, _, client, executed = harness () in
   T.Client.set_request_fault client (Some (fun ~seq:_ ~attempt:_ _ -> T.Duplicate));
   for i = 0 to 4 do
     let reply =
@@ -121,10 +126,9 @@ let duplicates_execute_once () =
   Alcotest.(check int) "each executed once" 5 !executed;
   (* the last duplicate reply is still in flight when its call settles *)
   while Engine.step engine do () done;
-  let ss = T.Server.stats server in
-  Alcotest.(check int) "wire saw doubles" 10 ss.requests_received;
-  Alcotest.(check int) "replayed from cache" 5 ss.replayed;
-  Alcotest.(check int) "stale second replies" 5 (T.Client.stats client).stale_replies
+  Alcotest.(check int) "wire saw doubles" 10 (server_count "scallop_agent_rpc_calls");
+  Alcotest.(check int) "replayed from cache" 5 (server_count "scallop_rpc_server_replayed");
+  Alcotest.(check int) "stale second replies" 5 (client_count "stale_replies")
 
 let delayed_reply_is_retried_then_reconciled () =
   (* the reply to attempt 0 is delayed past the timeout: the client
@@ -142,19 +146,19 @@ let delayed_reply_is_retried_then_reconciled () =
   let reply = T.Client.call client (Rpc.New_meeting { two_party = false }) in
   Alcotest.(check bool) "reply" true (reply = Ok (Rpc.Meeting_created { meeting = 1 }));
   Alcotest.(check int) "executed once" 1 !executed;
-  Alcotest.(check int) "one retry" 1 (T.Client.stats client).retries;
-  Alcotest.(check int) "replayed once" 1 (T.Server.stats server).replayed
+  Alcotest.(check int) "one retry" 1 (client_count "retries");
+  Alcotest.(check int) "replayed once" 1 (server_count "scallop_rpc_server_replayed")
 
 let gives_up_after_max_retries () =
   let config = { lossy_config with T.max_retries = 3 } in
-  let _, server, client, executed = harness ~config () in
+  let _, _, client, executed = harness ~config () in
   T.Client.set_request_fault client (Some (fun ~seq:_ ~attempt:_ _ -> T.Drop));
   (* the typed surface: [call] returns the error instead of raising *)
   Alcotest.(check bool) "typed error" true
     (T.Client.call client (Rpc.New_meeting { two_party = false }) = Error (`Gave_up 4));
   Alcotest.(check int) "never executed" 0 !executed;
-  Alcotest.(check int) "failures counted" 1 (T.Client.stats client).failures;
-  Alcotest.(check int) "nothing on the wire" 0 (T.Server.stats server).requests_received
+  Alcotest.(check int) "failures counted" 1 (client_count "failures");
+  Alcotest.(check int) "nothing on the wire" 0 (server_count "scallop_agent_rpc_calls")
 
 (* --- through the controller ------------------------------------------------ *)
 
@@ -173,6 +177,10 @@ let make_stack ?control ?batch ~seed () =
   in
   (engine, network, rng, agent, controller)
 
+(* the latest [make_stack] world's controller-side count on its one
+   control channel ([client="sw0"]) *)
+let ctrl_count what = Metrics.read ~labels:[ ("client", "sw0") ] ("scallop_rpc_" ^ what)
+
 let join_n (engine, network, rng, _agent, controller) n =
   let mid = C.create_meeting controller in
   let pids =
@@ -189,15 +197,15 @@ let join_n (engine, network, rng, _agent, controller) n =
 
 let rpc_calls_count_wire_messages () =
   (* flush every op: one wire request per agent op *)
-  let ((_, _, _, agent, controller) as stack) = make_stack ~seed:11 ~batch:false () in
+  let ((_, _, _, _, controller) as stack) = make_stack ~seed:11 ~batch:false () in
   let mid, pids = join_n stack 3 in
   C.start_screen_share controller (List.hd pids);
   C.leave controller (List.nth pids 2);
   let wire = Link.delivered (T.Client.request_link (C.control_channel controller 0)) in
-  let agent_count = (Scallop.Switch_agent.stats agent).rpc_calls in
+  let agent_count = Metrics.read ~labels:[ ("switch", "sw0") ] "scallop_agent_rpc_calls" in
   Alcotest.(check bool) "some rpcs happened" true (wire > 10);
   Alcotest.(check int) "agent count = link deliveries" wire agent_count;
-  Alcotest.(check int) "controller sent as many" wire (C.stats controller).control_requests;
+  Alcotest.(check int) "controller sent as many" wire (ctrl_count "wire_requests");
   Alcotest.(check int) "members tracked" 2 (List.length (C.meeting_participants controller mid))
 
 let ideal_channel_is_free () =
@@ -214,9 +222,8 @@ let lossy_join_converges_to_same_state () =
     make_stack ~seed:13 ~control:lossy_control ()
   in
   let mid_b, _ = join_n lossy 4 in
-  let cs = C.stats ctrl_b in
-  Alcotest.(check bool) "loss forced retries" true (cs.control_retries > 0);
-  Alcotest.(check int) "every call completed" 0 cs.control_failures;
+  Alcotest.(check bool) "loss forced retries" true (ctrl_count "retries" > 0);
+  Alcotest.(check int) "every call completed" 0 (ctrl_count "failures");
   Alcotest.(check bool) "retries cost virtual time" true (Engine.now engine_b > 0);
   (* the replay cache kept retried operations idempotent: agent state
      matches the run with a perfect control channel *)
@@ -395,7 +402,7 @@ let nested_calls_all_go_on_the_wire () =
       Alcotest.(check bool) (Printf.sprintf "call %d acked" i) true (r = Some (Ok Rpc.Ack)))
     results;
   Alcotest.(check int) "each executed once" n !executed;
-  Alcotest.(check int) "executions = requests" n (T.Server.stats server).executed;
+  Alcotest.(check int) "executions = requests" n (server_count "scallop_rpc_server_executed");
   Alcotest.(check int) "all twelve in flight at the deepest nesting" n !peak;
   Alcotest.(check int) "in-flight drained" 0 (T.Client.in_flight client)
 
@@ -416,18 +423,19 @@ let batched_churn_matches_per_op () =
     make_stack ~seed:15 ~control:lossy_control ~batch:false ()
   in
   let mid_a = churn per_op in
+  (* the batched world replaces the per-op world's series: read them first *)
+  let wire_a = ctrl_count "wire_requests" and failures_a = ctrl_count "failures" in
   let ((_, _, _, agent_b, ctrl_b) as batched) =
     make_stack ~seed:15 ~control:lossy_control ~batch:true ()
   in
   let mid_b = churn batched in
-  let bs = T.Client.stats (C.control_channel ctrl_b 0) in
-  Alcotest.(check bool) "batches flowed" true (bs.batches > 0);
+  let batches = ctrl_count "batch_flushes" in
+  Alcotest.(check bool) "batches flowed" true (batches > 0);
   Alcotest.(check bool) "each batch carried >1 op on average" true
-    (bs.batched_ops > bs.batches);
+    (ctrl_count "batched_ops" > batches);
   Alcotest.(check bool) "batching cut wire requests" true
-    ((C.stats ctrl_b).control_requests < (C.stats ctrl_a).control_requests);
-  Alcotest.(check int) "no failures either way" 0
-    ((C.stats ctrl_a).control_failures + (C.stats ctrl_b).control_failures);
+    (ctrl_count "wire_requests" < wire_a);
+  Alcotest.(check int) "no failures either way" 0 (failures_a + ctrl_count "failures");
   let amid_a = C.agent_meeting_id ctrl_a mid_a in
   let amid_b = C.agent_meeting_id ctrl_b mid_b in
   Alcotest.(check (list int)) "same members"
@@ -442,12 +450,12 @@ let batched_churn_matches_per_op () =
    inside the fence. *)
 let fenced_batch_is_counted () =
   let ((_, _, _, _, controller) as stack) = make_stack ~seed:16 () in
-  let before = (T.Client.stats (C.control_channel controller 0)).batches in
+  let before = ctrl_count "batch_flushes" in
   let _ = join_n stack 1 in
-  let s = T.Client.stats (C.control_channel controller 0) in
   Alcotest.(check bool) "journaled controller" true (C.journal controller <> None);
-  Alcotest.(check int) "one join, one flush" (before + 1) s.batches;
-  Alcotest.(check bool) "ops counted inside the fenced batch" true (s.batched_ops >= 1)
+  Alcotest.(check int) "one join, one flush" (before + 1) (ctrl_count "batch_flushes");
+  Alcotest.(check bool) "ops counted inside the fenced batch" true
+    (ctrl_count "batched_ops" >= 1)
 
 let () =
   Alcotest.run "rpc"

@@ -144,6 +144,9 @@ let pre_insertion_order_preserved () =
 let cached pre ~mgid ~l1_xid ~rid ~l2_xid =
   Array.to_list (Pre.replicate_cached pre ~mgid ~l1_xid ~rid ~l2_xid)
 
+(* the registry series of the default instance ([pre="pre0"]) *)
+let cache what = Scallop_obs.Metrics.read ~labels:[ ("pre", "pre0") ] ("scallop_pre_cache_" ^ what)
+
 let pre_cache_hit_miss () =
   let pre = Pre.create () in
   let nodes = List.init 3 (fun i -> Pre.create_l1_node pre ~rid:i ~ports:[ 10 + i ] ()) in
@@ -152,13 +155,12 @@ let pre_cache_hit_miss () =
   let first = cached pre ~mgid:1 ~l1_xid:0 ~rid:99 ~l2_xid:0 in
   let second = cached pre ~mgid:1 ~l1_xid:0 ~rid:99 ~l2_xid:0 in
   Alcotest.(check bool) "cached = spec" true (first = spec && second = spec);
-  let s = Pre.cache_stats pre in
-  Alcotest.(check int) "one miss" 1 s.Pre.misses;
-  Alcotest.(check int) "one hit" 1 s.Pre.hits;
-  Alcotest.(check int) "one resident entry" 1 s.Pre.entries;
+  Alcotest.(check int) "one miss" 1 (cache "misses");
+  Alcotest.(check int) "one hit" 1 (cache "hits");
+  Alcotest.(check int) "one resident entry" 1 (cache "entries");
   (* a distinct metadata tuple is its own entry *)
   ignore (cached pre ~mgid:1 ~l1_xid:0 ~rid:1 ~l2_xid:0);
-  Alcotest.(check int) "second entry" 2 (Pre.cache_stats pre).Pre.entries
+  Alcotest.(check int) "second entry" 2 (cache "entries")
 
 let pre_cache_invalidated_on_mutation () =
   let pre = Pre.create () in
@@ -171,9 +173,8 @@ let pre_cache_invalidated_on_mutation () =
   Alcotest.(check int) "both ports" 2 (List.length before);
   (* every mutation class must flush the memo table *)
   Pre.remove_node_from_tree pre 1 b;
-  let s = Pre.cache_stats pre in
-  Alcotest.(check int) "flush counted" 1 s.Pre.invalidations;
-  Alcotest.(check int) "no resident entries" 0 s.Pre.entries;
+  Alcotest.(check int) "flush counted" 1 (cache "invalidations");
+  Alcotest.(check int) "no resident entries" 0 (cache "entries");
   let after = cached pre ~mgid:1 ~l1_xid:0 ~rid:99 ~l2_xid:0 in
   Alcotest.(check bool) "stale entry not served" true
     (after = Pre.replicate pre ~mgid:1 ~l1_xid:0 ~rid:99 ~l2_xid:0
@@ -181,15 +182,14 @@ let pre_cache_invalidated_on_mutation () =
   (* L2 exclusion-set updates are mutations too *)
   ignore (cached pre ~mgid:1 ~l1_xid:0 ~rid:0 ~l2_xid:7);
   Pre.set_l2_xid_ports pre ~xid:7 ~ports:[ 10 ];
-  Alcotest.(check int) "l2 write flushes" 0 (Pre.cache_stats pre).Pre.entries;
+  Alcotest.(check int) "l2 write flushes" 0 (cache "entries");
   Alcotest.(check int) "exclusion applies" 0
     (List.length (cached pre ~mgid:1 ~l1_xid:0 ~rid:0 ~l2_xid:7));
   (* flushing an empty cache is not counted as an invalidation *)
-  let inv = (Pre.cache_stats pre).Pre.invalidations in
+  let inv = cache "invalidations" in
   Pre.destroy_tree pre 1;
   Pre.set_l2_xid_ports pre ~xid:8 ~ports:[ 1 ];
-  Alcotest.(check int) "empty flush not counted" (inv + 1)
-    (Pre.cache_stats pre).Pre.invalidations
+  Alcotest.(check int) "empty flush not counted" (inv + 1) (cache "invalidations")
 
 (* --- qcheck: pruning is exact --------------------------------------------------- *)
 
