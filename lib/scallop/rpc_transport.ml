@@ -68,7 +68,7 @@ module Server = struct
     mutable reply_fault : (seq:int -> Rpc.reply -> fault) option;
     mutable online : bool;
     (* registry-backed (label [switch="..."]) *)
-    requests_received : Metrics.counter;
+    rpc_calls : Metrics.counter;
     executed : Metrics.counter;
     replayed : Metrics.counter;
     replies_sent : Metrics.counter;
@@ -88,7 +88,7 @@ module Server = struct
       seen_order = Queue.create ();
       reply_fault = None;
       online = true;
-      requests_received =
+      rpc_calls =
         counter "control requests the agent received on the wire (dups included)"
           "scallop_agent_rpc_calls";
       executed = counter "requests that ran the handler" "scallop_rpc_server_executed";
@@ -144,7 +144,7 @@ module Server = struct
     | exception Rpc.Decode_error _ -> Metrics.incr t.decode_errors
     | Rpc.Reply _ -> Metrics.incr t.decode_errors
     | Rpc.Request { seq; request } ->
-        Metrics.incr t.requests_received;
+        Metrics.incr t.rpc_calls;
         let key = (dgram.src, seq) in
         let replayed = Hashtbl.mem t.seen key in
         let reply =

@@ -49,8 +49,8 @@ val create :
     label ([switch="..."]): [scallop_agent_stun_answered],
     [_rembs_analyzed], [_target_changes] and [_migrations]; its RPC
     server adds [scallop_agent_rpc_calls] ({!Rpc_transport.Server}).
-    The packets and bytes it takes off the CPU port are the data
-    plane's {!Dataplane.cpu_pkts} and {!Dataplane.cpu_bytes}. *)
+    The data plane counts what it sends the agent over the CPU port
+    ({!Dataplane.cpu_pkts}, {!Dataplane.cpu_bytes}). *)
 
 (** {1 Session registration (the targets of the {!Rpc} vocabulary)} *)
 
