@@ -59,6 +59,82 @@ let codec_roundtrip () =
       Rpc.Pong { epoch = 3 };
     ]
 
+(* --- exact wire text -----------------------------------------------------------
+
+   The encoder's bytes for every request of [all_requests] (seq 100
+   onwards), a nested batch, a fenced batch, and a batch reply whose
+   [Error] texts hold runs of spaces, leading and trailing ones included
+   (one of them empty). *)
+
+let wire_texts =
+  List.combine
+    (List.mapi (fun i request -> Rpc.Request { seq = 100 + i; request }) all_requests)
+    [
+      "req 100 new-meeting 1";
+      "req 101 register-participant 3 7 140 0";
+      "req 102 register-uplink 0 1 130 170 187 2500000 2 9 2500000 10 600000";
+      "req 103 register-leg 2 4 131 5 150 167772932 4242 1";
+      "req 104 register-leg 2 4 -1 6 151 167772933 4242 0";
+      "req 105 remove-participant 1 2";
+      "req 106 unregister-uplink 1 133";
+      "req 107 set-pair-target 0 1 2 0";
+      "req 108 ping";
+      "req 109 reset";
+    ]
+  @ [
+    ( Rpc.Request
+        {
+          seq = 7;
+          request =
+            Rpc.Batch
+              [
+                Rpc.Ping;
+                Rpc.Batch [ Rpc.Remove_participant { meeting = 1; participant = 2 }; Rpc.Reset ];
+                Rpc.Set_pair_target
+                  { meeting = 4; sender = 5; receiver = 6; target = Av1.Dd.DT_30fps };
+              ];
+        },
+      "req 7 batch 3 1 ping 8 batch 2 3 remove-participant 1 2 1 reset 5 set-pair-target 4 5 6 2"
+    );
+    ( Rpc.Request
+        {
+          seq = 8;
+          request =
+            Rpc.Fenced
+              {
+                fence = 3;
+                op =
+                  Rpc.Batch
+                    [
+                      Rpc.New_meeting { two_party = false };
+                      Rpc.Remove_participant { meeting = 1; participant = 2 };
+                    ];
+              };
+        },
+      "req 8 fenced 3 batch 2 2 new-meeting 0 3 remove-participant 1 2" );
+    ( Rpc.Reply
+        {
+          seq = 9;
+          reply =
+            Rpc.Batch_reply
+              [
+                Rpc.Meeting_created { meeting = 12 };
+                Rpc.Error " no  such meeting ";
+                Rpc.Ack;
+                Rpc.Batch_reply [ Rpc.Error ""; Rpc.Stale_fence { fence = 4 } ];
+              ];
+        },
+      "rep 9 batch-reply 4 2 meeting-created 12 7 error  no  such meeting  1 ack 8 \
+       batch-reply 2 2 error  2 stale-fence 4" );
+  ]
+
+let codec_wire_text () =
+  List.iter
+    (fun (msg, text) ->
+      Alcotest.(check string) text text (Bytes.to_string (Rpc.encode msg));
+      Alcotest.(check bool) ("parses back " ^ text) true (Rpc.decode (Bytes.of_string text) = msg))
+    wire_texts
+
 let codec_rejects_garbage () =
   List.iter
     (fun s ->
@@ -463,6 +539,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "roundtrip" `Quick codec_roundtrip;
+          Alcotest.test_case "wire text" `Quick codec_wire_text;
           Alcotest.test_case "garbage" `Quick codec_rejects_garbage;
           Fixed_seed.to_alcotest ~verbose:false request_roundtrip_prop;
           Fixed_seed.to_alcotest ~verbose:false reply_roundtrip_prop;
