@@ -1,10 +1,17 @@
-(** Big-endian binary readers/writers shared by all wire formats.
+(** Big-endian binary readers/writers shared by the binary wire formats
+    (RTP, RTCP, STUN, the AV1 dependency descriptor); the text formats
+    (SDP, the control-plane RPC) read through {!Text}.
 
     The reader is a cursor over immutable [bytes]; all parse errors raise
     {!Parse_error} with a human-readable reason, so protocol modules can
     surface malformed packets without partial reads escaping. *)
 
 exception Parse_error of string
+(** The one exception every parser of a wire format raises on malformed
+    input, binary or text: [Packet.parse], [Rtcp.parse_compound],
+    [Stun.parse], [Av1.Dd.parse], [Sdp.of_string] and
+    [Scallop.Rpc.decode] raise it and nothing else
+    ([test/test_parsers.ml] fuzzes each). *)
 
 val parse_error : ('a, unit, string, 'b) format4 -> 'a
 (** [parse_error fmt ...] raises {!Parse_error} with a formatted message. *)

@@ -1,5 +1,6 @@
 module Addr = Scallop_util.Addr
 module Dd = Av1.Dd
+module Text = Rtp.Text
 
 type request =
   | New_meeting of { two_party : bool }
@@ -52,8 +53,6 @@ type message =
   | Request of { seq : int; request : request }
   | Reply of { seq : int; reply : reply }
 
-exception Decode_error of string
-
 let rec request_name = function
   | New_meeting _ -> "new-meeting"
   | Register_participant _ -> "register-participant"
@@ -72,216 +71,196 @@ let rec request_name = function
    Space-separated text, one message per datagram: a direction tag, the
    sequence number, the operation name, then the operation's fields in
    declaration order. Textual like the SDP path so control traffic is
-   inspectable in traces and its wire size is honest. *)
+   inspectable in traces and its wire size is honest. Every space ends a
+   token, so empty tokens count: an [Error] text keeps its runs of
+   spaces. A batch member is prefixed by its token count, so the flat
+   token list of a batch parses unambiguously. *)
 
-let bool_field b = if b then "1" else "0"
+(* Every writer puts a space before each token it writes, so a member's
+   token count is the number of spaces it wrote. *)
+let add_int b n =
+  Buffer.add_char b ' ';
+  Text.add_int b n
 
-(* Frame one sub-message inside a batch: retokenize its encoding (an
-   [Error] reply may itself contain spaces) and prefix the token count,
-   so the flat outer field list parses unambiguously. Only a field with a
-   space splits; the tokens are those of the joined fields, so
-   round-trips are exact. *)
-let framed fields =
-  let tokens =
-    List.concat_map
-      (fun f -> if String.contains f ' ' then String.split_on_char ' ' f else [ f ])
-      fields
-  in
-  string_of_int (List.length tokens) :: tokens
+(* an operation's name and integer fields (a flag is 0 or 1) *)
+let op b name fields =
+  Buffer.add_char b ' ';
+  Buffer.add_string b name;
+  for i = 0 to Array.length fields - 1 do
+    add_int b fields.(i)
+  done
 
-let rec encode_request r =
-  match r with
-  | New_meeting { two_party } -> [ "new-meeting"; bool_field two_party ]
+(* [write b x], moved behind its token count *)
+let framed write b x =
+  let start = Buffer.length b in
+  write b x;
+  let member = Buffer.sub b start (Buffer.length b - start) in
+  Buffer.truncate b start;
+  add_int b (String.fold_left (fun n c -> if c = ' ' then n + 1 else n) 0 member);
+  Buffer.add_string b member
+
+let rec add_request b = function
+  | New_meeting { two_party } -> op b "new-meeting" [| Bool.to_int two_party |]
   | Register_participant { meeting; participant; egress_port; sends } ->
-      [
-        "register-participant";
-        string_of_int meeting;
-        string_of_int participant;
-        string_of_int egress_port;
-        bool_field sends;
-      ]
+      op b "register-participant" [| meeting; participant; egress_port; Bool.to_int sends |]
   | Register_uplink
       { meeting; sender; port; video_ssrc; audio_ssrc; full_bitrate; renditions } ->
-      [
-        "register-uplink";
-        string_of_int meeting;
-        string_of_int sender;
-        string_of_int port;
-        string_of_int video_ssrc;
-        string_of_int audio_ssrc;
-        string_of_int full_bitrate;
-        string_of_int (Array.length renditions);
-      ]
-      @ List.concat_map
-          (fun (ssrc, bitrate) -> [ string_of_int ssrc; string_of_int bitrate ])
-          (Array.to_list renditions)
+      op b "register-uplink"
+        [| meeting; sender; port; video_ssrc; audio_ssrc; full_bitrate; Array.length renditions |];
+      Array.iter
+        (fun (ssrc, bitrate) ->
+          add_int b ssrc;
+          add_int b bitrate)
+        renditions
   | Register_leg { meeting; sender; uplink_port; receiver; leg_port; dst; adaptive } ->
-      [
-        "register-leg";
-        string_of_int meeting;
-        string_of_int sender;
-        string_of_int (Option.value uplink_port ~default:(-1));
-        string_of_int receiver;
-        string_of_int leg_port;
-        string_of_int dst.Addr.ip;
-        string_of_int dst.Addr.port;
-        bool_field adaptive;
-      ]
+      op b "register-leg"
+        [|
+          meeting; sender; Option.value uplink_port ~default:(-1); receiver; leg_port;
+          dst.Addr.ip; dst.Addr.port; Bool.to_int adaptive;
+        |]
   | Remove_participant { meeting; participant } ->
-      [ "remove-participant"; string_of_int meeting; string_of_int participant ]
-  | Unregister_uplink { meeting; port } ->
-      [ "unregister-uplink"; string_of_int meeting; string_of_int port ]
+      op b "remove-participant" [| meeting; participant |]
+  | Unregister_uplink { meeting; port } -> op b "unregister-uplink" [| meeting; port |]
   | Set_pair_target { meeting; sender; receiver; target } ->
-      [
-        "set-pair-target";
-        string_of_int meeting;
-        string_of_int sender;
-        string_of_int receiver;
-        string_of_int (Dd.index_of_target target);
-      ]
-  | Ping -> [ "ping" ]
-  | Reset -> [ "reset" ]
+      op b "set-pair-target" [| meeting; sender; receiver; Dd.index_of_target target |]
+  | Ping -> op b "ping" [||]
+  | Reset -> op b "reset" [||]
   | Batch ops ->
-      "batch"
-      :: string_of_int (List.length ops)
-      :: List.concat_map (fun op -> framed (encode_request op)) ops
-  | Fenced { fence; op } -> "fenced" :: string_of_int fence :: encode_request op
+      op b "batch" [| List.length ops |];
+      List.iter (framed add_request b) ops
+  | Fenced { fence; op = request } ->
+      op b "fenced" [| fence |];
+      add_request b request
 
-let rec encode_reply = function
-  | Meeting_created { meeting } -> [ "meeting-created"; string_of_int meeting ]
-  | Ack -> [ "ack" ]
-  | Pong { epoch } -> [ "pong"; string_of_int epoch ]
-  | Error msg -> [ "error"; msg ]
-  | Stale_fence { fence } -> [ "stale-fence"; string_of_int fence ]
+let rec add_reply b = function
+  | Meeting_created { meeting } -> op b "meeting-created" [| meeting |]
+  | Ack -> op b "ack" [||]
+  | Pong { epoch } -> op b "pong" [| epoch |]
+  | Error msg ->
+      op b "error" [||];
+      Buffer.add_char b ' ';
+      Buffer.add_string b msg
+  | Stale_fence { fence } -> op b "stale-fence" [| fence |]
   | Batch_reply replies ->
-      "batch-reply"
-      :: string_of_int (List.length replies)
-      :: List.concat_map (fun r -> framed (encode_reply r)) replies
+      op b "batch-reply" [| List.length replies |];
+      List.iter (framed add_reply b) replies
 
 let encode msg =
-  let fields =
-    match msg with
-    | Request { seq; request } -> "req" :: string_of_int seq :: encode_request request
-    | Reply { seq; reply } -> "rep" :: string_of_int seq :: encode_reply reply
-  in
-  Bytes.of_string (String.concat " " fields)
+  let b = Buffer.create 128 in
+  (match msg with
+  | Request { seq; request } ->
+      Buffer.add_string b "req";
+      add_int b seq;
+      add_request b request
+  | Reply { seq; reply } ->
+      Buffer.add_string b "rep";
+      add_int b seq;
+      add_reply b reply);
+  Buffer.to_bytes b
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+let fail fmt = Rtp.Wire.parse_error ("Rpc.decode: " ^^ fmt)
+let token c = if not (Text.next c ' ') then fail "truncated"
 
-let int_field name s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> fail "bad %s field %S" name s
+let int c =
+  token c;
+  Text.int c
 
-let bool_of_field name = function
-  | "0" -> false
-  | "1" -> true
-  | s -> fail "bad %s field %S" name s
+let finished c = if not (Text.at_end c) then fail "trailing tokens"
 
-(* Parse [count] token-count-prefixed groups, consuming the whole list
-   (a batch is always the last element of its message). *)
-let framed_groups name count tokens =
-  let rec take k acc rest =
-    if k = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | tok :: tl -> take (k - 1) (tok :: acc) tl
-      | [] -> fail "truncated %s frame" name
-  in
-  let rec go n tokens acc =
-    if n = 0 then
-      if tokens = [] then List.rev acc else fail "%s: trailing tokens" name
-    else
-      match tokens with
-      | len :: rest ->
-          let len = int_field (name ^ " frame length") len in
-          if len < 0 then fail "%s: negative frame length" name;
-          let group, rest = take len [] rest in
-          go (n - 1) rest (group :: acc)
-      | [] -> fail "truncated %s" name
-  in
-  go count tokens []
+let target c =
+  let i = int c in
+  match Dd.target_of_index i with
+  | target -> target
+  | exception Invalid_argument _ -> fail "bad decode target %d" i
 
-let rec decode_request = function
-  | [ "new-meeting"; tp ] -> New_meeting { two_party = bool_of_field "two_party" tp }
-  | [ "register-participant"; m; p; e; s ] ->
+(* a count, then that many [read]s *)
+let counted read c =
+  let n = int c in
+  if n < 0 then fail "negative count %d" n;
+  List.init n (fun _ -> read c)
+
+(* a token count, then a member [read] consumes whole *)
+let framed_member read c =
+  let len = int c in
+  if len < 1 then fail "bad frame length %d" len;
+  token c;
+  let lo = Text.lo c in
+  for _ = 2 to len do
+    token c
+  done;
+  let member = Text.sub c lo (Text.hi c) in
+  let x = read member in
+  finished member;
+  x
+
+let rendition c =
+  let ssrc = int c in
+  (ssrc, int c)
+
+(* the next [n] integer fields, in wire order *)
+let ints c n = Array.init n (fun _ -> int c)
+
+let flag = function 0 -> false | 1 -> true | v -> fail "bad flag %d" v
+
+let rec request c =
+  token c;
+  match Text.string c with
+  | "new-meeting" -> New_meeting { two_party = flag (int c) }
+  | "register-participant" ->
+      let f = ints c 4 in
       Register_participant
-        {
-          meeting = int_field "meeting" m;
-          participant = int_field "participant" p;
-          egress_port = int_field "egress_port" e;
-          sends = bool_of_field "sends" s;
-        }
-  | "register-uplink" :: m :: s :: port :: v :: a :: f :: n :: rest ->
-      let n = int_field "renditions" n in
-      if List.length rest <> 2 * n then fail "register-uplink: rendition count mismatch";
-      let rec pairs = function
-        | [] -> []
-        | ssrc :: bitrate :: tl ->
-            (int_field "rendition ssrc" ssrc, int_field "rendition bitrate" bitrate)
-            :: pairs tl
-        | [ _ ] -> fail "register-uplink: odd rendition list"
-      in
+        { meeting = f.(0); participant = f.(1); egress_port = f.(2); sends = flag f.(3) }
+  | "register-uplink" ->
+      let f = ints c 6 in
+      let renditions = Array.of_list (counted rendition c) in
       Register_uplink
         {
-          meeting = int_field "meeting" m;
-          sender = int_field "sender" s;
-          port = int_field "port" port;
-          video_ssrc = int_field "video_ssrc" v;
-          audio_ssrc = int_field "audio_ssrc" a;
-          full_bitrate = int_field "full_bitrate" f;
-          renditions = Array.of_list (pairs rest);
+          meeting = f.(0); sender = f.(1); port = f.(2); video_ssrc = f.(3);
+          audio_ssrc = f.(4); full_bitrate = f.(5); renditions;
         }
-  | [ "register-leg"; m; s; up; r; lp; ip; port; ad ] ->
-      let up = int_field "uplink_port" up in
+  | "register-leg" ->
+      let f = ints c 8 in
       Register_leg
         {
-          meeting = int_field "meeting" m;
-          sender = int_field "sender" s;
-          uplink_port = (if up < 0 then None else Some up);
-          receiver = int_field "receiver" r;
-          leg_port = int_field "leg_port" lp;
-          dst = Addr.v (int_field "dst ip" ip) (int_field "dst port" port);
-          adaptive = bool_of_field "adaptive" ad;
+          meeting = f.(0); sender = f.(1); uplink_port = (if f.(2) < 0 then None else Some f.(2));
+          receiver = f.(3); leg_port = f.(4); dst = Addr.v f.(5) f.(6); adaptive = flag f.(7);
         }
-  | [ "remove-participant"; m; p ] ->
-      Remove_participant
-        { meeting = int_field "meeting" m; participant = int_field "participant" p }
-  | [ "unregister-uplink"; m; p ] ->
-      Unregister_uplink { meeting = int_field "meeting" m; port = int_field "port" p }
-  | [ "set-pair-target"; m; s; r; t ] ->
-      Set_pair_target
-        {
-          meeting = int_field "meeting" m;
-          sender = int_field "sender" s;
-          receiver = int_field "receiver" r;
-          target = Dd.target_of_index (int_field "target" t);
-        }
-  | [ "ping" ] -> Ping
-  | [ "reset" ] -> Reset
-  | "batch" :: n :: rest ->
-      Batch (List.map decode_request (framed_groups "batch" (int_field "batch size" n) rest))
-  | "fenced" :: fence :: rest ->
-      Fenced { fence = int_field "fence" fence; op = decode_request rest }
-  | op :: _ -> fail "unknown or malformed request %S" op
-  | [] -> fail "empty request"
+  | "remove-participant" ->
+      let f = ints c 2 in
+      Remove_participant { meeting = f.(0); participant = f.(1) }
+  | "unregister-uplink" ->
+      let f = ints c 2 in
+      Unregister_uplink { meeting = f.(0); port = f.(1) }
+  | "set-pair-target" ->
+      let f = ints c 3 in
+      Set_pair_target { meeting = f.(0); sender = f.(1); receiver = f.(2); target = target c }
+  | "ping" -> Ping
+  | "reset" -> Reset
+  | "batch" -> Batch (counted (framed_member request) c)
+  | "fenced" ->
+      let fence = int c in
+      Fenced { fence; op = request c }
+  | op -> fail "unknown request %S" op
 
-let rec decode_reply = function
-  | [ "meeting-created"; m ] -> Meeting_created { meeting = int_field "meeting" m }
-  | [ "ack" ] -> Ack
-  | [ "pong"; e ] -> Pong { epoch = int_field "epoch" e }
-  | [ "stale-fence"; f ] -> Stale_fence { fence = int_field "fence" f }
-  | "batch-reply" :: n :: rest ->
-      Batch_reply
-        (List.map decode_reply (framed_groups "batch-reply" (int_field "batch size" n) rest))
-  | "error" :: rest -> Error (String.concat " " rest)
-  | op :: _ -> fail "unknown or malformed reply %S" op
-  | [] -> fail "empty reply"
+let rec reply c =
+  token c;
+  match Text.string c with
+  | "meeting-created" -> Meeting_created { meeting = int c }
+  | "ack" -> Ack
+  | "pong" -> Pong { epoch = int c }
+  | "stale-fence" -> Stale_fence { fence = int c }
+  | "batch-reply" -> Batch_reply (counted (framed_member reply) c)
+  | "error" -> Error (Text.rest c)
+  | op -> fail "unknown reply %S" op
 
+(* The cursor reads the payload in place: nothing is written to it while
+   it is parsed, and every string the result keeps is a copy. *)
 let decode bytes =
-  match String.split_on_char ' ' (Bytes.to_string bytes) with
-  | "req" :: seq :: rest ->
-      Request { seq = int_field "seq" seq; request = decode_request rest }
-  | "rep" :: seq :: rest -> Reply { seq = int_field "seq" seq; reply = decode_reply rest }
-  | tag :: _ -> fail "unknown message tag %S" tag
-  | [] -> fail "empty message"
+  let c = Text.of_string (Bytes.unsafe_to_string bytes) in
+  token c;
+  let req = Text.is c "req" in
+  if not (req || Text.is c "rep") then fail "unknown message tag %S" (Text.string c);
+  let seq = int c in
+  let msg = if req then Request { seq; request = request c } else Reply { seq; reply = reply c } in
+  finished c;
+  msg

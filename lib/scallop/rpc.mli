@@ -91,15 +91,14 @@ type message =
           replay cached replies instead of re-executing (at-most-once
           execution under at-least-once delivery) *)
 
-exception Decode_error of string
-
 val request_name : request -> string
 
 val encode : message -> bytes
 (** Space-separated textual wire format (inspectable, honestly sized).
     Batch members are framed recursively with token-count prefixes, so
     sub-messages whose fields contain spaces (an [Error] text) still
-    round-trip exactly. *)
+    round-trip exactly. Its bytes are fixed: [test_rpc] pins them. *)
 
 val decode : bytes -> message
-(** @raise Decode_error on malformed input. *)
+(** [decode (encode m) = m].
+    @raise Rtp.Wire.Parse_error on malformed input, and nothing else. *)

@@ -141,7 +141,7 @@ module Server = struct
       Metrics.incr t.dropped_offline
     else
     match Rpc.decode dgram.payload with
-    | exception Rpc.Decode_error _ -> Metrics.incr t.decode_errors
+    | exception Rtp.Wire.Parse_error _ -> Metrics.incr t.decode_errors
     | Rpc.Reply _ -> Metrics.incr t.decode_errors
     | Rpc.Request { seq; request } ->
         Metrics.incr t.rpc_calls;
@@ -333,7 +333,7 @@ module Client = struct
 
   let on_reply t (dgram : Dgram.t) =
     match Rpc.decode dgram.payload with
-    | exception Rpc.Decode_error _ -> Metrics.incr t.stale_replies
+    | exception Rtp.Wire.Parse_error _ -> Metrics.incr t.stale_replies
     | Rpc.Request _ -> Metrics.incr t.stale_replies
     | Rpc.Reply { seq; reply } -> (
         match Hashtbl.find_opt t.pending seq with

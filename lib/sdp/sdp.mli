@@ -67,9 +67,9 @@ val of_string : string -> t
 (** [of_string (to_string x) = x] for every [x] whose text the format
     can carry (an origin port of 0; no whitespace inside a token or
     around a value).
-    @raise Failure on malformed SDP, naming the bad line (a malformed
-    number raises [int_of_string]'s [Failure]); no other exception
-    escapes, an unparseable address included. *)
+    @raise Rtp.Wire.Parse_error on malformed SDP, naming the bad line
+    (a malformed number or address included); no other exception
+    escapes. *)
 
 val rewrite_candidates : t -> Scallop_util.Addr.t -> t
 (** [rewrite_candidates sdp sfu_addr] replaces every media section's

@@ -142,8 +142,20 @@ let codec_rejects_garbage () =
         (try
            let _ = Rpc.decode (Bytes.of_string s) in
            false
-         with Rpc.Decode_error _ -> true))
-    [ ""; "nonsense"; "req x new-meeting 0"; "req 1 new-meeting"; "rep 1 bogus" ]
+         with Rtp.Wire.Parse_error _ -> true))
+    [
+      "";
+      "nonsense";
+      "req x new-meeting 0";
+      "req 1 new-meeting";
+      "rep 1 bogus";
+      (* decode target indices out of range, bare and inside a batch or a
+         fence *)
+      "req 1 set-pair-target 0 1 2 7";
+      "req 1 set-pair-target 0 1 2 -1";
+      "req 1 batch 1 5 set-pair-target 0 1 2 7";
+      "req 1 fenced 2 set-pair-target 0 1 2 7";
+    ]
 
 (* --- raw client/server harness --------------------------------------------- *)
 
@@ -235,6 +247,23 @@ let gives_up_after_max_retries () =
   Alcotest.(check int) "never executed" 0 !executed;
   Alcotest.(check int) "failures counted" 1 (client_count "failures");
   Alcotest.(check int) "nothing on the wire" 0 (server_count "scallop_agent_rpc_calls")
+
+(* A datagram that does not decode is counted and dropped; the server
+   goes on answering. *)
+let malformed_request_is_counted () =
+  let engine, _, client, executed = harness () in
+  let decode_errors () = server_count "scallop_rpc_server_decode_errors" in
+  let before = decode_errors () in
+  Netsim.Control_channel.send_fwd (T.Client.channel client)
+    (Netsim.Dgram.v ~src:(Addr.v 1 1) ~dst:(Addr.v 2 2)
+       (Bytes.of_string "req 1 set-pair-target 0 1 2 7"));
+  while Engine.step engine do () done;
+  Alcotest.(check int) "decode error counted" (before + 1) (decode_errors ());
+  Alcotest.(check int) "nothing executed" 0 !executed;
+  let reply = T.Client.call client (Rpc.New_meeting { two_party = false }) in
+  Alcotest.(check bool) "next request answered" true
+    (reply = Ok (Rpc.Meeting_created { meeting = 1 }));
+  Alcotest.(check int) "next request executed" 1 !executed
 
 (* --- through the controller ------------------------------------------------ *)
 
@@ -551,6 +580,7 @@ let () =
           Alcotest.test_case "delayed reply" `Quick delayed_reply_is_retried_then_reconciled;
           Alcotest.test_case "give up" `Quick gives_up_after_max_retries;
           Alcotest.test_case "nested calls" `Quick nested_calls_all_go_on_the_wire;
+          Alcotest.test_case "malformed request counted" `Quick malformed_request_is_counted;
         ] );
       ( "batch",
         [

@@ -40,6 +40,30 @@ let wire_masking () =
   let r = Wire.Reader.of_bytes (Wire.Writer.contents w) in
   Alcotest.(check int) "u8 masked" 0xFF (Wire.Reader.u8 r)
 
+(* The text cursor's decimals and dotted quads: the whole [int] range and
+   nothing past it, [Parse_error] for the rest. *)
+let text_numbers () =
+  let read f s =
+    let c = Rtp.Text.of_string s in
+    ignore (Rtp.Text.next c ' ');
+    match f c with v -> Some v | exception Wire.Parse_error _ -> None
+  in
+  List.iter
+    (fun (s, v) -> Alcotest.(check (option int)) ("int " ^ s) v (read Rtp.Text.int s))
+    [
+      ("0", Some 0); ("-0", Some 0); ("42", Some 42); ("-7", Some (-7));
+      (string_of_int max_int, Some max_int); (string_of_int min_int, Some min_int);
+      ("4611686018427387904", None); ("-4611686018427387905", None);
+      ("", None); ("-", None); ("+1", None); ("1x", None); ("0x10", None);
+    ];
+  List.iter
+    (fun (s, v) -> Alcotest.(check (option int)) ("ip " ^ s) v (read Rtp.Text.ip s))
+    [
+      ("10.0.1.3", Some 0x0A000103); ("255.255.255.255", Some 0xFFFFFFFF); ("0.0.0.0", Some 0);
+      ("256.0.0.1", None); ("1.2.3", None); ("1.2.3.4.5", None); ("1..2.3", None);
+      ("1.2.3.0004", None); ("1.2.3.", None); ("-1.2.3.4", None); ("", None);
+    ]
+
 (* --- RTP packets ------------------------------------------------------------ *)
 
 let mk_packet ?marker ?extensions ?(payload = "hello media") () =
@@ -308,6 +332,7 @@ let () =
           Alcotest.test_case "truncation" `Quick wire_truncation;
           Alcotest.test_case "peek" `Quick wire_peek;
           Alcotest.test_case "masking" `Quick wire_masking;
+          Alcotest.test_case "text numbers" `Quick text_numbers;
         ] );
       ( "rtp",
         [
