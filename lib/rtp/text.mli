@@ -2,11 +2,11 @@
     SDP and control-plane RPC parsers read through it.
 
     It reads spans — tokens, lines, fields — as index pairs into the
-    text, and decimals and dotted quads in place, so a parse copies
-    only the strings its result keeps. Every malformed value raises
-    {!Wire.Parse_error}. How a format splits its text (on which
-    separator, whether empty tokens count) is the caller's choice of
-    separator and of which spans to skip. *)
+    text, and decimals and dotted quads in place, so a parse copies only
+    the strings it keeps or matches against names. Every malformed
+    value raises {!Wire.Parse_error}. How a format splits its text (on
+    which separator, whether empty tokens count) is the caller's choice
+    of separator and of which spans to skip. *)
 
 type t
 

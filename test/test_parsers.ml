@@ -197,8 +197,8 @@ let mutant corpus =
 let arbitrary gen = QCheck.make ~print:(Printf.sprintf "%S") gen
 let rejects parse x = match parse x with _ -> false | exception Wire.Parse_error _ -> true
 
-let only_parse_error ?(count = 2000) name gen parse =
-  QCheck.Test.make ~count ~name (arbitrary gen) (fun s ->
+let only_parse_error name gen parse =
+  QCheck.Test.make ~count:2000 ~name (arbitrary gen) (fun s ->
       ignore (rejects parse s);
       true)
 
@@ -245,8 +245,7 @@ let () =
           [
             mutated "Rpc.decode" rpc (of_bytes Rpc.decode);
             mutated "Sdp.of_string" sdp Sdp.of_string;
-            only_parse_error ~count:2000 "malformed SDP raises only Parse_error" mangled_sdp
-              Sdp.of_string;
+            only_parse_error "malformed SDP raises only Parse_error" mangled_sdp Sdp.of_string;
             mutated "Packet.parse" rtp (of_bytes Packet.parse);
             mutated "View.of_bytes" rtp (of_bytes (Packet.View.of_bytes ~ext_id:Dd.extension_id));
             mutated "Rtcp.parse_compound" rtcp (of_bytes Rtp.Rtcp.parse_compound);
